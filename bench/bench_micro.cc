@@ -62,6 +62,43 @@ static void BM_EventQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChurn);
 
+// The same fire -> reschedule cycle at session scale: range(0) timers with
+// Pareto holding times (mean 60 s, alpha 1.6, capped at 50x the mean, as in
+// the session-churn workloads) are scheduled outside the timed region; each
+// iteration fires the earliest and schedules its replacement one holding
+// time later, so range(0) timers stay pending. Holding times are drawn up
+// front so the loop times the queue, not the RNG, and the fixed iteration
+// count keeps the 10^7 pre-fill to a single pass.
+static void BM_EventQueueChurnPending(benchmark::State& state) {
+  constexpr double kMeanS = 60.0;
+  constexpr double kAlpha = 1.6;
+  sim::Rng rng{7};
+  std::vector<sim::Time> holding(std::size_t{1} << 20);
+  for (auto& h : holding) {
+    h = sim::Time::from_seconds(
+        std::min(rng.pareto(kMeanS * (kAlpha - 1.0) / kAlpha, kAlpha), 50.0 * kMeanS));
+  }
+  const std::size_t mask = holding.size() - 1;
+  std::size_t next = 0;
+  long fired = 0;
+  const auto on_fire = [&fired] { ++fired; };
+  sim::EventQueue q;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    q.schedule(holding[next++ & mask], on_fire);
+  }
+  sim::Time now;
+  for (auto _ : state) {
+    q.run_next(&now);
+    q.schedule(now + holding[next++ & mask], on_fire);
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueChurnPending)
+    ->Arg(1 << 20)
+    ->Arg(10'000'000)
+    ->Iterations(1'000'000);
+
 static void BM_TcpBulkTransferSimSecond(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator simv;

@@ -146,6 +146,9 @@ void Broker::stamp_decision(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 }
 
 std::uint64_t Broker::open_session(int pair_idx, double demand_bps) {
+  if (pair_idx < 0 || static_cast<std::size_t>(pair_idx) >= ranker_.size()) {
+    return SessionManager::kInvalidSession;
+  }
   const std::uint64_t id = sessions_.admit(ranker_, pair_idx, demand_bps, now_);
   const Session& s = sessions_.session(id);
   ++stats_.sessions_admitted;
@@ -177,7 +180,7 @@ void Broker::close_session(std::uint64_t id) {
 void Broker::run_until(sim::Time t) {
   while (queue_.next_time() <= t && queue_.run_next(&now_)) {
   }
-  now_ = t;
+  if (t > now_) now_ = t;
 }
 
 void Broker::measure_pairs(const std::vector<int>& pair_idxs, sim::Time t) {

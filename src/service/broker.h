@@ -108,9 +108,12 @@ class ControlPlane {
   /// (global across shards for the sharded implementation).
   virtual int register_pair(int src, int dst) = 0;
   /// Admit a session for a registered pair at the current simulated time.
+  /// An unregistered `pair_idx` admits nothing and returns
+  /// SessionManager::kInvalidSession.
   virtual std::uint64_t open_session(int pair_idx, double demand_bps) = 0;
   virtual void close_session(std::uint64_t id) = 0;
-  /// Run the control plane up to and including simulated time `t`.
+  /// Run the control plane up to and including simulated time `t`. The
+  /// clock never moves backwards: a `t` before now() runs nothing.
   virtual void run_until(sim::Time t) = 0;
   virtual sim::Time now() const = 0;
   virtual sim::EventQueue& queue() = 0;

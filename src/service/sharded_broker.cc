@@ -86,6 +86,9 @@ int ShardedBroker::register_pair(int src, int dst) {
 }
 
 std::uint64_t ShardedBroker::open_session(int pair_idx, double demand_bps) {
+  if (pair_idx < 0 || static_cast<std::size_t>(pair_idx) >= pair_count()) {
+    return SessionManager::kInvalidSession;
+  }
   const int s = shard_of_pair_[static_cast<std::size_t>(pair_idx)];
   const int local = local_of_pair_[static_cast<std::size_t>(pair_idx)];
   Shard& sh = *shards_[static_cast<std::size_t>(s)];
@@ -125,7 +128,7 @@ void ShardedBroker::warm_up() {
 void ShardedBroker::run_until(sim::Time t) {
   while (queue_.next_time() <= t && queue_.run_next(&now_)) {
   }
-  now_ = t;
+  if (t > now_) now_ = t;
 }
 
 void ShardedBroker::probe_tick() {

@@ -2,14 +2,19 @@
 // interleaved schedule/cancel/fire checked against a reference model,
 // handle inertness across slot recycling, FIFO order at equal timestamps
 // with cancels punched into the run, heap fallback for oversized callbacks,
-// and reentrant cancel/schedule from inside a firing callback.
+// reentrant cancel/schedule from inside a firing callback, exact fire order
+// with >= 10^5 events pending, and exactly-once lifetimes of callables on
+// both sides of the inline-storage boundary.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -189,6 +194,192 @@ TEST(EventQueueArena, ReentrantCancelAndScheduleFromCallback) {
   EXPECT_EQ(cancelled_fired, 0);
   EXPECT_EQ(chained_fired, 1);
   EXPECT_TRUE(q.empty());
+}
+
+/// Drives the queue with >= 10^5 events pending, so every sift walks >= 8
+/// levels of the 4-ary heap, and checks each fire against a reference
+/// ordered by (time, schedule sequence). Fired callbacks schedule
+/// follow-ups of their own.
+class DeepHeapHarness {
+ public:
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (time ns, sequence)
+  static constexpr std::int64_t kSpanNs = 1'000'000;
+
+  explicit DeepHeapHarness(std::uint64_t seed) : rng_(seed) {}
+
+  std::uint64_t draw(std::uint64_t n) { return rng_() % n; }
+  std::size_t pending() const { return ref_.size(); }
+  std::size_t scheduled() const { return handles_.size(); }
+  std::int64_t last_fired_ns() const { return last_fired_ns_; }
+  bool queue_empty() { return q_.empty(); }
+
+  void schedule(std::int64_t at_ns) {
+    const std::size_t id = keys_.size();
+    keys_.emplace_back(at_ns, next_seq_++);
+    ref_.emplace(keys_.back(), id);
+    handles_.push_back(q_.schedule(Time{at_ns}, [this, id] { on_fire(id); }));
+  }
+
+  /// Cancels event `id`, live or stale. True iff its handle's pending()
+  /// matched the reference before the cancel and reads false after it.
+  bool cancel(std::size_t id) {
+    const bool was_live = ref_.erase(keys_[id]) == 1;
+    const bool agreed = handles_[id].pending() == was_live;
+    handles_[id].cancel();
+    return agreed && !handles_[id].pending();
+  }
+
+  /// Fires one event. True iff it is the reference's (time, sequence)
+  /// minimum, reported at its own time.
+  bool fire_next() {
+    if (ref_.empty()) return !q_.run_next();
+    const auto [key, id] = *ref_.begin();
+    ref_.erase(ref_.begin());
+    fired_ = kNone;
+    Time at{};
+    if (!q_.run_next(&at)) return false;
+    last_fired_ns_ = at.ns();
+    return fired_ == id && at.ns() == key.first;
+  }
+
+ private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  void on_fire(std::size_t id) {
+    fired_ = id;
+    // One fire in eight schedules from inside its own callback: at its own
+    // instant (behind every equal-time event) or later.
+    const std::uint64_t r = draw(16);
+    if (r == 0) schedule(keys_[id].first);
+    if (r == 1) schedule(keys_[id].first + static_cast<std::int64_t>(draw(kSpanNs)));
+  }
+
+  EventQueue q_;
+  std::mt19937_64 rng_;
+  std::map<Key, std::size_t> ref_;  // live events: (time, sequence) -> id
+  std::vector<Key> keys_;           // by event id
+  std::vector<EventHandle> handles_;
+  std::uint64_t next_seq_ = 0;
+  std::int64_t last_fired_ns_ = 0;
+  std::size_t fired_ = kNone;
+};
+
+TEST(EventQueueArena, DeepHeapFiresInExactReferenceOrder) {
+  constexpr std::size_t kPending = 100'000;
+  constexpr std::int64_t kSpan = DeepHeapHarness::kSpanNs;
+  DeepHeapHarness h(0x5eed);
+  for (std::size_t i = 0; i < kPending; ++i) {
+    h.schedule(static_cast<std::int64_t>(h.draw(kSpan)));
+  }
+  for (int step = 0; step < 100'000; ++step) {
+    const std::uint64_t op = h.draw(100);
+    const std::int64_t last = h.last_fired_ns();
+    if (h.pending() <= kPending || op < 40) {
+      const std::uint64_t kind = h.draw(16);
+      if (kind == 0) {
+        // A burst at one timestamp: FIFO among 32 equal times.
+        const std::int64_t at = last + static_cast<std::int64_t>(h.draw(kSpan));
+        for (int b = 0; b < 32; ++b) h.schedule(at);
+      } else if (kind == 1) {
+        // Earlier than the last fired event.
+        h.schedule(std::max<std::int64_t>(
+            0, last - 1 - static_cast<std::int64_t>(h.draw(1000))));
+      } else {
+        h.schedule(last + static_cast<std::int64_t>(h.draw(kSpan)));
+      }
+    } else if (op < 60) {
+      ASSERT_TRUE(h.cancel(h.draw(h.scheduled()))) << "cancel at step " << step;
+    } else {
+      ASSERT_TRUE(h.fire_next()) << "fire at step " << step;
+    }
+    ASSERT_GE(h.pending(), kPending);
+  }
+  while (h.pending() > 0) ASSERT_TRUE(h.fire_next());
+  EXPECT_TRUE(h.queue_empty());
+}
+
+/// A callable of exactly N bytes (alignment 1) that counts its live
+/// instances, copies, moves and runs, and checks its payload on each run.
+template <std::size_t N>
+struct SizedCallable {
+  static inline int live = 0;
+  static inline int copies = 0;
+  static inline int moves = 0;
+  static inline int runs = 0;
+  static inline int corrupt_runs = 0;
+
+  std::array<unsigned char, N> bytes;
+
+  SizedCallable() {
+    for (std::size_t i = 0; i < N; ++i) bytes[i] = pattern(i);
+    ++live;
+  }
+  SizedCallable(const SizedCallable& o) : bytes(o.bytes) {
+    ++live;
+    ++copies;
+  }
+  SizedCallable(SizedCallable&& o) noexcept : bytes(o.bytes) {
+    ++live;
+    ++moves;
+  }
+  SizedCallable& operator=(const SizedCallable&) = delete;
+  ~SizedCallable() { --live; }
+
+  void operator()() {
+    ++runs;
+    for (std::size_t i = 0; i < N; ++i) {
+      if (bytes[i] != pattern(i)) {
+        ++corrupt_runs;
+        return;
+      }
+    }
+  }
+
+  static unsigned char pattern(std::size_t i) {
+    return static_cast<unsigned char>(i * 7 + 1);
+  }
+};
+
+/// One callable fires, one is cancelled (twice), one is still pending when
+/// the queue dies: each is moved into the queue once, never copied, runs at
+/// most once and is destroyed exactly once.
+template <std::size_t N>
+void expect_exactly_once_lifetimes() {
+  using F = SizedCallable<N>;
+  F::live = F::copies = F::moves = F::runs = F::corrupt_runs = 0;
+  {
+    EventQueue q;
+    EventHandle fired = q.schedule(Time::seconds(1), F{});
+    EventHandle cancelled = q.schedule(Time::seconds(2), F{});
+    q.schedule(Time::seconds(3), F{});
+    EXPECT_EQ(F::moves, 3);
+    EXPECT_EQ(F::copies, 0);
+    EXPECT_EQ(F::live, 3);  // the temporaries are gone, the queue's copies live
+
+    cancelled.cancel();
+    EXPECT_EQ(F::live, 2);
+    cancelled.cancel();  // stale: destroys nothing
+    EXPECT_EQ(F::live, 2);
+
+    ASSERT_TRUE(q.run_next());
+    EXPECT_FALSE(fired.pending());
+    EXPECT_EQ(F::runs, 1);
+    EXPECT_EQ(F::live, 1);
+  }
+  EXPECT_EQ(F::live, 0);  // the pending one died with the queue
+  EXPECT_EQ(F::runs, 1);
+  EXPECT_EQ(F::moves, 3);
+  EXPECT_EQ(F::corrupt_runs, 0);
+}
+
+TEST(EventQueueArena, InlineBoundaryCallablesLiveExactlyOnce) {
+  constexpr std::size_t kInline = EventQueue::kInlineBytes;
+  static_assert(sizeof(SizedCallable<kInline>) == kInline);
+  static_assert(sizeof(SizedCallable<kInline + 1>) == kInline + 1);
+  static_assert(EventQueue::stores_inline<SizedCallable<kInline>>);
+  static_assert(!EventQueue::stores_inline<SizedCallable<kInline + 1>>);
+  expect_exactly_once_lifetimes<kInline>();
+  expect_exactly_once_lifetimes<kInline + 1>();
 }
 
 }  // namespace

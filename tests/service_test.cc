@@ -138,6 +138,37 @@ TEST(ServiceAdmission, DirectPathAdmitsWhenEveryOverlayIsFull) {
   EXPECT_EQ(broker.sessions().peak_overlay_used_bps(), 0.0);
 }
 
+TEST(ServiceAdmission, OpenSessionRejectsUnregisteredPairId) {
+  wkld::World world(kWorldSeed);
+  const auto clients = world.make_web_clients(2);
+  const auto servers = world.make_servers();
+  const auto overlays = world.rent_paper_overlays();
+  Broker broker(&world.internet(), &world.meter(), nullptr, overlays,
+                BrokerConfig{});
+  for (int c : clients) {
+    for (int s : servers) broker.register_pair(c, s);
+  }
+  const int pairs = static_cast<int>(broker.ranker().size());
+  const std::uint64_t fp = broker.stats().decision_fingerprint;
+  // One step outside either end of the registered range: no session and
+  // no state change.
+  EXPECT_EQ(broker.open_session(-1, 1e6), SessionManager::kInvalidSession);
+  EXPECT_EQ(broker.open_session(pairs, 1e6), SessionManager::kInvalidSession);
+  EXPECT_EQ(broker.sessions().active(), 0u);
+  EXPECT_EQ(broker.stats().sessions_admitted, 0u);
+  EXPECT_EQ(broker.stats().decision_fingerprint, fp);
+  EXPECT_NE(broker.open_session(pairs - 1, 1e6), SessionManager::kInvalidSession);
+}
+
+TEST(ServiceClock, RunUntilNeverMovesTheClockBackwards) {
+  wkld::World world(kWorldSeed);
+  Broker broker(&world.internet(), &world.meter(), nullptr,
+                world.rent_paper_overlays(), BrokerConfig{});
+  broker.run_until(sim::Time::seconds(10));
+  broker.run_until(sim::Time::seconds(5));
+  EXPECT_EQ(broker.now(), sim::Time::seconds(10));
+}
+
 TEST(PathRanker, EwmaSmoothsAndHysteresisDamsFlapping) {
   wkld::World world(kWorldSeed);
   const auto clients = world.make_web_clients(2);

@@ -257,5 +257,37 @@ TEST(ShardedAccounting, SessionIdsRouteToOwningShard) {
   EXPECT_EQ(broker.active_sessions(), 0u);
 }
 
+TEST(ShardedAccounting, OpenSessionRejectsUnregisteredPairId) {
+  wkld::World world(kWorldSeed);
+  const auto clients = world.make_web_clients(2);
+  const auto servers = world.make_servers();
+  const auto overlays = world.rent_paper_overlays();
+  ShardedBroker broker(&world.internet(), &world.meter(), /*pool=*/nullptr,
+                       overlays, /*num_shards=*/4, scenario_config());
+  for (int c : clients) {
+    for (int s : servers) broker.register_pair(c, s);
+  }
+  const int pairs = static_cast<int>(broker.pair_count());
+  const std::uint64_t fp = broker.stats().decision_fingerprint;
+  // One step outside either end of the registered range: no session and
+  // no state change.
+  EXPECT_EQ(broker.open_session(-1, 1e6), SessionManager::kInvalidSession);
+  EXPECT_EQ(broker.open_session(pairs, 1e6), SessionManager::kInvalidSession);
+  EXPECT_EQ(broker.active_sessions(), 0u);
+  EXPECT_EQ(broker.stats().sessions_admitted, 0u);
+  EXPECT_EQ(broker.stats().decision_fingerprint, fp);
+  EXPECT_NE(broker.open_session(pairs - 1, 1e6), SessionManager::kInvalidSession);
+}
+
+TEST(ShardedClock, RunUntilNeverMovesTheClockBackwards) {
+  wkld::World world(kWorldSeed);
+  ShardedBroker broker(&world.internet(), &world.meter(), /*pool=*/nullptr,
+                       world.rent_paper_overlays(), /*num_shards=*/4,
+                       scenario_config());
+  broker.run_until(sim::Time::seconds(10));
+  broker.run_until(sim::Time::seconds(5));
+  EXPECT_EQ(broker.now(), sim::Time::seconds(10));
+}
+
 }  // namespace
 }  // namespace cronets::service
