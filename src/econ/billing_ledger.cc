@@ -1,6 +1,7 @@
 #include "econ/billing_ledger.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "sim/hash_rng.h"
@@ -18,17 +19,42 @@ std::uint64_t double_bits(double v) {
 
 }  // namespace
 
-std::uint64_t BillingLedger::key_of(const BillCell& cell) {
-  // [vm_ep+1 : high] [region : 8 bits] [kind : 8 bits] — unique per cell
-  // identity and monotone in (vm_ep, region, kind) for the sorted folds.
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cell.vm_ep + 1))
-          << 16) |
-         (static_cast<std::uint64_t>(cell.egress) << 8) |
-         static_cast<std::uint64_t>(cell.kind);
+BillingLedger::Cell& BillingLedger::cell_at(const BillCell& cell) {
+  assert(cell.vm_ep >= -1);
+  const auto v = static_cast<std::size_t>(cell.vm_ep + 1);
+  if (v >= vm_slot_.size()) vm_slot_.resize(v + 1, -1);
+  if (vm_slot_[v] < 0) {
+    vm_slot_[v] = static_cast<std::int32_t>(cells_.size() / kCellsPerVm);
+    cells_.resize(cells_.size() + kCellsPerVm);
+  }
+  const auto region = static_cast<std::size_t>(cell.egress);
+  const auto kind = static_cast<std::size_t>(cell.kind);
+  assert(region < kRegions && kind < kKinds);
+  return cells_[static_cast<std::size_t>(vm_slot_[v]) * kCellsPerVm +
+                region * kKinds + kind];
+}
+
+template <typename Fn>
+void BillingLedger::for_each_cell(Fn&& fn) const {
+  // Endpoint-id order, then region, then kind: the same ascending key
+  // order a sorted map over the keys would walk.
+  for (std::size_t v = 0; v < vm_slot_.size(); ++v) {
+    if (vm_slot_[v] < 0) continue;
+    const Cell* block = &cells_[static_cast<std::size_t>(vm_slot_[v]) * kCellsPerVm];
+    for (std::size_t i = 0; i < kCellsPerVm; ++i) {
+      if (!block[i].metered) continue;
+      fn((static_cast<std::uint64_t>(v) << 16) | ((i / kKinds) << 8) | (i % kKinds),
+         block[i]);
+    }
+  }
 }
 
 void BillingLedger::meter(const BillCell& cell, double gb) {
-  Cell& c = cells_[key_of(cell)];
+  Cell& c = cell_at(cell);
+  if (!c.metered) {
+    c.metered = true;
+    ++cell_count_;
+  }
   c.gb += gb;
   c.usd += gb * cell.usd_per_gb;
   ++meter_events_;
@@ -40,59 +66,41 @@ void BillingLedger::meter_session(const std::vector<BillCell>& bills,
   delivered_gb_ += gb;
 }
 
-void BillingLedger::sorted_keys(std::vector<std::uint64_t>* out) const {
-  out->clear();
-  out->reserve(cells_.size());
-  for (const auto& [key, cell] : cells_) out->push_back(key);
-  std::sort(out->begin(), out->end());
-}
-
 double BillingLedger::total_gb() const {
-  std::vector<std::uint64_t> keys;
-  sorted_keys(&keys);
   double sum = 0.0;
-  for (const std::uint64_t k : keys) sum += cells_.at(k).gb;
+  for_each_cell([&](std::uint64_t, const Cell& c) { sum += c.gb; });
   return sum;
 }
 
 double BillingLedger::total_usd() const {
-  std::vector<std::uint64_t> keys;
-  sorted_keys(&keys);
   double sum = 0.0;
-  for (const std::uint64_t k : keys) sum += cells_.at(k).usd;
+  for_each_cell([&](std::uint64_t, const Cell& c) { sum += c.usd; });
   return sum;
 }
 
 double BillingLedger::kind_gb(core::PathKind kind) const {
-  std::vector<std::uint64_t> keys;
-  sorted_keys(&keys);
   double sum = 0.0;
-  for (const std::uint64_t k : keys) {
-    if (static_cast<core::PathKind>(k & 0xffu) == kind) sum += cells_.at(k).gb;
-  }
+  for_each_cell([&](std::uint64_t k, const Cell& c) {
+    if (static_cast<core::PathKind>(k & 0xffu) == kind) sum += c.gb;
+  });
   return sum;
 }
 
 double BillingLedger::kind_usd(core::PathKind kind) const {
-  std::vector<std::uint64_t> keys;
-  sorted_keys(&keys);
   double sum = 0.0;
-  for (const std::uint64_t k : keys) {
-    if (static_cast<core::PathKind>(k & 0xffu) == kind) sum += cells_.at(k).usd;
-  }
+  for_each_cell([&](std::uint64_t k, const Cell& c) {
+    if (static_cast<core::PathKind>(k & 0xffu) == kind) sum += c.usd;
+  });
   return sum;
 }
 
 std::uint64_t BillingLedger::fingerprint() const {
-  std::vector<std::uint64_t> keys;
-  sorted_keys(&keys);
   std::uint64_t fp = sim::splitmix64(0xB111Dull);
-  for (const std::uint64_t k : keys) {
-    const Cell& c = cells_.at(k);
+  for_each_cell([&](std::uint64_t k, const Cell& c) {
     fp = sim::hash_combine(fp, k);
     fp = sim::hash_combine(fp, double_bits(c.gb));
     fp = sim::hash_combine(fp, double_bits(c.usd));
-  }
+  });
   fp = sim::hash_combine(fp, double_bits(delivered_gb_));
   return fp;
 }

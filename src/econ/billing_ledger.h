@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/overlay.h"
@@ -23,13 +22,14 @@ struct BillCell {
 };
 
 /// Deterministic metered-billing book: GB and USD accumulated per
-/// (overlay VM, egress region, path kind) cell. A plain value type, same
-/// discipline as the NIC ledger: each shard's session table keeps its own
-/// book while every metering event also lands in one shared global ledger,
-/// written on the single-threaded control plane in global event order — so
-/// the global ledger's doubles (and its fingerprint) are bitwise identical
-/// at any shard count, thread count, and SIMD level, while the per-shard
-/// books sum to it within float tolerance.
+/// (overlay VM, egress region, path kind) cell. One book per control plane,
+/// written on its single-threaded event queue in global event order — so
+/// its doubles (and its fingerprint) are bitwise identical at any shard
+/// count, thread count, and SIMD level.
+///
+/// Cells are indexed densely, with no hashing: a VM gets a slot the first
+/// time it is metered (a flat table indexed by endpoint id), and each slot
+/// owns one block of region x kind cells.
 class BillingLedger {
  public:
   /// Accumulate `gb` (and gb x rate USD) into the cell.
@@ -46,14 +46,13 @@ class BillingLedger {
   double total_gb() const;
   double total_usd() const;
   /// End-to-end GB delivered across all metered sessions (accumulated in
-  /// meter order — deterministic on the global ledger, which is written in
-  /// global event order).
+  /// meter order).
   double delivered_gb() const { return delivered_gb_; }
   /// Per-path-kind slices (same fold order).
   double kind_gb(core::PathKind kind) const;
   double kind_usd(core::PathKind kind) const;
 
-  std::size_t cell_count() const { return cells_.size(); }
+  std::size_t cell_count() const { return cell_count_; }
   std::uint64_t meter_events() const { return meter_events_; }
 
   /// Order-insensitive-by-construction fingerprint: cells are hashed in
@@ -63,22 +62,34 @@ class BillingLedger {
   std::uint64_t fingerprint() const;
 
  private:
+  static constexpr std::size_t kRegions =
+      static_cast<std::size_t>(topo::Region::kAustralia) + 1;
+  static constexpr std::size_t kKinds =
+      static_cast<std::size_t>(core::PathKind::kMultiHop) + 1;
+  static constexpr std::size_t kCellsPerVm = kRegions * kKinds;
+
   struct Cell {
     double gb = 0.0;
     double usd = 0.0;
+    bool metered = false;  ///< part of the book (metered at least once)
   };
-  static std::uint64_t key_of(const BillCell& cell);
-  void sorted_keys(std::vector<std::uint64_t>* out) const;
+  Cell& cell_at(const BillCell& cell);
+  /// Visit every metered cell as (key, cell) in ascending key order, where
+  /// key = [vm_ep+1 : high][region : 8][kind : 8].
+  template <typename Fn>
+  void for_each_cell(Fn&& fn) const;
 
-  std::unordered_map<std::uint64_t, Cell> cells_;
+  std::vector<std::int32_t> vm_slot_;  // vm_ep + 1 -> VM slot (-1: unseen)
+  std::vector<Cell> cells_;            // [VM slot][region][kind]
+  std::size_t cell_count_ = 0;
   std::uint64_t meter_events_ = 0;
   double delivered_gb_ = 0.0;
 };
 
 /// Reserved-spend book mirroring the NIC ledger: each admitted paid
 /// session reserves its demand's spend rate (USD/hour) here; releases
-/// return it. The budget policy checks admissions against the shared
-/// global instance — budgets, like NICs, don't multiply with shards.
+/// return it. The budget policy checks admissions against the control
+/// plane's one instance — budgets, like NICs, don't multiply with shards.
 class CostLedger {
  public:
   void add(double usd_per_hour);

@@ -87,10 +87,11 @@ Broker::Broker(topo::Internet* topo, const core::ModelMeasurement* meter,
       cfg_(cfg),
       ranker_(topo, cfg.ranking, overlay_eps_),
       scheduler_(cfg.probe),
+      books_(overlay_eps_),
       sessions_(AdmissionConfig{cfg.nic_capacity_bps > 0
                                     ? cfg.nic_capacity_bps
                                     : topo->cloud().vm_nic_bps},
-                overlay_eps_) {
+                &books_) {
   assert(cfg_.failover_delay <= cfg_.probe.interval &&
          "failover reaction must stay within one probe interval");
   if (cfg_.probe.budget_per_tick > 0) {

@@ -197,6 +197,10 @@ class Broker : public ControlPlane {
   const BrokerStats& stats() const { return stats_; }
   const PathRanker& ranker() const { return ranker_; }
   const SessionManager& sessions() const { return sessions_; }
+  /// The broker's books: overlay NIC reservations and the metered billing
+  /// ledger.
+  const NicLedger& nic() const { return books_.nic; }
+  const econ::BillingLedger& billing() const { return books_.billing; }
   const ProbeScheduler& scheduler() const { return scheduler_; }
   const std::vector<int>& overlay_eps() const { return overlay_eps_; }
 
@@ -238,6 +242,7 @@ class Broker : public ControlPlane {
   sim::Time now_{0};
   PathRanker ranker_;
   ProbeScheduler scheduler_;
+  Books books_;
   SessionManager sessions_;
   BrokerStats stats_;
   BrokerMonitor* monitor_ = nullptr;

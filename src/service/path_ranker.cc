@@ -39,7 +39,7 @@ void PathRanker::build_candidates(PairState* p) const {
   Candidate direct;
   direct.kind = core::PathKind::kDirect;
   direct.path = topo_->cached_path(p->src, p->dst);
-  price_candidate(*p, &direct);
+  direct.usd_per_gb = price(*p, direct, nullptr);
   p->candidates.push_back(std::move(direct));
   for (int o : overlay_eps_) {
     if (o == p->src || o == p->dst) continue;
@@ -48,7 +48,7 @@ void PathRanker::build_candidates(PairState* p) const {
     c.overlay_ep = o;
     c.path = topo_->cached_path(p->src, o);
     c.leg2 = topo_->cached_path(o, p->dst);
-    price_candidate(*p, &c);
+    c.usd_per_gb = price(*p, c, nullptr);
     p->candidates.push_back(std::move(c));
   }
   // Multi-hop candidates: every ordered (entry VM, exit VM) pair of plane
@@ -81,6 +81,7 @@ void PathRanker::refresh_multihop(const PairState& p, Candidate* c) const {
   const route::RoutePlane* plane = cfg_.route_plane;
   c->via.clear();
   c->mids.clear();
+  c->plan = Candidate::kNoPlan;
   c->path = topo_->cached_path(p.src, c->overlay_ep);
   c->leg2 = topo_->cached_path(c->exit_ep, p.dst);
   if (plane == nullptr) return;
@@ -89,47 +90,74 @@ void PathRanker::refresh_multihop(const PairState& p, Candidate* c) const {
   }
   c->route_ver = plane->pair_route_version(c->exit_ep);
   // The chain moved, so what it costs moved with it.
-  price_candidate(p, c);
+  c->usd_per_gb = price(p, *c, nullptr);
 }
 
-void PathRanker::price_candidate(const PairState& p, Candidate* c) const {
+double PathRanker::price(const PairState& p, const Candidate& c,
+                         std::vector<econ::BillCell>* bills) const {
   const econ::PricingBook* book = cfg_.econ.pricing;
-  if (book == nullptr) return;
-  c->bills.clear();
-  c->usd_per_gb = 0.0;
+  if (book == nullptr) return 0.0;
   const topo::Region dst_region = topo_->endpoint(p.dst).region;
-  if (c->kind == core::PathKind::kDirect) {
+  const auto bill = [&](int vm_ep, topo::Region egress, double rate) {
+    if (bills != nullptr) bills->push_back({vm_ep, egress, c.kind, rate});
+  };
+  if (c.kind == core::PathKind::kDirect) {
     // Zero-rate cell: delivered traffic is metered even when nothing is
     // billed, so $/Gbps-hour covers the whole fleet, not just relays.
-    c->bills.push_back({-1, dst_region, core::PathKind::kDirect, 0.0});
-    return;
+    bill(-1, dst_region, 0.0);
+    return 0.0;
   }
-  if (c->kind == core::PathKind::kSplitOverlay) {
-    const topo::Region vm = topo_->endpoint(c->overlay_ep).region;
+  if (c.kind == core::PathKind::kSplitOverlay) {
+    const topo::Region vm = topo_->endpoint(c.overlay_ep).region;
     const double rate = econ::egress_usd_per_gb(*book, vm, dst_region,
                                                 /*backbone=*/false);
-    c->bills.push_back({c->overlay_ep, dst_region, c->kind, rate});
-    c->usd_per_gb = rate;
-    return;
+    bill(c.overlay_ep, dst_region, rate);
+    return rate;
   }
-  if (c->kind == core::PathKind::kMultiHop) {
-    if (c->via.empty()) return;  // no usable route: nothing to price
-    // The chain pays egress at every hop: backbone rate between
-    // consecutive VMs, transit rate leaving the exit VM toward dst.
-    for (std::size_t i = 0; i + 1 < c->via.size(); ++i) {
-      const topo::Region from = topo_->endpoint(c->via[i]).region;
-      const topo::Region to = topo_->endpoint(c->via[i + 1]).region;
-      const double rate =
-          econ::egress_usd_per_gb(*book, from, to, /*backbone=*/true);
-      c->bills.push_back({c->via[i], to, c->kind, rate});
-      c->usd_per_gb += rate;
-    }
-    const topo::Region exit = topo_->endpoint(c->via.back()).region;
-    const double rate = econ::egress_usd_per_gb(*book, exit, dst_region,
-                                                /*backbone=*/false);
-    c->bills.push_back({c->via.back(), dst_region, c->kind, rate});
-    c->usd_per_gb += rate;
+  if (c.kind != core::PathKind::kMultiHop) return 0.0;
+  if (c.via.empty()) return 0.0;  // no usable route: nothing to price
+  // The chain pays egress at every hop: backbone rate between consecutive
+  // VMs, transit rate leaving the exit VM toward dst.
+  double usd_per_gb = 0.0;
+  for (std::size_t i = 0; i + 1 < c.via.size(); ++i) {
+    const topo::Region from = topo_->endpoint(c.via[i]).region;
+    const topo::Region to = topo_->endpoint(c.via[i + 1]).region;
+    const double rate =
+        econ::egress_usd_per_gb(*book, from, to, /*backbone=*/true);
+    bill(c.via[i], to, rate);
+    usd_per_gb += rate;
   }
+  const topo::Region exit = topo_->endpoint(c.via.back()).region;
+  const double rate = econ::egress_usd_per_gb(*book, exit, dst_region,
+                                              /*backbone=*/false);
+  bill(c.via.back(), dst_region, rate);
+  return usd_per_gb + rate;
+}
+
+std::uint32_t PathRanker::charge_plan(int idx, int ci) {
+  PairState& p = pairs_[static_cast<std::size_t>(idx)];
+  Candidate& c = p.candidates[static_cast<std::size_t>(ci)];
+  if (c.plan != Candidate::kNoPlan) return c.plan;
+  ChargePlan plan;
+  if (c.kind == core::PathKind::kSplitOverlay) {
+    plan.vms.push_back(c.overlay_ep);
+  } else if (c.kind == core::PathKind::kMultiHop) {
+    // A multi-hop session relays through every VM on its chain; each one's
+    // NIC carries the session's traffic once in and once out, same as a
+    // one-hop relay, so each reserves the full demand.
+    plan.vms = c.via;
+  }
+  std::vector<int> key = {static_cast<int>(c.kind),
+                          static_cast<int>(topo_->endpoint(p.dst).region)};
+  key.insert(key.end(), plan.vms.begin(), plan.vms.end());
+  const auto [it, inserted] = plan_index_.try_emplace(
+      std::move(key), static_cast<std::uint32_t>(plans_.size()));
+  if (inserted) {
+    plan.usd_per_gb = price(p, c, &plan.bills);
+    plans_.push_back(std::move(plan));
+  }
+  c.plan = it->second;
+  return c.plan;
 }
 
 double PathRanker::candidate_objective(const Candidate& c) const {

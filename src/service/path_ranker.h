@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -71,13 +72,29 @@ struct Candidate {
   std::vector<topo::PathRef> mids;
   std::uint64_t route_ver = 0;
   /// Economics plane (RankerConfig::econ.pricing set): what one GB of this
-  /// candidate's traffic costs, and the per-hop metering cells behind that
-  /// number — direct pays nothing, a one-hop relay pays transit egress at
-  /// its VM, a multi-hop chain pays backbone egress at every intermediate
-  /// hop plus transit at the exit. Recomputed whenever the candidate's
-  /// route is (re)built, so the price always matches the current chain.
+  /// candidate's traffic costs — direct pays nothing, a one-hop relay pays
+  /// transit egress at its VM, a multi-hop chain pays backbone egress at
+  /// every intermediate hop plus transit at the exit. Recomputed whenever
+  /// the candidate's route is (re)built, so the price always matches the
+  /// current chain.
   double usd_per_gb = 0.0;
+  /// The candidate's ChargePlan (PathRanker::charge_plan), interned at the
+  /// first reservation after the candidate was (re)built; kNoPlan until then.
+  static constexpr std::uint32_t kNoPlan = 0xffffffffu;
+  std::uint32_t plan = kNoPlan;
+};
+
+/// What a session pinned to a candidate holds and pays, fixed when it
+/// reserves: the overlay VMs whose NICs carry its demand (none for direct,
+/// one for a one-hop relay, the via chain for multi-hop), the billing cells
+/// its bytes are metered into (empty with the economics plane off), and the
+/// $/GB behind its reserved spend rate. Plans are immutable and live in an
+/// append-only table, so a plane re-route gives the candidate a new plan
+/// while sessions already pinned keep the one they reserved with.
+struct ChargePlan {
+  std::vector<int> vms;
   std::vector<econ::BillCell> bills;
+  double usd_per_gb = 0.0;
 };
 
 /// Ranked path table of one (src, dst) pair, plus the broker bookkeeping
@@ -218,6 +235,12 @@ class PathRanker {
   /// Hysteresis applies to this objective, whatever the policy.
   double candidate_objective(const Candidate& c) const;
 
+  /// The plan a session reserving on candidate `ci` of the pair holds and
+  /// pays by. Interned on first use after the candidate was (re)built, and
+  /// shared by every candidate with the same kind, egress region and VMs.
+  std::uint32_t charge_plan(int idx, int ci);
+  const ChargePlan& plan(std::uint32_t id) const { return plans_[id]; }
+
   /// Whether the pair's cached order is stale (test/bench introspection).
   bool order_dirty(int idx) const {
     return pairs_[static_cast<std::size_t>(idx)].order_dirty;
@@ -238,15 +261,21 @@ class PathRanker {
   /// Re-read the plane's current route for a kMultiHop candidate and
   /// re-intern its segments (entry/exit access legs + backbone mids).
   void refresh_multihop(const PairState& p, Candidate* c) const;
-  /// Recompute the candidate's $/GB and billing cells from the pricing
-  /// book (no-op with the economics plane off).
-  void price_candidate(const PairState& p, Candidate* c) const;
+  /// The candidate's $/GB under the pricing book, appending the billing
+  /// cells behind it to `bills` when given (0 and no cells with the
+  /// economics plane off).
+  double price(const PairState& p, const Candidate& c,
+               std::vector<econ::BillCell>* bills) const;
 
   topo::Internet* topo_;
   RankerConfig cfg_;
   std::vector<int> overlay_eps_;
   std::vector<PairState> pairs_;
   std::unordered_map<std::uint64_t, int> index_;  // (src,dst) -> pair idx
+  std::vector<ChargePlan> plans_;  // append-only; ids are indices
+  /// (kind, egress region, VMs...) -> plan id. With the pricing book fixed,
+  /// that key determines every cell and rate of the plan.
+  std::map<std::vector<int>, std::uint32_t> plan_index_;
   std::uint64_t order_rebuilds_ = 0;
   std::uint64_t order_hits_ = 0;
 };

@@ -7,28 +7,36 @@ namespace cronets::service {
 
 NicLedger::NicLedger(const std::vector<int>& overlay_eps) {
   for (int ep : overlay_eps) {
-    slot_.emplace(ep, static_cast<int>(used_.size()));
+    assert(ep >= 0);
+    const auto e = static_cast<std::size_t>(ep);
+    if (e >= slot_.size()) slot_.resize(e + 1, -1);
+    if (slot_[e] >= 0) continue;  // listed twice: one NIC
+    slot_[e] = static_cast<int>(used_.size());
     used_.push_back(0.0);
   }
 }
 
+std::size_t NicLedger::index_of(int overlay_ep) const {
+  const auto ep = static_cast<std::size_t>(overlay_ep);
+  assert(ep < slot_.size() && slot_[ep] >= 0 && "not an overlay VM");
+  return static_cast<std::size_t>(slot_[ep]);
+}
+
 void NicLedger::add(int overlay_ep, double bps) {
-  const auto it = slot_.find(overlay_ep);
-  assert(it != slot_.end());
-  double& used = used_[static_cast<std::size_t>(it->second)];
+  double& used = used_[index_of(overlay_ep)];
   used += bps;
   peak_used_bps_ = std::max(peak_used_bps_, used);
 }
 
 void NicLedger::sub(int overlay_ep, double bps) {
-  const auto it = slot_.find(overlay_ep);
-  assert(it != slot_.end());
-  used_[static_cast<std::size_t>(it->second)] -= bps;
+  used_[index_of(overlay_ep)] -= bps;
 }
 
 double NicLedger::used_bps(int overlay_ep) const {
-  const auto it = slot_.find(overlay_ep);
-  return it == slot_.end() ? 0.0 : used_[static_cast<std::size_t>(it->second)];
+  const auto ep = static_cast<std::size_t>(overlay_ep);
+  return ep < slot_.size() && slot_[ep] >= 0
+             ? used_[static_cast<std::size_t>(slot_[ep])]
+             : 0.0;
 }
 
 double NicLedger::total_used_bps() const {
@@ -37,17 +45,10 @@ double NicLedger::total_used_bps() const {
   return sum;
 }
 
-SessionManager::SessionManager(AdmissionConfig cfg,
-                               const std::vector<int>& overlay_eps,
-                               NicLedger* shared_nic, std::uint64_t id_tag,
-                               econ::BillingLedger* shared_billing,
-                               econ::CostLedger* shared_cost)
-    : cfg_(cfg),
-      ledger_(overlay_eps),
-      shared_(shared_nic),
-      id_tag_(id_tag),
-      shared_billing_(shared_billing),
-      shared_cost_(shared_cost) {
+SessionManager::SessionManager(AdmissionConfig cfg, Books* books,
+                               std::uint64_t id_tag)
+    : cfg_(cfg), books_(books), id_tag_(id_tag) {
+  assert(books != nullptr);
   assert((id_tag & ~(0xffull << 56)) == 0 && "tag lives in the top byte");
 }
 
@@ -57,54 +58,35 @@ static double spend_rate_usd_per_hour(double demand_bps, double usd_per_gb) {
   return demand_bps / 8e9 * 3600.0 * usd_per_gb;
 }
 
-void SessionManager::reserve(const Candidate& c, double demand_bps,
-                             sim::Time now, Session* s) {
-  s->reserved_eps.clear();
-  if (c.kind == core::PathKind::kSplitOverlay) {
-    s->reserved_eps.push_back(c.overlay_ep);
-  } else if (c.kind == core::PathKind::kMultiHop) {
-    // A multi-hop session relays through every VM on its chain; each one's
-    // NIC carries the session's traffic once in and once out, same as a
-    // one-hop relay, so each reserves the full demand.
-    s->reserved_eps = c.via;
-  }
-  for (int ep : s->reserved_eps) {
-    ledger_.add(ep, demand_bps);
-    if (shared_) shared_->add(ep, demand_bps);
-  }
-  // Billing snapshot + spend-rate reservation (no-op with pricing off:
-  // candidates then carry no bills and a zero rate).
-  s->bills = c.bills;
-  s->usd_per_gb = c.usd_per_gb;
+void SessionManager::reserve(PathRanker& ranker, int ci, sim::Time now,
+                             Session* s) {
+  s->candidate = ci;
+  s->plan = ranker.charge_plan(s->pair, ci);
+  const ChargePlan& plan = ranker.plan(s->plan);
+  for (int ep : plan.vms) books_->nic.add(ep, s->demand_bps);
   s->billed_until = now;
-  s->cost_rate_usd_per_hour = spend_rate_usd_per_hour(demand_bps, c.usd_per_gb);
+  // Spend-rate reservation (no-op with pricing off: plans then carry a
+  // zero rate).
+  s->cost_rate_usd_per_hour =
+      spend_rate_usd_per_hour(s->demand_bps, plan.usd_per_gb);
   if (s->cost_rate_usd_per_hour > 0.0) {
-    cost_.add(s->cost_rate_usd_per_hour);
-    if (shared_cost_) shared_cost_->add(s->cost_rate_usd_per_hour);
+    books_->cost.add(s->cost_rate_usd_per_hour);
   }
 }
 
-void SessionManager::unreserve(Session* s) {
-  for (int ep : s->reserved_eps) {
-    ledger_.sub(ep, s->demand_bps);
-    if (shared_) shared_->sub(ep, s->demand_bps);
+void SessionManager::unreserve(const ChargePlan& plan, const Session& s) {
+  for (int ep : plan.vms) books_->nic.sub(ep, s.demand_bps);
+  if (s.cost_rate_usd_per_hour > 0.0) {
+    books_->cost.sub(s.cost_rate_usd_per_hour);
   }
-  s->reserved_eps.clear();
-  if (s->cost_rate_usd_per_hour > 0.0) {
-    cost_.sub(s->cost_rate_usd_per_hour);
-    if (shared_cost_) shared_cost_->sub(s->cost_rate_usd_per_hour);
-  }
-  s->cost_rate_usd_per_hour = 0.0;
-  s->bills.clear();
-  s->usd_per_gb = 0.0;
 }
 
-void SessionManager::accrue(Session* s, sim::Time now) {
-  if (now > s->billed_until && !s->bills.empty()) {
+void SessionManager::accrue(const ChargePlan& plan, Session* s,
+                            sim::Time now) {
+  if (now > s->billed_until && !plan.bills.empty()) {
     const double gb =
         s->demand_bps * (now - s->billed_until).to_seconds() / 8e9;
-    billing_.meter_session(s->bills, gb);
-    if (shared_billing_) shared_billing_->meter_session(s->bills, gb);
+    books_->billing.meter_session(plan.bills, gb);
   }
   s->billed_until = now;
 }
@@ -118,13 +100,12 @@ int SessionManager::pick_candidate(PathRanker& ranker, int pair_idx,
   const econ::EconConfig& econ = ranker.config().econ;
   // Budget gate (max_goodput_under_budget): a paid candidate is only
   // admissible while reserving its spend rate keeps the fleet's reserved
-  // USD/hour within budget. The check goes through the authority book —
-  // the shared global one when sharded, since budgets don't multiply.
+  // USD/hour within budget.
   const bool budget_gated =
       econ.pricing != nullptr &&
       econ.policy == econ::CostPolicy::kMaxGoodputUnderBudget &&
       econ.budget_usd_per_hour > 0.0;
-  const econ::CostLedger& cost_authority = shared_cost_ ? *shared_cost_ : cost_;
+  const NicLedger& nic = books_->nic;
   int direct_fallback = 0;
   bool denied = false;
   for (int ci : order) {
@@ -140,22 +121,20 @@ int SessionManager::pick_candidate(PathRanker& ranker, int pair_idx,
     if (c.down) continue;
     if (budget_gated) {
       const double rate = spend_rate_usd_per_hour(demand_bps, c.usd_per_gb);
-      if (rate > 0.0 && cost_authority.reserved_usd_per_hour() + rate >
+      if (rate > 0.0 && books_->cost.reserved_usd_per_hour() + rate >
                             econ.budget_usd_per_hour) {
         ++budget_denied_;
         denied = true;
         continue;
       }
     }
-    // Capacity check against the authority ledger: the shared global one
-    // when sharded (NICs are physical), this table's own otherwise. A
-    // multi-hop candidate needs headroom on every VM of its chain.
-    const NicLedger& authority = shared_ ? *shared_ : ledger_;
+    // Capacity check: a multi-hop candidate needs headroom on every VM of
+    // its chain.
     if (c.kind == core::PathKind::kMultiHop) {
       if (c.via.empty()) continue;  // no usable plane route right now
       bool fits = true;
       for (int ep : c.via) {
-        if (authority.used_bps(ep) + demand_bps > cfg_.nic_capacity_bps) {
+        if (nic.used_bps(ep) + demand_bps > cfg_.nic_capacity_bps) {
           fits = false;
           break;
         }
@@ -167,8 +146,7 @@ int SessionManager::pick_candidate(PathRanker& ranker, int pair_idx,
       if (denied) ++overlay_denied_;
       return ci;
     }
-    const double used = authority.used_bps(c.overlay_ep);
-    if (used + demand_bps <= cfg_.nic_capacity_bps) {
+    if (nic.used_bps(c.overlay_ep) + demand_bps <= cfg_.nic_capacity_bps) {
       if (denied) ++overlay_denied_;
       return ci;
     }
@@ -193,17 +171,15 @@ std::uint64_t SessionManager::admit(PathRanker& ranker, int pair_idx,
   }
   Session& s = slots_[slot];
   s.pair = pair_idx;
-  s.candidate = ci;
   s.demand_bps = demand_bps;
-  s.admitted = now;
   s.gen |= 1u;  // odd: live
   PairState& p = ranker.pair(pair_idx);
   s.pos_in_pair = static_cast<std::uint32_t>(p.sessions.size());
   p.sessions.push_back(slot);
-  const Candidate& chosen = p.candidates[static_cast<std::size_t>(ci)];
-  reserve(chosen, demand_bps, now, &s);
+  reserve(ranker, ci, now, &s);
   // SLO attainment at admission time: did the session land on a measured
   // candidate whose smoothed score meets the configured SLO?
+  const Candidate& chosen = p.candidates[static_cast<std::size_t>(ci)];
   ++slo_total_;
   if (chosen.measured &&
       chosen.score_bps >= ranker.config().econ.slo_bps) {
@@ -236,13 +212,16 @@ void SessionManager::detach_from_pair(PairState& p, Session& s) {
 bool SessionManager::release(PathRanker& ranker, std::uint64_t id,
                              sim::Time now) {
   if (!live(id)) return false;
-  Session& s = slots_[slot_of(id)];
-  PairState& p = ranker.pair(s.pair);
-  accrue(&s, now);
-  unreserve(&s);
-  detach_from_pair(p, s);
+  const std::uint32_t slot = slot_of(id);
+  Session& s = slots_[slot];
+  const ChargePlan& plan = ranker.plan(s.plan);
+  accrue(plan, &s, now);
+  unreserve(plan, s);
+  detach_from_pair(ranker.pair(s.pair), s);
   ++s.gen;  // even: free
-  free_.push_back(slot_of(id));
+  // Once the masked generation wraps, the next admission on this slot
+  // would mint the id of its first session: retire the slot instead.
+  if ((s.gen & kGenMask) != 0) free_.push_back(slot);
   --active_;
   return true;
 }
@@ -264,23 +243,30 @@ int SessionManager::repin_pair(PathRanker& ranker, int pair_idx,
     Session& s = slots_[slot];
     const Candidate& cur = p.candidates[static_cast<std::size_t>(s.candidate)];
     if (s.candidate == p.best && !cur.down) continue;
-    accrue(&s, now);  // bytes so far are billed at the *old* path's rates
-    unreserve(&s);
-    const int target = pick_candidate(ranker, pair_idx, s.demand_bps);
-    reserve(p.candidates[static_cast<std::size_t>(target)], s.demand_bps, now,
-            &s);
-    if (target != s.candidate) {
-      s.candidate = target;
-      ++migrated;
-    }
+    const ChargePlan& plan = ranker.plan(s.plan);
+    accrue(plan, &s, now);  // bytes so far are billed at the *old* plan
+    unreserve(plan, s);
+    const int from = s.candidate;
+    reserve(ranker, pick_candidate(ranker, pair_idx, s.demand_bps), now, &s);
+    if (s.candidate != from) ++migrated;
   }
   return migrated;
 }
 
 void SessionManager::settle_pair(PathRanker& ranker, int pair_idx,
                                  sim::Time now) {
-  PairState& p = ranker.pair(pair_idx);
-  for (std::uint32_t slot : p.sessions) accrue(&slots_[slot], now);
+  for (std::uint32_t slot : ranker.pair(pair_idx).sessions) {
+    Session& s = slots_[slot];
+    accrue(ranker.plan(s.plan), &s, now);
+  }
+}
+
+double SessionManager::nic_reserved_bps(const PathRanker& ranker) const {
+  double sum = 0.0;
+  for_each_live([&](std::uint64_t, const Session& s) {
+    sum += s.demand_bps * static_cast<double>(ranker.plan(s.plan).vms.size());
+  });
+  return sum;
 }
 
 }  // namespace cronets::service

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "econ/billing_ledger.h"
@@ -19,77 +18,73 @@ struct AdmissionConfig {
   double nic_capacity_bps = 100e6;
 };
 
-/// Per-overlay-VM NIC reservation book. A plain value type so a session
-/// table can keep its own (per-shard accounting) while admission checks go
-/// through a shared global instance: the overlay VMs are physical — their
-/// NICs don't multiply when the control plane is sharded. All mutation
-/// happens on the single-threaded control plane.
+/// Per-overlay-VM NIC reservation book, indexed densely by endpoint id (no
+/// hashing on the admission path). All mutation happens on the
+/// single-threaded control plane.
 class NicLedger {
  public:
-  NicLedger() = default;
   explicit NicLedger(const std::vector<int>& overlay_eps);
 
   void add(int overlay_ep, double bps);
   void sub(int overlay_ep, double bps);
   /// Current reserved bandwidth on one overlay VM's NIC (0 for unknown).
   double used_bps(int overlay_ep) const;
-  /// Highest reservation ever observed on any overlay NIC.
+  /// Highest reservation ever observed on any overlay NIC (capacity
+  /// invariant: never exceeds the cap).
   double peak_used_bps() const { return peak_used_bps_; }
   /// Sum of current reservations across every overlay NIC.
   double total_used_bps() const;
 
  private:
-  std::unordered_map<int, int> slot_;  // overlay ep -> used_ index
+  std::size_t index_of(int overlay_ep) const;
+
+  std::vector<int> slot_;  // overlay ep -> used_ index (-1: not an overlay)
   std::vector<double> used_;
   double peak_used_bps_ = 0.0;
+};
+
+/// The control plane's one set of books: overlay NIC reservations, metered
+/// billing, and reserved spend rate. NICs and budgets are physical, so a
+/// sharded control plane keeps one set for all shards; every shard's
+/// session table writes it on the single event queue, in global event
+/// order, so its contents are bitwise invariant to the shard count.
+struct Books {
+  explicit Books(const std::vector<int>& overlay_eps) : nic(overlay_eps) {}
+  NicLedger nic;
+  econ::BillingLedger billing;
+  econ::CostLedger cost;
 };
 
 /// One long-lived client session pinned to a candidate path of its pair.
 struct Session {
   int pair = -1;
-  int candidate = 0;          ///< index into PairState::candidates
-  double demand_bps = 0.0;
-  sim::Time admitted{};
+  int candidate = 0;              ///< index into PairState::candidates
   std::uint32_t pos_in_pair = 0;  ///< index into PairState::sessions
   std::uint32_t gen = 0;          ///< odd while live (slot reuse guard)
-  /// Overlay VMs this session's demand is reserved on (empty for direct,
-  /// one for a one-hop relay, the via chain for multi-hop). Recorded at
-  /// reservation time because a multi-hop candidate's chain can be
-  /// re-routed while the session stays pinned — releases must return the
-  /// capacity to the NICs that actually hold it, not the current chain.
-  std::vector<int> reserved_eps;
-  /// Economics plane: billing cells and $/GB of the candidate the session
-  /// reserved onto, copied at reservation time for the same reason as
-  /// reserved_eps — a plane re-route must not silently change what an
-  /// already-pinned session pays. `billed_until` is the accrual watermark:
-  /// bytes from it to "now" are metered at release/repin/settle time.
-  double usd_per_gb = 0.0;
+  /// The ChargePlan (PathRanker::plan) the session reserved with: the VMs
+  /// holding its demand, its billing cells, its $/GB. Fixed at reservation
+  /// time because a multi-hop candidate's chain can be re-routed while the
+  /// session stays pinned — a release must return capacity to the NICs
+  /// that actually hold it, and a plane re-route must not silently change
+  /// what an already-pinned session pays.
+  std::uint32_t plan = 0;
+  double demand_bps = 0.0;
   double cost_rate_usd_per_hour = 0.0;
+  /// Accrual watermark: bytes from here to "now" are metered at
+  /// release/repin/settle time.
   sim::Time billed_until{};
-  std::vector<econ::BillCell> bills;
 };
+static_assert(sizeof(Session) <= 64, "a session holds no heap block and fits 64 bytes");
 
-/// Session table + per-overlay-node NIC accounting. Sessions live in a
-/// slot arena (ids are (generation, slot) pairs) so the 10^5..10^6-session
-/// workloads run without per-session allocation or hashing on the hot
-/// admission path.
+/// Session table over a broker's Books. Sessions live in a slot arena (ids
+/// are (generation, slot) pairs) so the 10^5..10^7-session workloads run
+/// without per-session allocation or hashing on the hot admission path.
 class SessionManager {
  public:
-  /// `shared_nic`, when given, is the capacity authority admission checks
-  /// and reservations go through *in addition to* this table's own ledger
-  /// — the sharded broker hands every shard the same global ledger so NIC
-  /// capacity stays physical while per-shard ledgers keep the accounting
-  /// split (they sum to the shared ledger at all times). `id_tag` is OR'd
+  /// `books` (not owned) is the control plane's one set of books: the
+  /// sharded broker hands every shard the same instance. `id_tag` is OR'd
   /// into the top byte of every session id (shard routing; 0 = untagged).
-  /// `shared_billing` / `shared_cost` play the same authority role for the
-  /// economics plane: the sharded broker's global billing ledger and
-  /// global spend-rate book, written in global event order so their
-  /// contents are bitwise invariant to the shard count, while this table's
-  /// own books keep the per-shard split (sums match within rounding).
-  SessionManager(AdmissionConfig cfg, const std::vector<int>& overlay_eps,
-                 NicLedger* shared_nic = nullptr, std::uint64_t id_tag = 0,
-                 econ::BillingLedger* shared_billing = nullptr,
-                 econ::CostLedger* shared_cost = nullptr);
+  SessionManager(AdmissionConfig cfg, Books* books, std::uint64_t id_tag = 0);
 
   static constexpr std::uint64_t kInvalidSession = 0;
   /// Top-byte tag a session id was minted with (0 for untagged tables).
@@ -109,39 +104,28 @@ class SessionManager {
   /// to NIC capacity and hysteresis having already been applied by the
   /// ranker (sessions only move when their candidate differs from best or
   /// is down). A moving session's bytes are metered against its *old*
-  /// bills up to `now` before it re-reserves at the new candidate's rates.
+  /// plan up to `now` before it re-reserves at the new candidate's plan.
   /// Returns the number of migrated sessions.
   int repin_pair(PathRanker& ranker, int pair_idx, sim::Time now);
 
   /// Meter every live session of the pair up to `now` without releasing
   /// anything (end-of-run settlement). Callers that need a shard-count-
-  /// invariant global ledger must settle pairs in global-pair-id order.
+  /// invariant billing book must settle pairs in global-pair-id order.
   void settle_pair(PathRanker& ranker, int pair_idx, sim::Time now);
 
   bool live(std::uint64_t id) const;
   const Session& session(std::uint64_t id) const;
   std::size_t active() const { return active_; }
 
-  /// Current reserved bandwidth on one overlay VM's NIC (0 for unknown).
-  /// This is the table's *own* accounting — per-shard usage when a shared
-  /// ledger is attached, total usage otherwise.
-  double overlay_used_bps(int overlay_ep) const {
-    return ledger_.used_bps(overlay_ep);
-  }
-  /// Highest reservation ever observed on any overlay NIC (capacity
-  /// invariant: never exceeds the cap).
-  double peak_overlay_used_bps() const { return ledger_.peak_used_bps(); }
-  const NicLedger& ledger() const { return ledger_; }
+  /// NIC bandwidth this table's live sessions hold, summed on demand over
+  /// their plans (the table's share of Books::nic).
+  double nic_reserved_bps(const PathRanker& ranker) const;
   const AdmissionConfig& config() const { return cfg_; }
 
   /// Number of admissions/migrations that wanted an overlay candidate but
   /// were pushed to a lower-ranked path by a full NIC.
   std::uint64_t overlay_denied() const { return overlay_denied_; }
 
-  /// This table's own metered billing book (per-shard slice when a shared
-  /// ledger is attached) and reserved-spend-rate book.
-  const econ::BillingLedger& billing() const { return billing_; }
-  const econ::CostLedger& cost_ledger() const { return cost_; }
   /// Admissions/migrations pushed off a paid candidate because reserving
   /// its spend rate would breach CRONETS_COST_BUDGET_USD (the
   /// max_goodput_under_budget policy; 0 everywhere else).
@@ -166,8 +150,9 @@ class SessionManager {
 
  private:
   /// Id layout: [tag:8][gen:24][slot+1:32]. The tag routes a session back
-  /// to its owning shard; the generation (masked to 24 bits — a slot must
-  /// be reused ~8M times before a stale handle aliases) guards slot reuse.
+  /// to its owning shard; the generation guards slot reuse. A slot whose
+  /// masked generation wraps is retired rather than reused, so a stale id
+  /// never aliases a live one.
   static constexpr std::uint32_t kGenMask = 0x00ffffffu;
   std::uint64_t id_of(std::uint32_t slot) const {
     return id_tag_ |
@@ -183,26 +168,20 @@ class SessionManager {
 
   /// First admissible candidate in ranked order for `demand`.
   int pick_candidate(PathRanker& ranker, int pair_idx, double demand_bps);
-  /// Reserve `demand` on the candidate's relay VMs, recording them into
-  /// `s.reserved_eps`; unreserve returns exactly what was recorded. Also
-  /// snapshots the candidate's bills and reserves the session's spend rate
-  /// in the cost books (accrual starts at `now`).
-  void reserve(const Candidate& c, double demand_bps, sim::Time now,
-               Session* s);
-  void unreserve(Session* s);
+  /// Pin the session to candidate `ci` of its pair: take the candidate's
+  /// plan, reserve the demand on the plan's VMs and its spend rate in the
+  /// cost book (accrual starts at `now`). unreserve returns exactly what
+  /// the plan reserved.
+  void reserve(PathRanker& ranker, int ci, sim::Time now, Session* s);
+  void unreserve(const ChargePlan& plan, const Session& s);
   /// Meter the session's bytes from its accrual watermark up to `now`
-  /// against its snapshotted bills, advancing the watermark.
-  void accrue(Session* s, sim::Time now);
+  /// against its plan's cells, advancing the watermark.
+  void accrue(const ChargePlan& plan, Session* s, sim::Time now);
   void detach_from_pair(PairState& p, Session& s);
 
   AdmissionConfig cfg_;
-  NicLedger ledger_;            // this table's own (per-shard) accounting
-  NicLedger* shared_ = nullptr; // capacity authority when sharded
+  Books* books_;
   std::uint64_t id_tag_ = 0;
-  econ::BillingLedger billing_;            // per-shard metered billing
-  econ::BillingLedger* shared_billing_ = nullptr;  // global book (sharded)
-  econ::CostLedger cost_;                  // per-shard reserved spend rate
-  econ::CostLedger* shared_cost_ = nullptr;        // budget authority
   std::vector<Session> slots_;
   std::vector<std::uint32_t> free_;
   std::size_t active_ = 0;

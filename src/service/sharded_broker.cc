@@ -22,7 +22,7 @@ ShardedBroker::ShardedBroker(topo::Internet* topo,
       pool_(pool),
       overlay_eps_(std::move(overlay_eps)),
       cfg_(cfg),
-      global_nic_(overlay_eps_),
+      books_(overlay_eps_),
       scheduler_(cfg.probe) {
   assert(num_shards >= 1 && num_shards <= 255 &&
          "shard tag must fit the session-id top byte");
@@ -34,9 +34,8 @@ ShardedBroker::ShardedBroker(topo::Internet* topo,
   shards_.reserve(static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(
-        topo_, cfg_, overlay_eps_, admission, &global_nic_,
-        static_cast<std::uint64_t>(s + 1) << 56, &global_billing_,
-        &global_cost_));
+        topo_, cfg_, overlay_eps_, admission, &books_,
+        static_cast<std::uint64_t>(s + 1) << 56));
   }
   cursor_.assign(shards_.size(), 0);
   listener_id_ = topo_->add_mutation_listener(
@@ -199,9 +198,9 @@ void ShardedBroker::measure_selection(const std::vector<int>& sel,
 void ShardedBroker::apply_selection(const std::vector<int>& sel, sim::Time t,
                                     bool force_repin) {
   // Samples are applied in the *global* selection order, not shard by
-  // shard: repins of different pairs interact through the shared NIC
-  // ledger, so the application order must be a pure function of the
-  // selection (which is itself partition-invariant).
+  // shard: repins of different pairs interact through the shared books,
+  // so the application order must be a pure function of the selection
+  // (which is itself partition-invariant).
   std::fill(cursor_.begin(), cursor_.end(), std::size_t{0});
   for (const int g : sel) {
     const int s = shard_of_pair_[static_cast<std::size_t>(g)];
@@ -290,9 +289,9 @@ void ShardedBroker::handle_failover() {
 
 void ShardedBroker::settle_billing() {
   // Global-pair-id order, not shard order: each settled session appends to
-  // the global billing ledger's doubles, and the accumulation order must
-  // be a pure function of the registration order for the ledger to stay
-  // bitwise invariant to the partitioning.
+  // the billing ledger's doubles, and the accumulation order must be a pure
+  // function of the registration order for the ledger to stay bitwise
+  // invariant to the partitioning.
   for (std::size_t g = 0; g < shard_of_pair_.size(); ++g) {
     const int s = shard_of_pair_[g];
     Shard& sh = *shards_[static_cast<std::size_t>(s)];
@@ -335,8 +334,7 @@ ShardedBrokerStats ShardedBroker::stats() const {
     ss.ranking_flips = sh->flips;
     ss.failover_repins = sh->failover_repins;
     ss.overlay_denied = sh->sessions.overlay_denied();
-    ss.nic_used_bps = sh->sessions.ledger().total_used_bps();
-    ss.nic_peak_bps = sh->sessions.ledger().peak_used_bps();
+    ss.nic_used_bps = sh->sessions.nic_reserved_bps(sh->ranker);
     out.sessions_admitted += ss.sessions_admitted;
     out.sessions_released += ss.sessions_released;
     out.admitted_via_overlay += ss.admitted_via_overlay;

@@ -30,8 +30,8 @@ struct ShardStats {
   std::uint64_t ranking_flips = 0;
   std::uint64_t failover_repins = 0;
   std::uint64_t overlay_denied = 0;
-  double nic_used_bps = 0.0;  ///< this shard's current NIC reservations
-  double nic_peak_bps = 0.0;  ///< this shard's peak NIC reservation
+  /// NIC bandwidth this shard's live sessions hold (summed on demand).
+  double nic_used_bps = 0.0;
 };
 
 /// Aggregate counters of a sharded run. Integer totals are exact sums over
@@ -79,9 +79,9 @@ struct ShardedBrokerStats {
 /// its own slot-arena session table, its own per-pair path tables, and its
 /// own probe scratch (request buffers + PairSample results), so probe
 /// sweeps fan out across shards x batches with zero shared mutable state.
-/// Admission capacity stays physical: every shard's session table checks
-/// reservations against one shared NIC ledger, because sharding the
-/// brokers does not multiply the overlay VMs' NICs.
+/// Admission capacity stays physical: every shard's session table reserves
+/// on the broker's one set of Books, because sharding the brokers does not
+/// multiply the overlay VMs' NICs (or the budget).
 ///
 /// Determinism contract — every decision is bitwise identical at any shard
 /// count and any thread count:
@@ -94,7 +94,7 @@ struct ShardedBrokerStats {
 ///  - Samples are applied in global-selection order on the single-threaded
 ///    event queue (the same technique as the single broker's
 ///    pair-index-ordered application), so cross-pair effects through the
-///    shared NIC ledger happen in one fixed order.
+///    shared books happen in one fixed order.
 ///  - Topology mutations fan out to every shard in shard-index order
 ///    through one topo::Internet mutation listener; impacted pairs merge
 ///    into one globally sorted failover batch.
@@ -145,17 +145,15 @@ class ShardedBroker final : public ControlPlane {
 
   const PathRanker& shard_ranker(int shard) const;
   const SessionManager& shard_sessions(int shard) const;
-  /// The shared capacity authority all shards reserve against.
-  const NicLedger& global_nic() const { return global_nic_; }
-  /// The global economics books every shard also writes to, in global
-  /// event order — bitwise identical at any shard count (the per-shard
-  /// books, reachable via shard_sessions, sum to these within rounding).
-  const econ::BillingLedger& global_billing() const { return global_billing_; }
-  const econ::CostLedger& global_cost() const { return global_cost_; }
+  /// The books every shard reserves on and meters into, in global event
+  /// order — bitwise identical at any shard count.
+  const NicLedger& global_nic() const { return books_.nic; }
+  const econ::BillingLedger& global_billing() const { return books_.billing; }
+  const econ::CostLedger& global_cost() const { return books_.cost; }
 
   /// Meter every still-live session's bytes up to the current simulated
   /// time (end-of-run settlement). Pairs are settled in global-pair-id
-  /// order — NOT shard order — so the global ledger's accumulation order,
+  /// order — NOT shard order — so the billing ledger's accumulation order,
   /// and hence its doubles, stay invariant to the shard count.
   void settle_billing();
   const ProbeScheduler& scheduler() const { return scheduler_; }
@@ -183,11 +181,9 @@ class ShardedBroker final : public ControlPlane {
   struct Shard {
     Shard(topo::Internet* topo, const BrokerConfig& cfg,
           const std::vector<int>& overlay_eps, AdmissionConfig admission,
-          NicLedger* shared_nic, std::uint64_t id_tag,
-          econ::BillingLedger* shared_billing, econ::CostLedger* shared_cost)
+          Books* books, std::uint64_t id_tag)
         : ranker(topo, cfg.ranking, overlay_eps),
-          sessions(admission, overlay_eps, shared_nic, id_tag, shared_billing,
-                   shared_cost) {}
+          sessions(admission, books, id_tag) {}
 
     PathRanker ranker;
     SessionManager sessions;
@@ -225,9 +221,7 @@ class ShardedBroker final : public ControlPlane {
   BrokerConfig cfg_;
   sim::EventQueue queue_;
   sim::Time now_{0};
-  NicLedger global_nic_;
-  econ::BillingLedger global_billing_;
-  econ::CostLedger global_cost_;
+  Books books_;
   std::vector<std::unique_ptr<Shard>> shards_;
   ProbeScheduler scheduler_;
   int listener_id_ = -1;

@@ -243,10 +243,10 @@ EconRun run_broker(const econ::PricingBook& book, econ::CostPolicy policy,
   r.stats = broker.stats();
   r.decision_fp = r.stats.decision_fingerprint;
   r.partial_fp = broker.ranker().partial_decision_fingerprint();
-  r.cost_fp = broker.sessions().billing().fingerprint();
-  r.metered_usd = broker.sessions().billing().total_usd();
-  r.metered_gb = broker.sessions().billing().total_gb();
-  r.delivered_gb = broker.sessions().billing().delivered_gb();
+  r.cost_fp = broker.billing().fingerprint();
+  r.metered_usd = broker.billing().total_usd();
+  r.metered_gb = broker.billing().total_gb();
+  r.delivered_gb = broker.billing().delivered_gb();
   r.budget_denied = broker.sessions().budget_denied();
   r.slo_met = broker.sessions().slo_met();
   r.slo_total = broker.sessions().slo_total();
@@ -395,45 +395,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<econ::CostPolicy>& info) {
       return econ::cost_policy_name(info.param);
     });
-
-TEST(CostShardedTest, PerShardBooksSumToGlobalLedger) {
-  econ::PricingBook book;
-  wkld::World world(kWorldSeed);
-  const auto clients = world.make_web_clients(8);
-  const auto servers = world.make_servers();
-  const auto overlays = world.rent_paper_overlays();
-  service::BrokerConfig cfg;
-  cfg.probe.interval = sim::Time::seconds(10);
-  cfg.probe.tick = sim::Time::seconds(1);
-  cfg.probe.budget_per_tick = 16;
-  cfg.ranking.econ.pricing = &book;
-  service::ShardedBroker broker(&world.internet(), &world.meter(), nullptr,
-                                overlays, 4, cfg);
-  wkld::SessionChurnParams churn_params;
-  churn_params.seed = kWorldSeed ^ 0x5e55;
-  churn_params.target_concurrent = 300;
-  churn_params.mean_duration_s = 20.0;
-  churn_params.horizon = sim::Time::seconds(60);
-  wkld::SessionChurn churn(&broker, clients, servers, churn_params);
-  churn.start();
-  broker.warm_up();
-  broker.run_until(churn_params.horizon);
-  broker.settle_billing();
-
-  double usd = 0.0, gb = 0.0, delivered = 0.0;
-  for (int s = 0; s < broker.num_shards(); ++s) {
-    usd += broker.shard_sessions(s).billing().total_usd();
-    gb += broker.shard_sessions(s).billing().total_gb();
-    delivered += broker.shard_sessions(s).billing().delivered_gb();
-  }
-  ASSERT_GT(broker.global_billing().total_usd(), 0.0);
-  EXPECT_NEAR(usd, broker.global_billing().total_usd(),
-              1e-9 * broker.global_billing().total_usd());
-  EXPECT_NEAR(gb, broker.global_billing().total_gb(),
-              1e-9 * broker.global_billing().total_gb());
-  EXPECT_NEAR(delivered, broker.global_billing().delivered_gb(),
-              1e-9 * broker.global_billing().delivered_gb());
-}
 
 }  // namespace
 }  // namespace cronets

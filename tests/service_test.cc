@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "econ/pricing_book.h"
+#include "route/plane.h"
 #include "service/broker.h"
 #include "sim/thread_pool.h"
 #include "topo/internet.h"
@@ -69,7 +72,7 @@ ScenarioResult run_scenario(int threads, double nic_cap_bps = 0.0,
 
   r.stats = broker.stats();
   r.peak_concurrent = churn.stats().peak_concurrent;
-  r.peak_overlay_used_bps = broker.sessions().peak_overlay_used_bps();
+  r.peak_overlay_used_bps = broker.nic().peak_used_bps();
   r.overlay_denied = broker.sessions().overlay_denied();
   r.partial_fp = broker.ranker().partial_decision_fingerprint();
   return r;
@@ -135,7 +138,7 @@ TEST(ServiceAdmission, DirectPathAdmitsWhenEveryOverlayIsFull) {
   const Session& s = broker.sessions().session(id);
   EXPECT_EQ(broker.ranker().pair(pair).candidates[s.candidate].kind,
             core::PathKind::kDirect);
-  EXPECT_EQ(broker.sessions().peak_overlay_used_bps(), 0.0);
+  EXPECT_EQ(broker.nic().peak_used_bps(), 0.0);
 }
 
 TEST(ServiceAdmission, OpenSessionRejectsUnregisteredPairId) {
@@ -167,6 +170,156 @@ TEST(ServiceClock, RunUntilNeverMovesTheClockBackwards) {
   broker.run_until(sim::Time::seconds(10));
   broker.run_until(sim::Time::seconds(5));
   EXPECT_EQ(broker.now(), sim::Time::seconds(10));
+}
+
+TEST(SessionIds, GenerationWrapRetiresTheSlotInsteadOfAliasing) {
+  wkld::World world(kWorldSeed);
+  const auto clients = world.make_web_clients(1);
+  const auto servers = world.make_servers();
+  Broker broker(&world.internet(), &world.meter(), nullptr,
+                world.rent_paper_overlays(), BrokerConfig{});
+  const int pair = broker.register_pair(clients[0], servers[0]);
+  // Every cycle reuses the one free slot; 2^23 cycles walk its 24-bit
+  // generation (two steps per use) all the way round.
+  const std::uint64_t first = broker.open_session(pair, 1e6);
+  broker.close_session(first);
+  for (int i = 1; i < (1 << 23); ++i) {
+    broker.close_session(broker.open_session(pair, 1e6));
+  }
+  const std::uint64_t live = broker.open_session(pair, 1e6);
+  ASSERT_NE(live, SessionManager::kInvalidSession);
+  EXPECT_NE(live, first);
+  EXPECT_FALSE(broker.sessions().live(first));
+  // A stale close must not release whoever holds the slot's successor.
+  broker.close_session(first);
+  EXPECT_TRUE(broker.sessions().live(live));
+  EXPECT_EQ(broker.sessions().active(), 1u);
+  EXPECT_EQ(broker.stats().sessions_released, std::uint64_t{1} << 23);
+}
+
+/// A backbone whose detours can beat direct edges, so the delay plane
+/// routes some DC pairs through an intermediate DC (cf. route_test.cc).
+topo::CloudParams detour_cloud() {
+  topo::CloudParams cp;
+  cp.backbone_detour_lo = 1.0;
+  cp.backbone_detour_hi = 3.0;
+  return cp;
+}
+
+TEST(ReservationContract, RerouteKeepsWhatAPinnedSessionHoldsAndPays) {
+  wkld::World world(kWorldSeed, topo::TopologyParams{}, detour_cloud());
+  topo::Internet& net = world.internet();
+  const int client = world.make_web_clients(1)[0];
+  const int server = world.make_servers()[0];
+  const auto overlays = world.rent_all_overlays();
+  route::RouteConfig rcfg;
+  rcfg.policy = route::Policy::kDelay;
+  route::RoutePlane plane(&net, &world.flow(), world.seed(), rcfg);
+  for (int k = 1; k <= 16; ++k) plane.step(sim::Time::seconds(k));
+
+  // A DC pair the plane currently routes through an intermediate DC.
+  std::vector<int> chain, via;
+  for (int a : overlays) {
+    for (int b : overlays) {
+      if (chain.empty() && a != b && plane.route(a, b, &via) && via.size() >= 3) {
+        chain = via;
+      }
+    }
+  }
+  ASSERT_FALSE(chain.empty());
+
+  const econ::PricingBook book;
+  RankerConfig cfg;
+  cfg.route_plane = &plane;
+  cfg.econ.pricing = &book;
+  PathRanker ranker(&net, cfg, overlays);
+  const int idx = ranker.add_pair(client, server);
+  int ci = -1;
+  for (std::size_t i = 0; i < ranker.pair(idx).candidates.size(); ++i) {
+    const Candidate& c = ranker.pair(idx).candidates[i];
+    if (c.kind == core::PathKind::kMultiHop && c.overlay_ep == chain.front() &&
+        c.exit_ep == chain.back()) {
+      ci = static_cast<int>(i);
+    }
+  }
+  ASSERT_GE(ci, 0);
+  ASSERT_EQ(ranker.pair(idx).candidates[static_cast<std::size_t>(ci)].via, chain);
+
+  // Only that chain's entry and exit legs measure above zero, so it ranks
+  // first and the session pins to it.
+  core::PairSample sample;
+  sample.src = client;
+  sample.dst = server;
+  for (int o : overlays) {
+    core::OverlaySample os;
+    os.overlay_ep = o;
+    os.leg1_bps = o == chain.front() ? 1e9 : 0.0;
+    os.leg2_bps = o == chain.back() ? 1e9 : 0.0;
+    sample.overlays.push_back(os);
+  }
+  ranker.apply_sample(idx, sample, sim::Time::seconds(16));
+  ASSERT_EQ(ranker.pair(idx).best, ci);
+
+  Books books(overlays);
+  SessionManager sessions(AdmissionConfig{1e12}, &books);
+  const double demand = 8e6;
+  const sim::Time opened = sim::Time::seconds(16);
+  const std::uint64_t id = sessions.admit(ranker, idx, demand, opened);
+  ASSERT_EQ(sessions.session(id).candidate, ci);
+  const double usd_per_gb =
+      ranker.pair(idx).candidates[static_cast<std::size_t>(ci)].usd_per_gb;
+  ASSERT_GT(usd_per_gb, 0.0);
+
+  // Re-route while pinned: take the chain's first intermediate DC dark the
+  // way a chaos outage does, let the plane reconverge, and probe again so
+  // the candidate re-reads its chain. Nothing repins the session.
+  const int dark_as = net.endpoint(chain[1]).as_id;
+  std::vector<std::pair<int, int>> downed;
+  for (const auto& adj : net.ases()[static_cast<std::size_t>(dark_as)].adj) {
+    if (adj.up) downed.emplace_back(dark_as, adj.nbr_as);
+  }
+  for (const auto& [a, b] : downed) net.set_adjacency_up(a, b, false);
+  for (int k = 17; k <= 20; ++k) plane.step(sim::Time::seconds(k));
+  ranker.apply_sample(idx, sample, sim::Time::seconds(20));
+  const std::vector<int> rerouted =
+      ranker.pair(idx).candidates[static_cast<std::size_t>(ci)].via;
+  ASSERT_FALSE(rerouted.empty());
+  ASSERT_NE(rerouted, chain);
+  ASSERT_EQ(sessions.session(id).candidate, ci);
+
+  // The session still holds exactly its original chain's NICs...
+  const auto on_chain = [&](int ep) {
+    return std::find(chain.begin(), chain.end(), ep) != chain.end();
+  };
+  for (int ep : overlays) {
+    EXPECT_EQ(books.nic.used_bps(ep), on_chain(ep) ? demand : 0.0) << ep;
+  }
+  EXPECT_EQ(books.cost.reserved_usd_per_hour(),
+            demand / 8e9 * 3600.0 * usd_per_gb);
+
+  // ...and its release returns them to exactly zero and meters its bytes
+  // into the original chain's cells at the original chain's rates.
+  const sim::Time closed = sim::Time::seconds(46);
+  ASSERT_TRUE(sessions.release(ranker, id, closed));
+  for (int ep : overlays) EXPECT_EQ(books.nic.used_bps(ep), 0.0) << ep;
+  EXPECT_EQ(books.cost.reserved_usd_per_hour(), 0.0);
+
+  const auto region = [&](int ep) { return net.endpoint(ep).region; };
+  std::vector<econ::BillCell> cells;
+  for (std::size_t h = 0; h + 1 < chain.size(); ++h) {
+    cells.push_back({chain[h], region(chain[h + 1]), core::PathKind::kMultiHop,
+                     econ::egress_usd_per_gb(book, region(chain[h]),
+                                             region(chain[h + 1]), true)});
+  }
+  cells.push_back({chain.back(), region(server), core::PathKind::kMultiHop,
+                   econ::egress_usd_per_gb(book, region(chain.back()),
+                                           region(server), false)});
+  econ::BillingLedger expected;
+  expected.meter_session(cells,
+                         demand * (closed - opened).to_seconds() / 8e9);
+  EXPECT_EQ(books.billing.fingerprint(), expected.fingerprint());
+  EXPECT_EQ(books.billing.total_usd(), expected.total_usd());
+  EXPECT_EQ(books.billing.cell_count(), chain.size());
 }
 
 TEST(PathRanker, EwmaSmoothsAndHysteresisDamsFlapping) {

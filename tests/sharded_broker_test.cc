@@ -183,7 +183,7 @@ TEST(ShardedEquivalence, MatchesUnshardedBrokerDecisionForDecision) {
   EXPECT_EQ(regret, sharded.stats.regret_sum);
   EXPECT_EQ(samples, sharded.stats.regret_samples);
   // Physical capacity is one book no matter how many shards keep accounts.
-  EXPECT_EQ(broker.sessions().ledger().total_used_bps(),
+  EXPECT_EQ(broker.nic().total_used_bps(),
             sharded.global_nic_used_bps);
 }
 
