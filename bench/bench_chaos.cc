@@ -25,7 +25,7 @@
 #include "chaos/injector.h"
 #include "chaos/monitor.h"
 #include "chaos/scenario.h"
-#include "service/broker.h"
+#include "service/sharded_broker.h"
 #include "sim/hash_rng.h"
 #include "wkld/session_churn.h"
 #include "wkld/world.h"
@@ -60,8 +60,9 @@ int main(int argc, char** argv) {
   cfg.probe.budget_per_tick =
       static_cast<int>((num_pairs + ticks_per_interval - 1) / ticks_per_interval);
   cfg.failover_delay = sim::Time::seconds(1);
-  service::Broker broker(&world.internet(), &world.meter(), &world.pool(),
-                         overlays, cfg);
+  service::ShardedBroker broker(&world.internet(), &world.meter(),
+                                &world.pool(), overlays, /*num_shards=*/1,
+                                cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = bench::world_seed() ^ 0xc7a05;
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
   run.stop_clock();
   monitor.finalize(churn_params.horizon);
 
-  const auto& st = broker.stats();
+  const auto st = broker.stats();
   const auto& rep = monitor.report();
   run.set_pairs(static_cast<long>(st.sessions_admitted));
 

@@ -5,9 +5,9 @@
 // backbone edge so the plane has to route *around* its own backbone.
 // Both policies run — delay-based (EWMA + hysteresis, Jonglez
 // arXiv:1403.3488) and backpressure (virtual queue differentials,
-// Rai/Singh/Modiano arXiv:1612.05537) — each through three control
-// planes: the single Broker, ShardedBroker with 1 shard, and
-// ShardedBroker with 8 shards, all on the same seed.
+// Rai/Singh/Modiano arXiv:1612.05537) — each through two control
+// planes on the same seed: the broker with 1 shard (the reference) and
+// with 8 shards.
 //
 // Reported per policy: the k-hop (k>=2 relay VMs) win-rate over the
 // one-hop overlay and the direct path, mid-episode detour routes (>= 2
@@ -15,7 +15,7 @@
 // determinism witnesses — the plane's routing-table fingerprint and the
 // control plane's per-pair-merged decision fingerprint. Every `checks`
 // row is a pure function of the seed: the "(1=yes)" rows assert the
-// sharded control planes reproduce the single broker's decisions and
+// 8-shard control plane reproduces the 1-shard reference's decisions and
 // routing tables bit for bit, that the incremental plane
 // (CRONETS_ROUTE_INCREMENTAL=1, the default) reproduces the
 // full-recompute reference bit for bit, and the CI legs diff the whole
@@ -34,7 +34,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,7 +41,6 @@
 #include "bench_util.h"
 #include "core/selection.h"
 #include "route/plane.h"
-#include "service/broker.h"
 #include "service/sharded_broker.h"
 #include "wkld/session_churn.h"
 #include "wkld/world.h"
@@ -90,11 +88,10 @@ struct RunResult {
   std::uint64_t via_overlay = 0;
 };
 
-// One full control-plane run. num_shards == 0 drives the single Broker;
-// otherwise a ShardedBroker with that many shards. Everything else —
-// world, plane config, workload, congestion episode — is identical, so
-// every RunResult field must be bitwise identical across the three runs,
-// and across incremental vs full-recompute plane modes.
+// One full control-plane run on a broker with `num_shards` shards.
+// Everything else — world, plane config, workload, congestion episode — is
+// identical, so every RunResult field must be bitwise identical across
+// shard counts, and across incremental vs full-recompute plane modes.
 RunResult run_one(route::Policy policy, int num_shards, bool smoke,
                   bool incremental = true) {
   wkld::World world(bench::world_seed(), pathological_topology(),
@@ -146,34 +143,23 @@ RunResult run_one(route::Policy policy, int num_shards, bool smoke,
   cfg.failover_delay = sim::Time::seconds(1);
   cfg.ranking.route_plane = &plane;
 
-  std::unique_ptr<service::Broker> single;
-  std::unique_ptr<service::ShardedBroker> sharded;
-  service::ControlPlane* plane_owner = nullptr;
-  if (num_shards == 0) {
-    single = std::make_unique<service::Broker>(&net, &world.meter(),
-                                               &world.pool(), overlays, cfg);
-    plane_owner = single.get();
-  } else {
-    sharded = std::make_unique<service::ShardedBroker>(
-        &net, &world.meter(), &world.pool(), overlays, num_shards, cfg);
-    plane_owner = sharded.get();
-  }
+  service::ShardedBroker broker(&net, &world.meter(), &world.pool(), overlays,
+                                num_shards, cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = bench::world_seed() ^ 0x90f7e5;
   churn_params.target_concurrent = smoke ? 400 : 2000;
   churn_params.mean_duration_s = 30.0;
   churn_params.horizon = horizon;
-  wkld::SessionChurn churn(plane_owner, clients, servers, churn_params);
+  wkld::SessionChurn churn(&broker, clients, servers, churn_params);
   churn.start();
-  if (single) single->warm_up();
-  if (sharded) sharded->warm_up();
+  broker.warm_up();
 
   // Snapshot the plane's detour count in the middle of the congestion
   // episode (the +1 ms offset orders the snapshot after that second's
   // routing round, deterministically).
   RunResult r;
-  plane_owner->queue().schedule(
+  broker.queue().schedule(
       horizon / 2 + sim::Time::milliseconds(1), [&] {
         std::vector<int> via;
         const auto& eps = net.dc_endpoints();
@@ -187,36 +173,21 @@ RunResult run_one(route::Policy policy, int num_shards, bool smoke,
         }
       });
 
-  plane_owner->run_until(horizon);
+  broker.run_until(horizon);
 
-  const auto count_pair = [&r](const service::PairState& p) {
-    if (p.last_probe.ns() < 0) return;
+  const auto st = broker.stats();
+  r.admitted = static_cast<long>(st.sessions_admitted);
+  r.via_overlay = st.admitted_via_overlay;
+  r.decision_fp = st.decision_fingerprint;
+  for (std::size_t g = 0; g < broker.pair_count(); ++g) {
+    const service::PairState& p = broker.pair(static_cast<int>(g));
+    if (p.last_probe.ns() < 0) continue;
     ++r.measured_pairs;
     const auto& best = p.candidates[static_cast<std::size_t>(p.best)];
     if (best.kind == core::PathKind::kMultiHop && best.measured &&
         best.score_bps > 0.0) {
       ++r.multihop_pairs;
       if (best.via.size() > 2) ++r.detour_best;
-    }
-  };
-  if (single) {
-    const auto& st = single->stats();
-    r.admitted = static_cast<long>(st.sessions_admitted);
-    r.via_overlay = st.admitted_via_overlay;
-    // The per-pair-merged fingerprint (pair_decision_term keyed by pair
-    // index == global id), the same construction the sharded control
-    // plane aggregates — the single broker is the 1-partition reference.
-    r.decision_fp = single->ranker().partial_decision_fingerprint();
-    for (std::size_t i = 0; i < single->ranker().size(); ++i) {
-      count_pair(single->ranker().pair(static_cast<int>(i)));
-    }
-  } else {
-    const auto st = sharded->stats();
-    r.admitted = static_cast<long>(st.sessions_admitted);
-    r.via_overlay = st.admitted_via_overlay;
-    r.decision_fp = st.decision_fingerprint;
-    for (std::size_t g = 0; g < sharded->pair_count(); ++g) {
-      count_pair(sharded->pair(static_cast<int>(g)));
     }
   }
   r.table_fp = plane.table_fingerprint();
@@ -377,11 +348,10 @@ int main(int argc, char** argv) {
        {route::Policy::kDelay, route::Policy::kBackpressure}) {
     if (only_dcs > 0) break;  // --dcs: skip the broker section
     const std::string tag = route::policy_name(policy);
-    const RunResult broker = run_one(policy, /*num_shards=*/0, smoke,
+    const RunResult broker = run_one(policy, /*num_shards=*/1, smoke,
                                      env_incremental);
-    const RunResult s1 = run_one(policy, 1, smoke, env_incremental);
     const RunResult s8 = run_one(policy, 8, smoke, env_incremental);
-    const RunResult full = run_one(policy, /*num_shards=*/0, smoke,
+    const RunResult full = run_one(policy, /*num_shards=*/1, smoke,
                                    /*incremental=*/false);
     admitted_total += broker.admitted;
 
@@ -401,19 +371,17 @@ int main(int argc, char** argv) {
                 broker.detour_routes_mid);
     std::printf("admitted %ld sessions (%llu via overlay)\n", broker.admitted,
                 static_cast<unsigned long long>(broker.via_overlay));
-    std::printf("table fp %016llx | decisions fp %016llx | sharded(1) %s | "
-                "sharded(8) %s | full-recompute %s\n",
+    std::printf("table fp %016llx | decisions fp %016llx | sharded(8) %s | "
+                "full-recompute %s\n",
                 static_cast<unsigned long long>(broker.table_fp),
                 static_cast<unsigned long long>(broker.decision_fp),
-                s1.decision_fp == broker.decision_fp ? "==" : "DIVERGED",
                 s8.decision_fp == broker.decision_fp ? "==" : "DIVERGED",
                 full.table_fp == broker.table_fp &&
                         full.decision_fp == broker.decision_fp
                     ? "=="
                     : "DIVERGED");
 
-    const bool tables_equal =
-        s1.table_fp == broker.table_fp && s8.table_fp == broker.table_fp;
+    const bool tables_equal = s8.table_fp == broker.table_fp;
     checks.push_back({tag + ": pairs won by multi-hop (k>=2)", 0.0,
                       static_cast<double>(broker.multihop_pairs)});
     checks.push_back({tag + ": k>=2 win-rate positive (1=yes)", 1.0,
@@ -432,10 +400,7 @@ int main(int argc, char** argv) {
     checks.push_back({tag + ": decision fingerprint (low 32 bits)", -1.0,
                       static_cast<double>(broker.decision_fp & 0xffffffffu)});
     checks.push_back({tag + ": sharded decisions == broker (1=yes)", 1.0,
-                      s1.decision_fp == broker.decision_fp &&
-                              s8.decision_fp == broker.decision_fp
-                          ? 1.0
-                          : 0.0});
+                      s8.decision_fp == broker.decision_fp ? 1.0 : 0.0});
     checks.push_back({tag + ": sharded routing table == broker (1=yes)", 1.0,
                       tables_equal ? 1.0 : 0.0});
     checks.push_back({tag + ": incremental plane == full (1=yes)", 1.0,

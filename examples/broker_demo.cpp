@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "service/broker.h"
+#include "service/sharded_broker.h"
 #include "wkld/world.h"
 
 using namespace cronets;
@@ -32,8 +32,9 @@ int main(int argc, char** argv) {
   cfg.probe.tick = sim::Time::seconds(1);
   cfg.probe.budget_per_tick = 16;
   cfg.failover_delay = sim::Time::seconds(1);
-  service::Broker broker(&world.internet(), &world.meter(), &world.pool(),
-                         overlays, cfg);
+  service::ShardedBroker broker(&world.internet(), &world.meter(),
+                                &world.pool(), overlays, /*num_shards=*/1,
+                                cfg);
 
   // 3. Sessions: every client opens one 2 Mbps session to every server.
   //    warm_up() probes all pairs first so admissions see real rankings.
@@ -44,13 +45,14 @@ int main(int argc, char** argv) {
   for (int c : clients) {
     for (int s : servers) broker.open_session(c, s, 2e6);
   }
-  const auto& st = broker.stats();
+  auto st = broker.stats();
   std::printf("\nadmitted %llu sessions, %llu of them via a split-TCP relay\n",
               static_cast<unsigned long long>(st.sessions_admitted),
               static_cast<unsigned long long>(st.admitted_via_overlay));
 
   // 4. Let the control plane probe for a minute of simulated time.
   broker.run_until(sim::Time::seconds(60));
+  st = broker.stats();
   std::printf("after 60 s: %llu probes, %llu ranking flips, %llu migrations, "
               "mean goodput regret %.3f\n",
               static_cast<unsigned long long>(st.probes),
@@ -66,6 +68,7 @@ int main(int argc, char** argv) {
                 before);
     world.internet().set_adjacency_up(as_a, as_b, false);
     broker.run_until(sim::Time::seconds(62));
+    st = broker.stats();
     std::printf("=> %d sessions still crossing it, reaction %.3f s, "
                 "%llu sessions re-pinned\n",
                 broker.sessions_traversing(as_a, as_b),

@@ -25,7 +25,7 @@ class FaultObserver {
 /// begin/end on the control plane's sim::EventQueue and applies them
 /// through the production mutation machinery (Internet::set_adjacency_up,
 /// Internet::add_event) — so PathCache invalidation, FlowModel aggregate
-/// rebuilds, BatchSampler re-interning, and Broker failover all fire
+/// rebuilds, BatchSampler re-interning, and the broker's failover all fire
 /// exactly as they would for a real mid-run failure.
 class Injector {
  public:

@@ -5,7 +5,7 @@
 
 namespace cronets::chaos {
 
-ResilienceMonitor::ResilienceMonitor(service::Broker* broker)
+ResilienceMonitor::ResilienceMonitor(service::ShardedBroker* broker)
     : broker_(broker) {
   broker_->set_monitor(this);
 }
@@ -109,10 +109,8 @@ void ResilienceMonitor::on_fault_begin(const Fault& f, sim::Time t) {
   // counts as impacting exactly when the broker will schedule a failover
   // for it.
   FaultReport& r = report_.faults[static_cast<std::size_t>(af.slot)];
-  const auto& ranker = broker_->ranker();
-  const auto& sessions = broker_->sessions();
-  for (int i = 0; i < static_cast<int>(ranker.size()); ++i) {
-    const service::PairState& p = ranker.pair(i);
+  for (int i = 0; i < static_cast<int>(broker_->pair_count()); ++i) {
+    const service::PairState& p = broker_->pair(i);
     bool impacted = false;
     for (const auto& c : p.candidates) {
       if (touches(af, c, /*include_invalid=*/false)) {
@@ -123,6 +121,7 @@ void ResilienceMonitor::on_fault_begin(const Fault& f, sim::Time t) {
     if (!impacted) continue;
     af.pairs.insert(i);
     ++r.pairs_impacted;
+    const service::SessionManager& sessions = sessions_of(i);
     id_scratch_.clear();
     sessions.pair_session_ids(p, &id_scratch_);
     r.sessions_impacted += static_cast<int>(id_scratch_.size());
@@ -173,7 +172,7 @@ void ResilienceMonitor::on_admit(std::uint64_t id, int pair_idx, int candidate,
   if (active_.empty()) return;
   // A session admitted into a live fault window can land on the faulted
   // element (soft faults don't block admission) — it joins the degraded set.
-  const service::PairState& p = broker_->ranker().pair(pair_idx);
+  const service::PairState& p = broker_->pair(pair_idx);
   for (const auto& af : active_) {
     if (af.pairs.count(pair_idx) &&
         touches(af, p.candidates[static_cast<std::size_t>(candidate)],
@@ -198,7 +197,7 @@ void ResilienceMonitor::on_probe_applied(int pair_idx, sim::Time t,
                                          bool repinned, int moved) {
   (void)moved;
   // Regret attribution: inside vs. outside an active fault's blast radius.
-  const service::PairState& p = broker_->ranker().pair(pair_idx);
+  const service::PairState& p = broker_->pair(pair_idx);
   const bool inside = pair_in_active_fault(pair_idx);
   if (p.last_oracle_bps > 0.0) {
     const double regret =
@@ -224,8 +223,9 @@ void ResilienceMonitor::on_probe_applied(int pair_idx, sim::Time t,
   // Sessions of this pair may have migrated off (or onto) a faulted
   // element; re-evaluate the degraded set for the pair.
   advance(t);
+  const service::SessionManager& sessions = sessions_of(pair_idx);
   id_scratch_.clear();
-  broker_->sessions().pair_session_ids(p, &id_scratch_);
+  sessions.pair_session_ids(p, &id_scratch_);
   for (const std::uint64_t id : id_scratch_) {
     const auto it = degraded_.find(id);
     if (it == degraded_.end()) continue;
@@ -233,7 +233,7 @@ void ResilienceMonitor::on_probe_applied(int pair_idx, sim::Time t,
         active_.begin(), active_.end(),
         [&](const ActiveFault& af) { return af.slot == it->second.slot; });
     if (af_it == active_.end()) continue;
-    const service::Session& s = broker_->sessions().session(id);
+    const service::Session& s = sessions.session(id);
     if (!touches(*af_it, p.candidates[static_cast<std::size_t>(s.candidate)],
                  /*include_invalid=*/true)) {
       exit_degraded(id, /*dropped=*/false);

@@ -7,7 +7,7 @@
 
 #include "chaos/injector.h"
 #include "chaos/scenario.h"
-#include "service/broker.h"
+#include "service/sharded_broker.h"
 #include "sim/time.h"
 
 namespace cronets::chaos {
@@ -30,8 +30,8 @@ struct FaultReport {
 };
 
 /// Aggregate resilience SLOs of one run. Every field is a pure function of
-/// the seeds and config: all accounting happens on the single-threaded
-/// control-plane queue, in event order.
+/// the seeds and config — never of thread or shard count: all accounting
+/// happens on the single-threaded control-plane queue, in event order.
 struct ResilienceReport {
   std::vector<FaultReport> faults;
   double total_session_s = 0.0;     ///< integral of live sessions over time
@@ -60,11 +60,12 @@ struct ResilienceReport {
 /// Bridges the broker's decision stream and the injector's fault timeline
 /// into resilience SLOs: time-to-detect, time-to-repin, degraded
 /// session-seconds, availability, and in/out-of-fault goodput regret.
-/// Attaches itself as the broker's monitor; purely observational, so the
-/// broker's decision fingerprint is identical with or without it.
+/// Attaches itself as the broker's monitor (at any shard count); purely
+/// observational, so the broker's decision fingerprint is identical with
+/// or without it.
 class ResilienceMonitor : public service::BrokerMonitor, public FaultObserver {
  public:
-  explicit ResilienceMonitor(service::Broker* broker);
+  explicit ResilienceMonitor(service::ShardedBroker* broker);
   ~ResilienceMonitor() override;
 
   /// Close the session-second integrals and open fault windows at the end
@@ -104,13 +105,17 @@ class ResilienceMonitor : public service::BrokerMonitor, public FaultObserver {
   bool touches(const ActiveFault& af, const service::Candidate& c,
                bool include_invalid) const;
   bool pair_in_active_fault(int pair_idx) const;
+  /// The session table of the shard owning global pair `pair_idx`.
+  const service::SessionManager& sessions_of(int pair_idx) const {
+    return broker_->shard_sessions(broker_->pair_shard(pair_idx));
+  }
   /// Advance the session-second integrals to `t` (call before any state
   /// change that alters the live or degraded counts).
   void advance(sim::Time t);
   void enter_degraded(std::uint64_t id, int pair_idx, int slot);
   void exit_degraded(std::uint64_t id, bool dropped);
 
-  service::Broker* broker_;
+  service::ShardedBroker* broker_;
   ResilienceReport report_;
   std::vector<ActiveFault> active_;
   struct Degraded {

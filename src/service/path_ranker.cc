@@ -18,20 +18,12 @@ PathRanker::PathRanker(topo::Internet* topo, RankerConfig cfg,
     : topo_(topo), cfg_(cfg), overlay_eps_(std::move(overlay_eps)) {}
 
 int PathRanker::add_pair(int src, int dst) {
-  const auto [it, inserted] =
-      index_.emplace(sim::pack_pair(src, dst), static_cast<int>(pairs_.size()));
-  if (!inserted) return it->second;
   PairState p;
   p.src = src;
   p.dst = dst;
   build_candidates(&p);
   pairs_.push_back(std::move(p));
-  return it->second;
-}
-
-int PathRanker::find_pair(int src, int dst) const {
-  const auto it = index_.find(sim::pack_pair(src, dst));
-  return it == index_.end() ? -1 : it->second;
+  return static_cast<int>(pairs_.size()) - 1;
 }
 
 void PathRanker::build_candidates(PairState* p) const {
@@ -368,13 +360,11 @@ void PathRanker::mark_adjacency_down(int as_a, int as_b,
 }
 
 std::uint64_t PathRanker::partial_decision_fingerprint(
-    const std::vector<int>* local_to_global) const {
+    const std::vector<int>& local_to_global) const {
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    const std::uint64_t gid =
-        local_to_global ? static_cast<std::uint64_t>((*local_to_global)[i])
-                        : static_cast<std::uint64_t>(i);
-    sum += pair_decision_term(gid, pairs_[i]);
+    sum += pair_decision_term(static_cast<std::uint64_t>(local_to_global[i]),
+                              pairs_[i]);
   }
   return sum;
 }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "core/measure_model.h"
@@ -36,9 +35,9 @@ struct RankerConfig {
   /// the cloud at one VM, ride the plane's current backbone route, exit at
   /// another. The plane must outlive the ranker and run on the same event
   /// queue as the owning broker so that route reads are deterministic
-  /// (the brokers attach an un-attached plane to their own queue at
-  /// construction). One plane instance per control plane — never share
-  /// one across brokers being compared against each other.
+  /// (the broker attaches an un-attached plane to its own queue at
+  /// construction). One plane instance per broker — never share one
+  /// across brokers being compared against each other.
   route::RoutePlane* route_plane = nullptr;
   /// The economics plane (econ::EconConfig). With `econ.pricing` null the
   /// plane is off: no candidate is priced, the ranking objective is raw
@@ -178,17 +177,16 @@ bool path_uses_adjacency(const topo::RouterPath& path, int as_a, int as_b);
 /// Per-pair ranked path tables: direct vs. split-overlay candidates scored
 /// by smoothed predicted throughput, backed by interned topo::PathCache
 /// PathRefs. The ranker itself is passive — the ProbeScheduler decides when
-/// a pair is re-measured, the Broker feeds samples in via `apply_sample`.
+/// a pair is re-measured, the broker feeds samples in via `apply_sample`.
 class PathRanker {
  public:
   PathRanker(topo::Internet* topo, RankerConfig cfg,
              std::vector<int> overlay_eps);
 
-  /// Register (or find) the pair. Candidate paths are interned on first
-  /// registration; scores start unmeasured (the direct path ranks first
-  /// until probed).
+  /// Append the pair and intern its candidate paths; scores start
+  /// unmeasured (the direct path ranks first until probed). No lookup: the
+  /// broker's pair directory registers each (src, dst) once.
   int add_pair(int src, int dst);
-  int find_pair(int src, int dst) const;  ///< -1 if unknown
 
   std::size_t size() const { return pairs_.size(); }
   const PairState& pair(int idx) const { return pairs_[idx]; }
@@ -250,11 +248,11 @@ class PathRanker {
   std::uint64_t order_hits() const { return order_hits_; }
 
   /// Sum of this ranker's pair_decision_term contributions, keyed by
-  /// `local_to_global` (identity when null). Per-shard partials merged in
-  /// shard-index order reproduce the unsharded sum bitwise — the global
-  /// decision fingerprint of the sharded control plane.
+  /// `local_to_global`. Per-shard partials merged in shard-index order
+  /// reproduce the 1-shard sum bitwise — the broker's global decision
+  /// fingerprint.
   std::uint64_t partial_decision_fingerprint(
-      const std::vector<int>* local_to_global = nullptr) const;
+      const std::vector<int>& local_to_global) const;
 
  private:
   void build_candidates(PairState* p) const;
@@ -271,7 +269,6 @@ class PathRanker {
   RankerConfig cfg_;
   std::vector<int> overlay_eps_;
   std::vector<PairState> pairs_;
-  std::unordered_map<std::uint64_t, int> index_;  // (src,dst) -> pair idx
   std::vector<ChargePlan> plans_;  // append-only; ids are indices
   /// (kind, egress region, VMs...) -> plan id. With the pricing book fixed,
   /// that key determines every cell and rate of the plan.

@@ -5,19 +5,6 @@
 
 namespace cronets::service {
 
-void ProbeScheduler::select(const PathRanker& ranker, sim::Time now,
-                            std::vector<int>* out) {
-  due_.clear();
-  for (int i = 0; i < static_cast<int>(ranker.size()); ++i) {
-    const PairState& p = ranker.pair(i);
-    const bool never = p.last_probe.ns() < 0;
-    if (never || now - p.last_probe >= cfg_.interval) {
-      due_.emplace_back(never ? std::int64_t{-1} : p.last_probe.ns(), i);
-    }
-  }
-  take_budget(out);
-}
-
 void ProbeScheduler::select(const std::vector<sim::Time>& last_probe,
                             sim::Time now, std::vector<int>* out) {
   due_.clear();
@@ -29,10 +16,6 @@ void ProbeScheduler::select(const std::vector<sim::Time>& last_probe,
           i);
     }
   }
-  take_budget(out);
-}
-
-void ProbeScheduler::take_budget(std::vector<int>* out) {
   std::sort(due_.begin(), due_.end());
   std::size_t take = due_.size();
   if (cfg_.budget_per_tick > 0) {
@@ -75,7 +58,7 @@ void ProbeScheduler::age_all() {
 }
 
 void ProbeScheduler::select_incremental(sim::Time now, std::vector<int>* out) {
-  // Due predicate of the stateless scans: never probed (key -1), or
+  // Due predicate of the stateless scan: never probed (key -1), or
   // last_probe <= now - interval. Keys are -1 or a nonnegative timestamp,
   // so clamping the threshold at -1 folds both cases into one compare.
   const std::int64_t threshold =

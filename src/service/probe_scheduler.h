@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "service/path_ranker.h"
 #include "sim/time.h"
 
 namespace cronets::service {
@@ -14,7 +13,8 @@ namespace cronets::service {
 /// much measurement the broker may spend per scheduler tick.
 struct ProbeConfig {
   /// Target staleness: a pair becomes due once its last probe is at least
-  /// this old (also the bound on failover reaction time — see Broker).
+  /// this old (also the bound on failover reaction time — see
+  /// BrokerConfig::failover_delay).
   sim::Time interval = sim::Time::seconds(10);
   /// Scheduler cadence. Each tick selects due pairs and measures them.
   sim::Time tick = sim::Time::seconds(1);
@@ -22,10 +22,10 @@ struct ProbeConfig {
   /// probe-overhead lever: tightening it trades ranking freshness (and
   /// goodput regret) for measurement traffic.
   int budget_per_tick = 256;
-  /// Incremental due-tracking: the brokers notify the scheduler per probe
+  /// Incremental due-tracking: the broker notifies the scheduler per probe
   /// (track_pair / on_probed / age_all) and each tick walks only the due
   /// prefix of an ordered staleness set — O(churn), not O(pairs). Selection
-  /// is provably identical to the stateless full scans (same due predicate,
+  /// is provably identical to the stateless full scan (same due predicate,
   /// same (staleness, index) order), so fingerprints cannot move; the flag
   /// exists to run both modes against each other in tests.
   bool incremental = true;
@@ -34,28 +34,24 @@ struct ProbeConfig {
 /// Decides which pairs to probe at each tick: pairs whose ranking is stale
 /// (older than `interval`, or never measured) are selected most-stale
 /// first until the budget is spent. Selection is a pure function of the
-/// rankers' probe timestamps, so it is deterministic at any thread count.
+/// pairs' probe timestamps, so it is deterministic at any thread count.
 class ProbeScheduler {
  public:
   explicit ProbeScheduler(ProbeConfig cfg) : cfg_(cfg) {}
 
   const ProbeConfig& config() const { return cfg_; }
 
-  /// Append up to budget due pair indices to `out`, most-stale first
-  /// (ties broken by pair index).
-  void select(const PathRanker& ranker, sim::Time now, std::vector<int>* out);
-
-  /// Same selection over a flat staleness table indexed by pair id (the
-  /// sharded broker's global view: `last_probe[g]` for global pair g,
-  /// negative = never probed). Given the same staleness values this picks
-  /// the same pairs as the ranker overload, which is what keeps the global
-  /// probe schedule invariant to how pairs are partitioned across shards.
+  /// Append up to budget due pair indices to `out`, most-stale first (ties
+  /// broken by pair index), scanning a flat staleness table indexed by
+  /// global pair id (`last_probe[g]`, negative = never probed). The table
+  /// is the broker's global view, which keeps the probe schedule invariant
+  /// to how pairs are partitioned across shards.
   void select(const std::vector<sim::Time>& last_probe, sim::Time now,
               std::vector<int>* out);
 
   // --- incremental due-tracking (ProbeConfig::incremental) ---
   // An ordered set keyed (last_probe ns, pair idx) mirrors the staleness
-  // table; each tick walks only its due prefix. The brokers keep it in
+  // table; each tick walks only its due prefix. The broker keeps it in
   // sync: track_pair at registration, on_probed per applied probe,
   // age_all when a mutation resets every pair to never-probed.
 
@@ -67,7 +63,7 @@ class ProbeScheduler {
   /// Reset every tracked pair to never-probed (adjacency-restore sweeps).
   void age_all();
   /// Incremental equivalent of select(): walks the due prefix of the
-  /// ordered set — identical output to the stateless scans given the same
+  /// ordered set — identical output to the stateless scan given the same
   /// staleness values.
   void select_incremental(sim::Time now, std::vector<int>* out);
   /// Pairs examined by the last select_incremental (its due-prefix length):
@@ -81,9 +77,6 @@ class ProbeScheduler {
   std::uint64_t selected() const { return selected_; }
 
  private:
-  /// Sort due_ most-stale-first and move up to the budget into `out`.
-  void take_budget(std::vector<int>* out);
-
   ProbeConfig cfg_;
   std::uint64_t backlog_ = 0;
   std::uint64_t selected_ = 0;

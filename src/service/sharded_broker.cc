@@ -7,6 +7,81 @@
 
 namespace cronets::service {
 
+namespace {
+std::uint64_t adjacency_key(int a, int b) {
+  if (a > b) std::swap(a, b);
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
+         static_cast<std::uint32_t>(b);
+}
+
+bool is_transit(const topo::Internet& topo, int as_id) {
+  const topo::Tier t = topo.ases()[static_cast<std::size_t>(as_id)].tier;
+  return t == topo::Tier::kTier1 || t == topo::Tier::kTier2;
+}
+
+/// Live sessions of one shard whose pinned candidate crosses the AS
+/// adjacency (as_a, as_b).
+int count_sessions_traversing(const PathRanker& ranker,
+                              const SessionManager& sessions, int as_a,
+                              int as_b) {
+  int count = 0;
+  sessions.for_each_live([&](std::uint64_t, const Session& s) {
+    const PairState& p = ranker.pair(s.pair);
+    const Candidate& c = p.candidates[static_cast<std::size_t>(s.candidate)];
+    bool uses = (c.path && path_uses_adjacency(*c.path, as_a, as_b)) ||
+                (c.leg2 && path_uses_adjacency(*c.leg2, as_a, as_b));
+    for (const auto& mid : c.mids) {
+      if (!uses && mid && path_uses_adjacency(*mid, as_a, as_b)) uses = true;
+    }
+    if (uses) ++count;
+  });
+  return count;
+}
+
+/// Accumulate one shard's per-transit-adjacency live-session counts into
+/// `load` (key = packed sorted AS pair).
+void accumulate_transit_load(const topo::Internet& topo,
+                             const PathRanker& ranker,
+                             const SessionManager& sessions,
+                             std::unordered_map<std::uint64_t, int>* load) {
+  const auto count_path = [&](const topo::RouterPath& path) {
+    for (std::size_t i = 1; i < path.as_seq.size(); ++i) {
+      const int u = path.as_seq[i - 1], v = path.as_seq[i];
+      if (is_transit(topo, u) && is_transit(topo, v)) {
+        ++(*load)[adjacency_key(u, v)];
+      }
+    }
+  };
+  sessions.for_each_live([&](std::uint64_t, const Session& s) {
+    const PairState& p = ranker.pair(s.pair);
+    const Candidate& c = p.candidates[static_cast<std::size_t>(s.candidate)];
+    if (c.path) count_path(*c.path);
+    for (const auto& mid : c.mids) {
+      if (mid) count_path(*mid);
+    }
+    if (c.leg2) count_path(*c.leg2);
+  });
+}
+
+/// The most-loaded adjacency in `load` (deterministic tie-break on the
+/// packed key). False when the map is empty/all-zero.
+bool busiest_adjacency_in(const std::unordered_map<std::uint64_t, int>& load,
+                          int* as_a, int* as_b) {
+  std::uint64_t best_key = 0;
+  int best_count = 0;
+  for (const auto& [key, count] : load) {
+    if (count > best_count || (count == best_count && key < best_key)) {
+      best_count = count;
+      best_key = key;
+    }
+  }
+  if (best_count == 0) return false;
+  *as_a = static_cast<int>(best_key >> 32);
+  *as_b = static_cast<int>(best_key & 0xffffffffu);
+  return true;
+}
+}  // namespace
+
 int ShardedBroker::shard_of(int src, int dst, int num_shards) {
   return static_cast<int>(sim::splitmix64(sim::pack_pair(src, dst)) %
                           static_cast<std::uint64_t>(num_shards));
@@ -41,9 +116,10 @@ ShardedBroker::ShardedBroker(topo::Internet* topo,
   listener_id_ = topo_->add_mutation_listener(
       [this](const topo::Mutation& m) { on_mutation(m); });
   // One routing plane serves every shard (each shard's ranker holds the
-  // same pointer); it runs its rounds on the sharded broker's own queue,
-  // so plane state is identical to the 1-shard broker's at every simulated
-  // time — a precondition of the shard-invariance contract above.
+  // same pointer); it runs its rounds on the broker's own queue, so route
+  // rounds interleave with probe ticks at fixed simulated times and plane
+  // state is identical at every shard count — a precondition of the
+  // shard-invariance contract.
   route::RoutePlane* plane = cfg_.ranking.route_plane;
   if (plane != nullptr && plane->enabled() && !plane->attached()) {
     plane->attach(&queue_, now_);
@@ -71,9 +147,9 @@ int ShardedBroker::register_pair(int src, int dst) {
   local_of_pair_.push_back(local);
   global_last_probe_.push_back(sim::Time{-1});
   scheduler_.track_pair(gid);
-  // Registration is the only place the shard's sweep scratch may grow (cf.
-  // Broker's probe buffers): any sweep measures at most every pair the
-  // shard owns, so steady-state probe ticks never reallocate.
+  // Registration is the only place the shard's sweep scratch may grow: any
+  // sweep measures at most every pair the shard owns, so steady-state probe
+  // ticks never reallocate.
   if (sh.ranker.size() > sh.probe_results.capacity()) {
     const std::size_t want =
         std::max(sh.ranker.size(), 2 * sh.probe_results.capacity());
@@ -100,6 +176,9 @@ std::uint64_t ShardedBroker::open_session(int pair_idx, double demand_bps) {
     ++sh.via_overlay;
   }
   stamp_pair_admit(sh.ranker.pair(local), sess.candidate);
+  if (monitor_) {
+    monitor_->on_admit(id, pair_idx, sess.candidate, demand_bps, now_);
+  }
   return id;
 }
 
@@ -112,7 +191,14 @@ void ShardedBroker::close_session(std::uint64_t id) {
   if (tag < 1 || tag > num_shards()) return;
   Shard& sh = *shards_[static_cast<std::size_t>(tag - 1)];
   if (!sh.sessions.live(id)) return;
-  if (sh.sessions.release(sh.ranker, id, now_)) ++sh.released;
+  // Release frees the slot, so an observer's global pair id is read first.
+  const int pair_idx =
+      monitor_ ? sh.local_to_global[static_cast<std::size_t>(
+                     sh.sessions.session(id).pair)]
+               : -1;
+  if (!sh.sessions.release(sh.ranker, id, now_)) return;
+  ++sh.released;
+  if (monitor_) monitor_->on_release(id, pair_idx, now_);
 }
 
 void ShardedBroker::warm_up() {
@@ -195,24 +281,27 @@ void ShardedBroker::measure_selection(const std::vector<int>& sel,
   }
 }
 
-void ShardedBroker::apply_selection(const std::vector<int>& sel, sim::Time t,
-                                    bool force_repin) {
+int ShardedBroker::apply_selection(const std::vector<int>& sel, sim::Time t,
+                                   bool force_repin) {
   // Samples are applied in the *global* selection order, not shard by
   // shard: repins of different pairs interact through the shared books,
   // so the application order must be a pure function of the selection
   // (which is itself partition-invariant).
   std::fill(cursor_.begin(), cursor_.end(), std::size_t{0});
+  int moved = 0;
   for (const int g : sel) {
     const int s = shard_of_pair_[static_cast<std::size_t>(g)];
     Shard& sh = *shards_[static_cast<std::size_t>(s)];
     const std::size_t k = cursor_[static_cast<std::size_t>(s)]++;
-    apply_probe(sh, g, sh.sel_local[k], sh.probe_results[k], t, force_repin);
+    moved += apply_probe(sh, g, sh.sel_local[k], sh.probe_results[k], t,
+                         force_repin);
   }
+  return moved;
 }
 
-void ShardedBroker::apply_probe(Shard& sh, int global_id, int local_idx,
-                                const core::PairSample& s, sim::Time t,
-                                bool force_repin) {
+int ShardedBroker::apply_probe(Shard& sh, int global_id, int local_idx,
+                               const core::PairSample& s, sim::Time t,
+                               bool force_repin) {
   PairState& p = sh.ranker.pair(local_idx);
   if (p.route_epoch != route_epoch_) {
     sh.ranker.refresh_paths(local_idx);
@@ -230,6 +319,10 @@ void ShardedBroker::apply_probe(Shard& sh, int global_id, int local_idx,
   ++sh.probes;
   global_last_probe_[static_cast<std::size_t>(global_id)] = p.last_probe;
   scheduler_.on_probed(global_id, p.last_probe);
+  if (monitor_) {
+    monitor_->on_probe_applied(global_id, t, changed || force_repin, moved);
+  }
+  return moved;
 }
 
 void ShardedBroker::on_mutation(const topo::Mutation& m) {
@@ -282,9 +375,10 @@ void ShardedBroker::handle_failover() {
   if (pairs.empty()) return;
 
   measure_selection(pairs, now_);
-  apply_selection(pairs, now_, /*force_repin=*/true);
+  const int moved = apply_selection(pairs, now_, /*force_repin=*/true);
   ++failover_events_;
   last_failover_reaction_ = now_ - since;
+  if (monitor_) monitor_->on_failover_complete(since, now_, pairs, moved);
 }
 
 void ShardedBroker::settle_billing() {
@@ -346,7 +440,7 @@ ShardedBrokerStats ShardedBroker::stats() const {
     // order; wrapping addition keyed by global pair id makes the merged
     // fingerprint independent of the partitioning.
     out.decision_fingerprint +=
-        sh->ranker.partial_decision_fingerprint(&sh->local_to_global);
+        sh->ranker.partial_decision_fingerprint(sh->local_to_global);
     out.budget_denied += sh->sessions.budget_denied();
     out.slo_met += sh->sessions.slo_met();
     out.slo_total += sh->sessions.slo_total();

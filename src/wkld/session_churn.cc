@@ -7,7 +7,7 @@
 
 namespace cronets::wkld {
 
-SessionChurn::SessionChurn(service::ControlPlane* broker,
+SessionChurn::SessionChurn(service::ShardedBroker* broker,
                            std::vector<int> clients, std::vector<int> servers,
                            SessionChurnParams params)
     : broker_(broker),

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "service/broker.h"
+#include "service/sharded_broker.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
@@ -56,18 +56,17 @@ struct SessionChurnStats {
   std::vector<float> admit_staleness_s;
 };
 
-/// Drives a service::ControlPlane — the single Broker or the sharded
-/// multi-broker plane — with session churn over fixed client/server
-/// populations. All randomness comes from one seeded serial stream drawn
-/// on the (single-threaded) event queue, so the workload is deterministic
-/// and independent of the control plane's probe parallelism and shard
-/// count.
+/// Drives the broker (service::ShardedBroker) with session churn over
+/// fixed client/server populations. All randomness comes from one seeded
+/// serial stream drawn on the (single-threaded) event queue, so the
+/// workload is deterministic and independent of the broker's probe
+/// parallelism and shard count.
 class SessionChurn {
  public:
-  SessionChurn(service::ControlPlane* broker, std::vector<int> clients,
+  SessionChurn(service::ShardedBroker* broker, std::vector<int> clients,
                std::vector<int> servers, SessionChurnParams params);
 
-  /// Register all (client, server) pairs with the control plane and
+  /// Register all (client, server) pairs with the broker and
   /// schedule the first arrival. Call before run_until.
   void start();
 
@@ -79,7 +78,7 @@ class SessionChurn {
   void schedule_next_arrival();
   void arrive();
 
-  service::ControlPlane* broker_;
+  service::ShardedBroker* broker_;
   std::vector<int> clients_;
   std::vector<int> servers_;
   SessionChurnParams params_;

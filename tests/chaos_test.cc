@@ -2,8 +2,8 @@
 // (world_seed, scenario_seed); the injector applies and reverts every
 // fault through the production mutation machinery; the resilience monitor
 // is purely observational (identical decision fingerprints with and
-// without it) and its SLO report is bitwise identical across thread
-// counts; hard faults repin within failover_delay + one probe interval;
+// without it) and its SLO report is bitwise identical across thread and
+// shard counts; hard faults repin within failover_delay + one probe interval;
 // and the three measurement samplers stay bitwise identical while storm
 // and gray-failure overlays are active.
 
@@ -18,7 +18,7 @@
 #include "chaos/monitor.h"
 #include "chaos/scenario.h"
 #include "model/batch_sampler.h"
-#include "service/broker.h"
+#include "service/sharded_broker.h"
 #include "sim/thread_pool.h"
 #include "wkld/session_churn.h"
 #include "wkld/world.h"
@@ -174,14 +174,15 @@ TEST(ChaosInjector, AppliesEveryFaultAndRestoresTheWorld) {
 }
 
 struct ChaosRun {
-  service::BrokerStats stats;
+  service::ShardedBrokerStats stats;
   ResilienceReport report;
   double repin_bound_s = 0.0;
 };
 
 /// One broker run under the standard fault mix. Everything in the result
-/// must be a pure function of the seeds and config — never of `threads`.
-ChaosRun run_chaos(int threads, bool with_monitor = true) {
+/// must be a pure function of the seeds and config — never of `shards` or
+/// `threads`.
+ChaosRun run_chaos(int shards, int threads, bool with_monitor = true) {
   wkld::World world(kWorldSeed);
   const auto clients = world.make_web_clients(12);
   const auto servers = world.make_servers();
@@ -193,7 +194,8 @@ ChaosRun run_chaos(int threads, bool with_monitor = true) {
   cfg.probe.budget_per_tick = 16;
   cfg.failover_delay = sim::Time::seconds(1);
   sim::ThreadPool pool(sim::Parallelism{threads});
-  service::Broker broker(&world.internet(), &world.meter(), &pool, overlays, cfg);
+  service::ShardedBroker broker(&world.internet(), &world.meter(), &pool,
+                                overlays, shards, cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = kWorldSeed ^ 0x5e55;
@@ -226,7 +228,7 @@ ChaosRun run_chaos(int threads, bool with_monitor = true) {
 }
 
 TEST(ChaosResilience, HardFaultsRepinWithinFailoverPlusOneInterval) {
-  const ChaosRun r = run_chaos(1);
+  const ChaosRun r = run_chaos(/*shards=*/1, /*threads=*/1);
   // The scenario actually hit the control plane: hard faults had sessions
   // in their blast radius and the workload kept running throughout.
   EXPECT_GT(r.stats.sessions_admitted, 500u);
@@ -256,18 +258,16 @@ TEST(ChaosResilience, HardFaultsRepinWithinFailoverPlusOneInterval) {
   EXPECT_LE(r.report.max_hard_repin_s, r.repin_bound_s);
 }
 
-TEST(ChaosResilience, SloReportBitwiseIdenticalAcrossThreadCounts) {
-  const ChaosRun serial = run_chaos(1);
-  const ChaosRun parallel = run_chaos(4);
+/// Same decisions and the same SLO report, bit for bit.
+void expect_same_run(const ChaosRun& x, const ChaosRun& y) {
+  EXPECT_EQ(x.stats.decision_fingerprint, y.stats.decision_fingerprint);
+  EXPECT_EQ(x.stats.sessions_admitted, y.stats.sessions_admitted);
+  EXPECT_EQ(x.stats.migrations, y.stats.migrations);
+  EXPECT_EQ(x.stats.failover_repins, y.stats.failover_repins);
+  EXPECT_EQ(x.stats.regret_sum, y.stats.regret_sum);
 
-  EXPECT_EQ(serial.stats.decision_fingerprint, parallel.stats.decision_fingerprint);
-  EXPECT_EQ(serial.stats.sessions_admitted, parallel.stats.sessions_admitted);
-  EXPECT_EQ(serial.stats.migrations, parallel.stats.migrations);
-  EXPECT_EQ(serial.stats.failover_repins, parallel.stats.failover_repins);
-  EXPECT_EQ(serial.stats.regret_sum, parallel.stats.regret_sum);
-
-  const ResilienceReport& a = serial.report;
-  const ResilienceReport& b = parallel.report;
+  const ResilienceReport& a = x.report;
+  const ResilienceReport& b = y.report;
   ASSERT_EQ(a.faults.size(), b.faults.size());
   for (std::size_t i = 0; i < a.faults.size(); ++i) {
     EXPECT_EQ(a.faults[i].kind, b.faults[i].kind);
@@ -291,10 +291,29 @@ TEST(ChaosResilience, SloReportBitwiseIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.sessions_dropped, b.sessions_dropped);
 }
 
+TEST(ChaosResilience, SloReportBitwiseIdenticalAcrossThreadCounts) {
+  expect_same_run(run_chaos(/*shards=*/1, /*threads=*/1),
+                  run_chaos(/*shards=*/1, /*threads=*/4));
+}
+
+TEST(ChaosResilience, SloReportBitwiseIdenticalAcrossShardCounts) {
+  // The monitor's hooks fire from shard-routed paths with global pair ids,
+  // in global event and selection order: partitioning the pairs (and
+  // fanning their probes out over threads) must not move a single SLO bit.
+  const ChaosRun one = run_chaos(/*shards=*/1, /*threads=*/1);
+  const ChaosRun four = run_chaos(/*shards=*/4, /*threads=*/4);
+  expect_same_run(one, four);
+  EXPECT_GT(one.report.hard_faults_impacting, 0);
+  EXPECT_GT(one.report.degraded_session_s, 0.0);
+}
+
 TEST(ChaosResilience, MonitorIsPurelyObservational) {
-  // Attaching the monitor must not perturb a single decision.
-  const ChaosRun observed = run_chaos(1, /*with_monitor=*/true);
-  const ChaosRun bare = run_chaos(1, /*with_monitor=*/false);
+  // Attaching the monitor must not perturb a single decision, including
+  // on the shard-routed paths its hooks sit on.
+  const ChaosRun observed = run_chaos(/*shards=*/4, /*threads=*/1,
+                                      /*with_monitor=*/true);
+  const ChaosRun bare = run_chaos(/*shards=*/4, /*threads=*/1,
+                                  /*with_monitor=*/false);
   EXPECT_EQ(observed.stats.decision_fingerprint, bare.stats.decision_fingerprint);
   EXPECT_EQ(observed.stats.sessions_admitted, bare.stats.sessions_admitted);
   EXPECT_EQ(observed.stats.migrations, bare.stats.migrations);

@@ -11,13 +11,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "chaos/injector.h"
 #include "chaos/scenario.h"
 #include "route/plane.h"
-#include "service/broker.h"
 #include "service/sharded_broker.h"
 #include "sim/thread_pool.h"
 #include "wkld/session_churn.h"
@@ -311,8 +309,8 @@ struct ControlResult {
 };
 
 /// One full control-plane run with the plane wired into the ranker.
-/// num_shards == 0 -> single Broker; threads only affects measurement
-/// fan-out. Every field must be a pure function of the seed.
+/// Shards and threads only partition the pairs and fan out measurement:
+/// every field must be a pure function of the seed.
 ControlResult run_control(Policy policy, int num_shards, int threads) {
   wkld::World world(kSeed, topo::TopologyParams{}, pathological_cloud(),
                     sim::Parallelism{threads});
@@ -333,47 +331,31 @@ ControlResult run_control(Policy policy, int num_shards, int threads) {
   cfg.failover_delay = sim::Time::seconds(1);
   cfg.ranking.route_plane = &plane;
 
-  std::unique_ptr<service::Broker> single;
-  std::unique_ptr<service::ShardedBroker> sharded;
-  service::ControlPlane* owner = nullptr;
-  if (num_shards == 0) {
-    single = std::make_unique<service::Broker>(&net, &world.meter(),
-                                               &world.pool(), overlays, cfg);
-    owner = single.get();
-  } else {
-    sharded = std::make_unique<service::ShardedBroker>(
-        &net, &world.meter(), &world.pool(), overlays, num_shards, cfg);
-    owner = sharded.get();
-  }
+  service::ShardedBroker broker(&net, &world.meter(), &world.pool(), overlays,
+                                num_shards, cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = kSeed ^ 0x90f7e5;
   churn_params.target_concurrent = 100;
   churn_params.mean_duration_s = 15.0;
   churn_params.horizon = sim::Time::seconds(30);
-  wkld::SessionChurn churn(owner, clients, servers, churn_params);
+  wkld::SessionChurn churn(&broker, clients, servers, churn_params);
   churn.start();
-  if (single) single->warm_up();
-  if (sharded) sharded->warm_up();
-  owner->run_until(churn_params.horizon);
+  broker.warm_up();
+  broker.run_until(churn_params.horizon);
 
+  const auto st = broker.stats();
   ControlResult r;
-  if (single) {
-    r.decision_fp = single->ranker().partial_decision_fingerprint();
-    r.admitted = single->stats().sessions_admitted;
-  } else {
-    const auto st = sharded->stats();
-    r.decision_fp = st.decision_fingerprint;
-    r.admitted = st.sessions_admitted;
-  }
+  r.decision_fp = st.decision_fingerprint;
+  r.admitted = st.sessions_admitted;
   r.table_fp = plane.table_fingerprint();
   return r;
 }
 
 TEST(RoutePlane, DecisionsBitwiseInvariantAcrossThreadsAndShards) {
   for (const Policy policy : {Policy::kDelay, Policy::kBackpressure}) {
-    const ControlResult t1 = run_control(policy, /*num_shards=*/0, 1);
-    const ControlResult t4 = run_control(policy, /*num_shards=*/0, 4);
+    const ControlResult t1 = run_control(policy, /*num_shards=*/1, 1);
+    const ControlResult t4 = run_control(policy, /*num_shards=*/1, 4);
     const ControlResult s4 = run_control(policy, /*num_shards=*/4, 4);
 
     EXPECT_GT(t1.admitted, 0u);
