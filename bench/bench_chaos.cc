@@ -182,8 +182,12 @@ int main(int argc, char** argv) {
       {"sessions admitted", 0.0, static_cast<double>(st.sessions_admitted)},
       {"faults injected", static_cast<double>(scenario.faults().size()),
        static_cast<double>(injector.begun())},
+      {"scenario injected faults (1=yes)", 1.0,
+       injector.begun() > 0 ? 1.0 : 0.0},
       {"hard faults impacting pairs", 0.0,
        static_cast<double>(rep.hard_faults_impacting)},
+      {"a hard fault hit the control plane (1=yes)", 1.0,
+       rep.hard_faults_impacting > 0 ? 1.0 : 0.0},
       {"max hard-fault time-to-repin seconds", repin_bound_s,
        rep.max_hard_repin_s},
       {"repin within failover_delay + probe interval (1=yes)", 1.0,

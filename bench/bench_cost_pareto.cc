@@ -206,6 +206,10 @@ int main(int argc, char** argv) {
     report(label, r1, r8);
     checks.push_back({label + ": budget-denied admissions", 0.0,
                       static_cast<double>(r1.budget_denied)});
+    if (frac == 0.1) {  // else the cap below was never exercised
+      checks.push_back({label + ": tight budget denied admissions (1=yes)",
+                        1.0, r1.budget_denied > 0 ? 1.0 : 0.0});
+    }
     // The reservation gate must actually hold the line: the peak reserved
     // spend rate never exceeds the budget.
     checks.push_back({label + ": peak spend <= budget (1=yes)", 1.0,

@@ -30,8 +30,8 @@ int main() {
   int n = 0;
 
   // Order-sensitive hash over every measured sample: the figure pipeline's
-  // determinism witness (bitwise identical at any thread/batch count), and
-  // what the CI bench-baseline gate pins against bench/baselines/.
+  // determinism witness (bitwise identical at any thread count and SIMD
+  // level), and what the bench gate pins against bench/baselines/.
   std::uint64_t fingerprint = 0;
   for (const auto& s : exp.samples) {
     fingerprint = sim::hash_combine(

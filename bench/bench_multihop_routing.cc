@@ -18,10 +18,10 @@
 // 8-shard control plane reproduces the 1-shard reference's decisions and
 // routing tables bit for bit, that the incremental plane
 // (CRONETS_ROUTE_INCREMENTAL=1, the default) reproduces the
-// full-recompute reference bit for bit, and the CI legs diff the whole
-// text output across CRONETS_THREADS 1/4, CRONETS_SIMD scalar/auto, and
-// CRONETS_ROUTE_INCREMENTAL 0/1 (only "-- timing:"/"-- config" rows are
-// filtered).
+// full-recompute reference bit for bit, and the bench gate
+// (tools/check_bench_regress.py) diffs the whole text output across
+// CRONETS_THREADS 1/4 x CRONETS_ROUTE_INCREMENTAL 1/0 and CRONETS_SIMD
+// auto/scalar (only "-- timing:"/"-- config" rows are filtered).
 //
 // The `--dcs N` axis (default sweep: 32/128, plus 512 in full mode) grows
 // a synthetic DC mesh and runs the plane alone — incremental and full
@@ -340,10 +340,11 @@ int main(int argc, char** argv) {
   std::vector<bench::PaperCheck> checks;
   long admitted_total = 0;
   // The broker runs honor CRONETS_ROUTE_INCREMENTAL (default on), so the
-  // CI leg can byte-diff the whole filtered output across =0 and =1; the
-  // explicit full-recompute reference below keeps the in-process
+  // bench gate can byte-diff the whole filtered output across =0 and =1;
+  // the explicit full-recompute reference below keeps the in-process
   // "incremental == full" gate meaningful in either setting.
-  const bool env_incremental = route::RouteConfig::from_env().incremental;
+  const bool env_incremental =
+      sim::env_int("CRONETS_ROUTE_INCREMENTAL", 1, 0, 1) != 0;
   for (const route::Policy policy :
        {route::Policy::kDelay, route::Policy::kBackpressure}) {
     if (only_dcs > 0) break;  // --dcs: skip the broker section

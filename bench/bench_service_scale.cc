@@ -9,17 +9,17 @@
 // CRONETS_SHARDS) picks the shard count, and every seed-pure output row —
 // the decision fingerprint above all — is bitwise identical at any shard
 // count and any thread count. Probe sweeps run through the batched SoA
-// measurement kernel (CRONETS_BATCH). `--smoke` shrinks everything for CI
-// (and writes smoke_*.json); CRONETS_SERVICE_TARGET overrides the
-// concurrency target.
+// measurement kernel (core::kProbeBatchSize pairs per call). `--smoke`
+// shrinks everything for CI (and writes smoke_*.json);
+// CRONETS_SERVICE_TARGET overrides the concurrency target.
 //
 // JSON: all `checks` rows are a pure function of the seed (the decision
 // fingerprint row is the cross-thread *and* cross-shard determinism
 // witness); wall-clock metrics — aggregate and per-shard admission rates,
 // decision latency — land under `extra`. Text output: per-shard rows are
-// prefixed "-- shard" and the shard-count line "-- config", so the CI
-// determinism diff can compare runs at different shard counts after
-// filtering those (every aggregate row must survive the diff).
+// prefixed "-- shard" and the shard-count line "-- config", so the bench
+// gate's determinism diff can compare runs at different shard counts
+// after filtering those (every aggregate row must survive the diff).
 
 #include <algorithm>
 #include <cstring>
@@ -255,8 +255,10 @@ int main(int argc, char** argv) {
   run.add_extra("admissions_per_s",
                 wall_s > 0 ? static_cast<double>(st.sessions_admitted) / wall_s
                            : 0.0);
+  std::uint64_t shard_admitted_sum = 0;
   for (std::size_t s = 0; s < st.shards.size(); ++s) {
     const auto& ss = st.shards[s];
+    shard_admitted_sum += ss.sessions_admitted;
     const double adm_per_s =
         wall_s > 0 ? static_cast<double>(ss.sessions_admitted) / wall_s : 0.0;
     std::printf("-- shard %zu: pairs=%zu admitted=%llu (%.0f/s) active=%zu "
@@ -300,6 +302,8 @@ int main(int argc, char** argv) {
        failover_ok ? 1.0 : 0.0},
       {"per-shard NIC books sum to global ledger (1=yes)", 1.0,
        nic_books_ok ? 1.0 : 0.0},
+      {"per-shard admissions sum to aggregate (1=yes)", 1.0,
+       shard_admitted_sum == st.sessions_admitted ? 1.0 : 0.0},
       {"metered egress USD", 0.0, global_usd},
       {"decision fingerprint (low 32 bits)", -1.0,
        static_cast<double>(st.decision_fingerprint & 0xffffffffu)},

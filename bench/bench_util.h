@@ -60,15 +60,15 @@ inline void print_paper_checks(const std::vector<PaperCheck>& checks) {
 /// Wall-clock + throughput tracker for a bench's measurement phase, plus
 /// machine-readable output: `finish()` writes bench_results/<name>.json
 /// with the timing, pair counts, and paper-check rows, so CI can archive
-/// and diff the speedup trajectory PR over PR (the text report stays the
-/// human-facing artifact). The JSON `checks` block depends only on the
-/// world seed — never on thread count or timing — so it doubles as the
-/// determinism fingerprint for the parallel engine.
+/// the speedup trajectory (the text report stays the human-facing
+/// artifact). The JSON `checks` block depends only on the world seed —
+/// never on thread count or timing — so it doubles as the determinism
+/// fingerprint for the parallel engine.
 ///
 /// Shrunk runs (`--smoke` / CRONETS_QUICK) write
-/// bench_results/smoke_<name>.json instead, so a CI smoke pass can never
-/// clobber a full-run result (and tools/check_bench_regress.py compares
-/// smoke runs against the committed bench/baselines/smoke_*.json).
+/// bench_results/smoke_<name>.json instead, so a smoke pass can never
+/// clobber a full-run result (the bench gate, tools/check_bench_regress.py,
+/// compares smoke runs against the committed bench/baselines/).
 class BenchRun {
  public:
   explicit BenchRun(std::string name, bool smoke = quick_mode())

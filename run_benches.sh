@@ -2,8 +2,9 @@
 # Regenerate every paper figure/table + ablations. CRONETS_QUICK=1 shrinks
 # the packet-level runs (and benches then write smoke_*.json instead of
 # their full-run JSON, so a quick pass never clobbers archived full
-# results). `--check` additionally runs tools/check_bench_regress.py
-# against the committed bench/baselines/ after the benches finish.
+# results). `--check` then runs the bench gate, tools/check_bench_regress.py:
+# it runs its own smoke matrix in fresh directories under
+# bench_results/gate/, so what it gates never depends on this pass.
 # Exits non-zero if any bench failed (all benches still run, so one bad
 # figure doesn't mask the rest of the report).
 set -euo pipefail
@@ -83,7 +84,6 @@ fi
 echo "all benches passed"
 
 if [ "$run_check" = 1 ]; then
-  echo "== bench regression gate (vs bench/baselines/) =="
-  python3 tools/check_bench_regress.py \
-    --baseline-dir bench/baselines --results-dir bench_results
+  echo "== bench gate (smoke matrix vs bench/baselines/) =="
+  python3 tools/check_bench_regress.py
 fi

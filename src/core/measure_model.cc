@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "model/batch_sampler.h"
-#include "sim/env.h"
 #include "sim/hash_rng.h"
 
 namespace cronets::core {
@@ -50,12 +49,6 @@ BatchScratch& batch_scratch() {
 }
 
 }  // namespace
-
-int probe_batch_size() {
-  static const int cached =
-      static_cast<int>(sim::env_int("CRONETS_BATCH", 64, 1, 1'000'000));
-  return cached;
-}
 
 double PairSample::best_plain_bps() const {
   double best = 0.0;

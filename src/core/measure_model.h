@@ -49,11 +49,12 @@ struct ProbeRequest {
   const std::vector<int>* overlays = nullptr;
 };
 
-/// Batch size used by the batched probe consumers (broker probe sweeps,
-/// figure sweeps): the CRONETS_BATCH environment variable, default 64,
-/// clamped to >= 1. Read once and cached. A pure performance knob — every
-/// batch size produces bitwise-identical samples.
-int probe_batch_size();
+/// Pairs per batched-sampler call in the batched probe consumers (broker
+/// probe sweeps, figure sweeps). Batch 1 is slower than the scalar sampler
+/// (a one-path batch pays the SoA setup without cross-pair link-field
+/// dedup), and the dedup saturates by 64. Every batch size produces
+/// bitwise-identical samples.
+inline constexpr int kProbeBatchSize = 64;
 
 /// Analytic measurement runner: the instrument used for the paper-scale
 /// sweeps (6,600 paths x several path types). All throughputs come from

@@ -44,14 +44,14 @@ class RouteComposer {
 /// and watch `pair_route_version()` to re-compose a cached candidate only
 /// when the table column or DC liveness behind it actually moved.
 ///
-/// Incrementality (CRONETS_ROUTE_INCREMENTAL, default on): the graph
+/// Incrementality (RouteConfig::incremental, default on): the graph
 /// probes only dirty/stale edges per round, the policy recomputes only
 /// entries whose inputs moved, and consumers recompose only pairs whose
 /// destination version moved. A periodic full-refresh round recomputes
 /// everything anyway, and `incremental = false` runs the full-recompute
 /// reference over the same probe schedule — tables, fingerprints, and
 /// decisions are bitwise identical between the two modes; the benches and
-/// CI diff them byte for byte.
+/// the bench gate diff them byte for byte.
 ///
 /// Determinism: rounds run single-threaded on the event queue, agents
 /// update in node index order from round-start snapshots, and every edge

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/env.h"
-
 namespace cronets::route {
 
 const char* policy_name(Policy p) {
@@ -17,21 +15,6 @@ const char* policy_name(Policy p) {
       return "backpressure";
   }
   return "?";
-}
-
-RouteConfig RouteConfig::from_env() {
-  RouteConfig cfg;
-  const int p = sim::env_choice("CRONETS_ROUTE_POLICY", 0,
-                                {"off", "delay", "backpressure"});
-  cfg.policy = p == 1   ? Policy::kDelay
-               : p == 2 ? Policy::kBackpressure
-                        : Policy::kOff;
-  // Clamped, not rejected: CRONETS_MAX_HOPS=0 or =99 pulls to the nearest
-  // mechanical bound with a one-shot warning.
-  cfg.max_hops = static_cast<int>(
-      sim::env_int_clamped("CRONETS_MAX_HOPS", cfg.max_hops, 1, 8));
-  cfg.incremental = sim::env_int("CRONETS_ROUTE_INCREMENTAL", 1, 0, 1) != 0;
-  return cfg;
 }
 
 namespace {

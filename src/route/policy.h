@@ -19,10 +19,8 @@ enum class Policy {
 
 const char* policy_name(Policy p);
 
-/// Knobs of the routing plane. `from_env` reads the CRONETS_ROUTE_POLICY /
-/// CRONETS_MAX_HOPS / CRONETS_ROUTE_INCREMENTAL environment knobs through
-/// sim/env.h; everything else keeps its default unless a bench or test
-/// overrides it in code.
+/// Knobs of the routing plane. Benches and tests set them in code; the
+/// library reads none of them from the environment.
 struct RouteConfig {
   Policy policy = Policy::kOff;
   /// Maximum overlay hops (backbone edges) a composed route may take.
@@ -43,12 +41,13 @@ struct RouteConfig {
   double bp_drain = 4.0;
   double bp_rate_ref_bps = 100e6;
 
-  /// Incremental plane (CRONETS_ROUTE_INCREMENTAL, default on): due-set
-  /// probe selection, delta exchange rounds, per-destination route
-  /// versions. Off runs the full-recompute reference — same probe
-  /// schedule, same latched metrics, bitwise-identical tables and
-  /// decisions; only the amount of work per round differs. The bench and
-  /// CI gates diff the two modes byte for byte.
+  /// Incremental plane (default on): due-set probe selection, delta
+  /// exchange rounds, per-destination route versions. Off runs the
+  /// full-recompute reference — same probe schedule, same latched metrics,
+  /// bitwise-identical tables and decisions; only the amount of work per
+  /// round differs. bench_multihop_routing exposes it as
+  /// CRONETS_ROUTE_INCREMENTAL, and the bench gate diffs the two modes
+  /// byte for byte.
   bool incremental = true;
   /// Probing cadence (see route::MeasureConfig): re-probe an edge every
   /// `probe_interval_rounds` rounds, at most `probe_budget` staleness
@@ -62,8 +61,6 @@ struct RouteConfig {
   /// anyway — a cheap standing audit that pins inc == full equivalence
   /// (and the bench fingerprints cross both kinds of rounds).
   int full_refresh_rounds = 64;
-
-  static RouteConfig from_env();
 
   MeasureConfig measure_config() const {
     MeasureConfig m;

@@ -254,7 +254,7 @@ void ShardedBroker::measure_selection(const std::vector<int>& sel,
   // disjoint range of its shard's result array, and each measurement is a
   // pure function of (seed, src, dst, t) — the fan-out is a performance
   // knob only.
-  const std::size_t batch = static_cast<std::size_t>(core::probe_batch_size());
+  constexpr std::size_t batch = core::kProbeBatchSize;
   tasks_.clear();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& sh = *shards_[s];

@@ -148,9 +148,9 @@ struct ShardedBrokerStats {
 ///    never depends on the partitioning. Each shard's slice of the
 ///    selection is its probe-budget share for that tick.
 ///  - Measurements are pure functions of (seed, src, dst, t), taken in
-///    fixed-size batches (CRONETS_BATCH) through the SoA batch kernel,
-///    which is bitwise identical to the scalar meter; shards and batches
-///    are a fan-out knob only.
+///    fixed-size batches (core::kProbeBatchSize) through the SoA batch
+///    kernel, which is bitwise identical to the scalar meter; shards and
+///    batches are a fan-out knob only.
 ///  - Samples are applied in global-selection order on the single-threaded
 ///    event queue, so cross-pair effects through the shared books happen
 ///    in one fixed order.

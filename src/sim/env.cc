@@ -61,28 +61,6 @@ long env_int(const char* name, long def, long lo, long hi) {
   return v;
 }
 
-long env_int_clamped(const char* name, long def, long lo, long hi) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return def;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (!fully_parsed(s, end) || errno == ERANGE) {
-    if (first_warning(name, "not an integer")) warn(name, s, "not an integer");
-    return def;
-  }
-  if (v < lo || v > hi) {
-    const long clamped = v < lo ? lo : hi;
-    if (first_warning(name, "clamped")) {
-      std::fprintf(stderr,
-                   "cronets: clamping %s=%ld into [%ld, %ld] -> %ld\n", name,
-                   v, lo, hi, clamped);
-    }
-    return clamped;
-  }
-  return v;
-}
-
 std::uint64_t env_u64(const char* name, std::uint64_t def) {
   const char* s = std::getenv(name);
   if (s == nullptr) return def;

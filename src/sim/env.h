@@ -18,14 +18,6 @@ namespace cronets::sim {
 /// Integer knob in [lo, hi]; `def` when unset or rejected.
 long env_int(const char* name, long def, long lo, long hi);
 
-/// Integer knob clamped into [lo, hi]: an out-of-range value is pulled to
-/// the nearest bound (with a one-shot stderr warning) instead of being
-/// replaced by the default — "CRONETS_MAX_HOPS=0" means "as few hops as
-/// allowed", not "whatever the default is". Garbage still falls back to
-/// `def` (one-shot warning). Use for knobs where the valid range is a
-/// mechanical limit rather than a semantic choice.
-long env_int_clamped(const char* name, long def, long lo, long hi);
-
 /// Unsigned 64-bit knob (seeds); `def` when unset or rejected.
 std::uint64_t env_u64(const char* name, std::uint64_t def);
 
@@ -36,7 +28,8 @@ double env_double(const char* name, double def, double lo, double hi);
 /// pulled to the nearest bound (one-shot stderr warning) instead of being
 /// replaced by the default — "CRONETS_PARETO_ALPHA=2" means "all goodput",
 /// not "whatever the default is". Garbage (and NaN) still falls back to
-/// `def` with a one-shot warning, mirroring env_int_clamped.
+/// `def` with a one-shot warning. Use for knobs where the valid range is a
+/// mechanical limit rather than a semantic choice.
 double env_double_clamped(const char* name, double def, double lo, double hi);
 
 /// Boolean knob: unset, "0", "false", "off", or "" are false; any other

@@ -17,7 +17,7 @@ WebExperiment run_web_experiment(World& world, int num_clients, sim::Time at) {
   // identical at any thread count and batch size.
   const std::size_t per_server = exp.clients.size();
   exp.samples.resize(exp.servers.size() * per_server);
-  const std::size_t batch = static_cast<std::size_t>(core::probe_batch_size());
+  constexpr std::size_t batch = core::kProbeBatchSize;
   const std::size_t chunks = (exp.samples.size() + batch - 1) / batch;
   world.pool().parallel_for(chunks, [&](std::size_t c) {
     thread_local std::vector<std::pair<int, int>> pairs;
@@ -57,7 +57,7 @@ ControlledExperiment run_controlled_experiment_on(World& world,
       if (o != exp.overlays[s]) relays[s].push_back(o);
     }
   }
-  const std::size_t batch = static_cast<std::size_t>(core::probe_batch_size());
+  constexpr std::size_t batch = core::kProbeBatchSize;
   const std::size_t chunks = (exp.samples.size() + batch - 1) / batch;
   world.pool().parallel_for(chunks, [&](std::size_t c) {
     thread_local std::vector<core::ProbeRequest> reqs;

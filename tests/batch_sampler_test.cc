@@ -337,9 +337,5 @@ TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
   EXPECT_FALSE(sampler.begin_batch());
 }
 
-TEST(BatchKnob, ProbeBatchSizeIsAtLeastOne) {
-  EXPECT_GE(core::probe_batch_size(), 1);
-}
-
 }  // namespace
 }  // namespace cronets

@@ -1,42 +1,86 @@
 #!/usr/bin/env python3
-"""Bench regression gate: compare fresh bench JSON against committed baselines.
+"""Bench gate: run the smoke matrix, diff every axis, compare with baselines.
 
-Usage:
-  tools/check_bench_regress.py [--baseline-dir bench/baselines]
-                               [--results-dir bench_results] [--self-test]
+Usage: tools/check_bench_regress.py [BUILD_DIR]      (default: build)
 
-For every baseline file bench/baselines/<name>.json with a matching
-bench_results/<name>.json from the current run:
-
-  HARD FAIL (exit 1) on broken correctness:
-    - a "(1=yes)" invariant check row measuring anything but 1.0;
-    - any "fingerprint" check row whose measured value differs from the
-      baseline (the decision fingerprint is seed-pure and shard/thread
-      invariant, so any drift is a real behaviour change — if the change
-      is intentional, regenerate the baseline in the same commit);
-    - missing result files, unparseable JSON, or missing required fields.
-
-  WARN ONLY (::warning:: annotation, exit 0) on performance drift:
-    - pairs_per_s dropping more than 20% below the baseline (shared CI
-      runners make absolute throughput noisy, so this never hard-fails);
-    - non-fingerprint seed-pure check rows drifting from the baseline
-      (these runs may use different knobs, e.g. shard count, than the
-      baseline recording — the invariant and fingerprint rows are the
-      contract).
-
---self-test proves the gate can fail: it perturbs a copy of each baseline
-fingerprint and asserts the comparison reports a hard failure, then exits.
+Each MATRIX row is (bench, fixed settings, axes). A setting that starts
+with "--" goes on the command line ("--shards 4" is two arguments); any
+other is NAME=value in the environment. The axes are crossed; the first
+combination is the row's reference run, which every other run must
+reproduce. Each run gets the caller's environment minus all CRONETS_*
+variables, plus CRONETS_QUICK=1, and a fresh working directory under
+bench_results/gate/. Each bench's first reference run is then compared
+with its bench/baselines/ file (compare), and must fail against that
+baseline with its fingerprints perturbed (perturb_errors). EXPERIMENTS.md
+("CI gates") lists every rule.
 """
 
-import argparse
 import copy
+import difflib
+import glob
+import itertools
 import json
 import os
+import re
+import shutil
+import subprocess
 import sys
+
+THREADS = ("CRONETS_THREADS", ("1", "4"))
+SIMD = ("CRONETS_SIMD", ("auto", "scalar"))
+
+MATRIX = [
+    ("bench_fig2_weblarge", (), (THREADS, SIMD)),
+    ("bench_fig3_controlled", (), ()),
+    ("bench_fig6_longitudinal", (), ()),
+    ("bench_micro", ("--benchmark_min_time=0.2",), ()),
+    # ^$ skips the Google Benchmarks; the recorded sweep and its checks run.
+    ("bench_micro", ("--benchmark_filter=^$",), (SIMD,)),
+    ("bench_service_scale", (), (("--shards", ("4", "1", "8")), THREADS)),
+    ("bench_service_scale", (), (SIMD,)),
+    *[("bench_service_scale",
+       (f"CRONETS_COST_POLICY={policy}", "CRONETS_COST_BUDGET_USD=0.5"),
+       (("--shards", ("1", "8")), THREADS))
+      for policy in ("max_goodput_under_budget", "min_cost_meeting_slo",
+                     "pareto")],
+    ("bench_chaos", (), (THREADS,)),
+    ("bench_multihop_routing", (),
+     (THREADS, ("CRONETS_ROUTE_INCREMENTAL", ("1", "0")))),
+    ("bench_multihop_routing", (), (SIMD,)),
+    ("bench_cost_model", (), ()),
+    ("bench_cost_pareto", (), (THREADS, SIMD)),
+]
+
+# Wall-clock gates cannot be seed-pure check rows: they read `extra` of
+# each bench's first reference run. bench -> [(what, test, hard)].
+GATES = {
+    "bench_service_scale": [
+        ("p99 decision latency under 50 us",
+         lambda x: x.get("p99_under_50us") == 1.0, True)],
+    "bench_micro": [
+        ("scalar and batch kernel rates recorded",
+         lambda x: min(x.get("scalar_pairs_per_s", 0),
+                       x.get("batch_pairs_per_s", 0)) > 0, True),
+        ("batched sampling kernel >= 1.5x scalar",
+         lambda x: x.get("batch_pairs_per_s", 0) >=
+         1.5 * x.get("scalar_pairs_per_s", 0), False)],
+    "bench_chaos": [("extra recorded", bool, True)],
+    "bench_cost_pareto": [("extra recorded", bool, True)],
+}
+
+# Where a run's JSON records an axis value it was given.
+READBACK = {
+    "CRONETS_THREADS": lambda d: d["threads"],
+    "--shards": lambda d: d.get("extra", {}).get("shards"),
+}
 
 REQUIRED_FIELDS = ("bench", "seed", "threads", "wall_s", "pairs",
                    "pairs_per_s", "checks")
+FILTER = re.compile(r"timing:|^-- shard |^-- config")
 THROUGHPUT_DROP_WARN = 0.20
+BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                         "bench", "baselines")
+RESULTS = os.path.join("bench_results", "gate")
 
 
 def load(path):
@@ -45,141 +89,169 @@ def load(path):
 
 
 def check_rows(doc):
-    return {c["metric"]: c["measured"] for c in doc.get("checks", [])}
+    return {c["metric"]: c["measured"] for c in doc["checks"]}
 
 
-def compare(name, baseline, current):
-    """Return (errors, warnings) comparing one current run to its baseline."""
-    errors, warnings = [], []
-    for field in REQUIRED_FIELDS:
-        if field not in current:
-            errors.append(f"{name}: result JSON missing field {field!r}")
-    if errors:
-        return errors, warnings
+def run(build, bench, settings, workdir):
+    """Run one configuration; return (stdout, JSON doc or None, errors)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CRONETS_")}
+    env["CRONETS_QUICK"] = "1"
+    argv = [os.path.abspath(os.path.join(build, "bench", bench))]
+    for s in settings:
+        if s.startswith("--"):
+            argv += s.split()
+        else:
+            name, _, value = s.partition("=")
+            env[name] = value
+    os.makedirs(workdir)
+    try:
+        p = subprocess.run(argv, cwd=workdir, env=env, capture_output=True,
+                           text=True)
+    except OSError as e:
+        return "", None, [f"cannot run: {e}"]
+    with open(os.path.join(workdir, "stdout.txt"), "w") as f:
+        f.write(p.stdout)
+    if p.returncode != 0:
+        return p.stdout, None, [f"exit code {p.returncode}: "
+                                f"{p.stderr.strip()[-400:]}"]
+    found = glob.glob(os.path.join(workdir, "bench_results", "smoke_*.json"))
+    if len(found) != 1:
+        return p.stdout, None, [f"wrote {len(found)} smoke_*.json, want 1"]
+    try:
+        doc = load(found[0])
+    except json.JSONDecodeError as e:
+        return p.stdout, None, [f"unparseable result JSON: {e}"]
+    missing = [k for k in REQUIRED_FIELDS if k not in doc]
+    if missing:
+        return p.stdout, None, [f"result JSON missing fields {missing}"]
+    doc["json"] = os.path.basename(found[0])
+    errors = [f"invariant broken: {m!r} = {v}"
+              for m, v in check_rows(doc).items()
+              if "(1=yes)" in m and v != 1.0]
+    if not (doc["pairs"] > 0 and doc["pairs_per_s"] > 0):
+        errors.append(f"empty measurement: {doc['pairs']} pairs at "
+                      f"{doc['pairs_per_s']}/s")
+    return p.stdout, doc, errors
 
-    if current.get("seed") != baseline.get("seed"):
-        warnings.append(
-            f"{name}: seed {current.get('seed')} != baseline "
-            f"{baseline.get('seed')}; seed-pure comparisons skipped")
-        base_rows = {}
-    else:
-        base_rows = check_rows(baseline)
-    cur_rows = check_rows(current)
 
-    for metric, measured in cur_rows.items():
-        if "(1=yes)" in metric and measured != 1.0:
-            errors.append(f"{name}: invariant broken: {metric!r} = {measured}")
-
-    for metric, base_val in base_rows.items():
-        if metric not in cur_rows:
-            errors.append(f"{name}: check row disappeared: {metric!r}")
+def axis_errors(combo, out, doc, ref):
+    """A run against its axis values and its row's reference run `ref`
+    ((stdout, doc); None for the reference run itself)."""
+    errors = []
+    for name, value in combo:
+        if name not in READBACK:
             continue
-        cur_val = cur_rows[metric]
-        if "fingerprint" in metric:
-            if cur_val != base_val:
-                errors.append(
-                    f"{name}: fingerprint drift: {metric!r} "
-                    f"{base_val} -> {cur_val} (decision behaviour changed; "
-                    "regenerate bench/baselines/ if intentional)")
-        elif "(1=yes)" not in metric and cur_val != base_val:
-            warnings.append(
-                f"{name}: seed-pure row drifted: {metric!r} "
-                f"{base_val} -> {cur_val}")
+        got = READBACK[name](doc)
+        if got is None or float(got) != float(value):
+            errors.append(f"{name} {value} not applied: the JSON reads {got}")
+    if ref is None or ref[1] is None:
+        return errors
+    a = [l for l in ref[0].splitlines() if not FILTER.search(l)]
+    b = [l for l in out.splitlines() if not FILTER.search(l)]
+    if a != b:
+        diff = difflib.unified_diff(a, b, "reference", "this run", n=0,
+                                    lineterm="")
+        errors.append("stdout differs from the reference run:\n  " +
+                      "\n  ".join(list(diff)[:12]))
+    if doc["checks"] != ref[1]["checks"]:
+        ra, rb = check_rows(ref[1]), check_rows(doc)
+        errors.append("checks differ from the reference run: " +
+                      str(sorted(m for m in ra.keys() | rb.keys()
+                                 if ra.get(m) != rb.get(m))))
+    return errors
 
-    base_tput = baseline.get("pairs_per_s", 0.0)
-    cur_tput = current.get("pairs_per_s", 0.0)
-    if base_tput > 0 and cur_tput < (1.0 - THROUGHPUT_DROP_WARN) * base_tput:
+
+def compare(baseline, current):
+    """(errors, warnings) of a fresh reference run against its baseline."""
+    errors, warnings = [], []
+    cur = check_rows(current)
+    for metric, want in check_rows(baseline).items():
+        got = cur.get(metric)
+        if metric not in cur:
+            errors.append(f"check row disappeared: {metric!r}")
+        elif "fingerprint" in metric and got != want:
+            errors.append(
+                f"fingerprint drift: {metric!r} {want} -> {got} (decision "
+                "behaviour changed; regenerate bench/baselines/ if "
+                "intentional)")
+        elif got != want:
+            warnings.append(f"seed-pure row drifted: {metric!r} "
+                            f"{want} -> {got}")
+    base, now = baseline["pairs_per_s"], current["pairs_per_s"]
+    if now < (1.0 - THROUGHPUT_DROP_WARN) * base:
         warnings.append(
-            f"{name}: throughput dropped {100 * (1 - cur_tput / base_tput):.0f}% "
-            f"({base_tput:.0f} -> {cur_tput:.0f} pairs/s; want within "
+            f"throughput dropped {100 * (1 - now / base):.0f}% "
+            f"({base:.0f} -> {now:.0f} pairs/s; want within "
             f"{100 * THROUGHPUT_DROP_WARN:.0f}%)")
     return errors, warnings
 
 
-def run_gate(baseline_dir, results_dir):
-    baselines = sorted(f for f in os.listdir(baseline_dir)
-                       if f.endswith(".json"))
-    if not baselines:
-        return [f"no baselines found in {baseline_dir}"], [], 0
-    errors, warnings, compared = [], [], 0
-    for fname in baselines:
-        name = fname[:-len(".json")]
-        base_path = os.path.join(baseline_dir, fname)
-        cur_path = os.path.join(results_dir, fname)
-        try:
-            baseline = load(base_path)
-        except (OSError, json.JSONDecodeError) as e:
-            errors.append(f"{name}: unreadable baseline: {e}")
-            continue
-        if not os.path.exists(cur_path):
-            errors.append(
-                f"{name}: no result at {cur_path} (bench not run, or it "
-                "wrote under a different smoke/full name)")
-            continue
-        try:
-            current = load(cur_path)
-        except (OSError, json.JSONDecodeError) as e:
-            errors.append(f"{name}: unparseable result JSON: {e}")
-            continue
-        e, w = compare(name, baseline, current)
-        errors += e
-        warnings += w
-        compared += 1
-    return errors, warnings, compared
-
-
-def self_test(baseline_dir):
-    """The gate must catch a perturbed fingerprint in every baseline."""
-    baselines = sorted(f for f in os.listdir(baseline_dir)
-                       if f.endswith(".json"))
-    if not baselines:
-        print(f"self-test FAILED: no baselines in {baseline_dir}")
-        return 1
-    failures = 0
-    for fname in baselines:
-        baseline = load(os.path.join(baseline_dir, fname))
-        perturbed = copy.deepcopy(baseline)
-        rows = [c for c in perturbed.get("checks", [])
-                if "fingerprint" in c["metric"]]
-        if not rows:
-            print(f"self-test FAILED: {fname} has no fingerprint check row")
-            failures += 1
-            continue
-        for c in rows:
-            c["measured"] = c["measured"] + 1.0
-        errors, _ = compare(fname, baseline, perturbed)
-        if any("fingerprint drift" in e for e in errors):
-            print(f"self-test OK: perturbed fingerprint in {fname} "
-                  "was caught")
-        else:
-            print(f"self-test FAILED: perturbed fingerprint in {fname} "
-                  "slipped through")
-            failures += 1
-    return 1 if failures else 0
+def perturb_errors(baseline, current):
+    """compare() must catch every baseline fingerprint row, perturbed."""
+    perturbed = copy.deepcopy(baseline)
+    rows = [c for c in perturbed["checks"] if "fingerprint" in c["metric"]]
+    for c in rows:
+        c["measured"] += 1.0
+    caught = [e for e in compare(perturbed, current)[0]
+              if e.startswith("fingerprint drift")]
+    if rows and len(caught) == len(rows):
+        return []
+    return [f"{len(caught)} of {len(rows)} perturbed fingerprint row(s) "
+            "caught: the gate cannot fail"]
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--baseline-dir", default="bench/baselines")
-    ap.add_argument("--results-dir", default="bench_results")
-    ap.add_argument("--self-test", action="store_true",
-                    help="verify the gate fails on a perturbed fingerprint")
-    args = ap.parse_args()
+    build = sys.argv[1] if len(sys.argv) > 1 else "build"
+    if len(sys.argv) > 2 or not os.path.isdir(os.path.join(build, "bench")):
+        sys.exit(f"{__doc__}\nno bench binaries under {build}/bench")
+    shutil.rmtree(RESULTS, ignore_errors=True)
+    errors, warnings, first, runs = [], [], {}, 0
+    for bench, fixed, axes in MATRIX:
+        ref = None
+        for combo in itertools.product(
+                *[[(name, v) for v in values] for name, values in axes]):
+            settings = list(fixed) + [
+                f"{n} {v}" if n.startswith("--") else f"{n}={v}"
+                for n, v in combo]
+            label = " ".join([bench] + settings)
+            runs += 1
+            out, doc, errs = run(build, bench, settings,
+                                 os.path.join(RESULTS, f"{runs:02d}-{bench}"))
+            if doc is not None:
+                errs += axis_errors(combo, out, doc, ref)
+            if ref is None:
+                ref = (out, doc)
+                if doc is not None:
+                    first.setdefault(doc["json"], (bench, doc))
+            print(f"{'FAIL' if errs else 'ok  '} {label}", flush=True)
+            errors += [f"{label}: {e}" for e in errs]
 
-    if args.self_test:
-        sys.exit(self_test(args.baseline_dir))
+    for bench, doc in first.values():
+        for what, test, hard in GATES.get(bench, []):
+            if not test(doc.get("extra", {})):
+                (errors if hard else warnings).append(f"{bench}: {what}: no")
 
-    errors, warnings, compared = run_gate(args.baseline_dir, args.results_dir)
+    baselines = sorted(f for f in os.listdir(BASELINES) if f.endswith(".json"))
+    for fname in baselines:
+        if fname not in first:
+            errors.append(f"{fname}: no matrix run wrote it")
+            continue
+        baseline = load(os.path.join(BASELINES, fname))
+        e, w = compare(baseline, first[fname][1])
+        e += perturb_errors(baseline, first[fname][1])
+        print(f"FAIL baseline {fname}" if e else
+              f"ok   baseline {fname} (perturbed fingerprints caught)")
+        errors += [f"{fname}: {x}" for x in e]
+        warnings += [f"{fname}: {x}" for x in w]
+
     for w in warnings:
         print(f"::warning::{w}")
     for e in errors:
         print(f"ERROR: {e}")
-    if errors:
-        print(f"bench regression gate: FAILED ({len(errors)} error(s), "
-              f"{compared} bench(es) compared)")
-        sys.exit(1)
-    print(f"bench regression gate: OK ({compared} bench(es) compared, "
+    print(f"bench gate: {'FAILED' if errors else 'OK'} ({runs} runs, "
+          f"{len(baselines)} baselines, {len(errors)} error(s), "
           f"{len(warnings)} warning(s))")
+    sys.exit(1 if errors else 0)
 
 
 if __name__ == "__main__":
