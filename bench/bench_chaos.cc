@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
       static_cast<int>((num_pairs + ticks_per_interval - 1) / ticks_per_interval);
   cfg.failover_delay = sim::Time::seconds(1);
   service::ShardedBroker broker(&world.internet(), &world.meter(),
-                                &world.pool(), overlays, /*num_shards=*/1,
-                                cfg);
+                                &world.pool(), overlays, cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = bench::world_seed() ^ 0xc7a05;

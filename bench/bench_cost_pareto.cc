@@ -1,13 +1,11 @@
 // Cost-aware brokering bench: drives the session-churn workload through
-// the sharded broker under each CRONETS_COST_POLICY objective (plus a
-// budget sweep for max_goodput_under_budget) with the econ::PricingBook
-// attached, settles the metered billing ledger, and reports per-policy
-// $/Gbps-hour, metered egress USD, cost regret vs the cost-oblivious
-// performance oracle, and SLO attainment. Every policy runs twice — at 1
-// shard and at 8 shards — and the gated check rows assert that both the
-// decision fingerprint and the global billing ledger's fingerprint are
-// bitwise identical across the two runs: the economics plane must obey
-// the same shard/thread/SIMD-invariance contract as the control plane.
+// the broker under each CRONETS_COST_POLICY objective (plus a budget sweep
+// for max_goodput_under_budget) with the econ::PricingBook attached,
+// settles the metered billing ledger, and reports per-policy $/Gbps-hour,
+// metered egress USD, cost regret vs the cost-oblivious performance
+// oracle, and SLO attainment. The decision and billing-ledger
+// fingerprints are check rows, so the bench gate holds the economics
+// plane to the same thread/SIMD-invariance contract as the control plane.
 //
 // JSON: all `checks` rows are pure functions of the seed (fingerprints,
 // USD totals, attainment ratios); wall-clock rates land under `extra`.
@@ -57,8 +55,7 @@ struct BenchShape {
 };
 
 RunResult run_policy(const econ::PricingBook& book, econ::CostPolicy policy,
-                     double budget_usd_per_hour, int num_shards,
-                     const BenchShape& shape) {
+                     double budget_usd_per_hour, const BenchShape& shape) {
   const auto wall_start = std::chrono::steady_clock::now();
   wkld::World world(bench::world_seed());
   const auto clients = world.make_web_clients(shape.clients);
@@ -80,7 +77,7 @@ RunResult run_policy(const econ::PricingBook& book, econ::CostPolicy policy,
   cfg.ranking.econ.budget_usd_per_hour = budget_usd_per_hour;
 
   service::ShardedBroker broker(&world.internet(), &world.meter(),
-                                &world.pool(), overlays, num_shards, cfg);
+                                &world.pool(), overlays, cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = bench::world_seed() ^ 0xC0575EEDull;
@@ -153,11 +150,7 @@ int main(int argc, char** argv) {
   double total_wall = 0.0;
   RunResult perf{}, min_cost{};
 
-  const auto report = [&](const std::string& label, const RunResult& a,
-                          const RunResult& b) {
-    // `a` is the 1-shard run, `b` the 8-shard run of the same config.
-    const bool decision_ok = a.decision_fp == b.decision_fp;
-    const bool cost_ok = a.cost_fp == b.cost_fp;
+  const auto report = [&](const std::string& label, const RunResult& a) {
     std::printf("%-28s egress $%.4f total $%.4f (%.3f GB, %.3f $/Gbps-h) "
                 "SLO %.4f (%llu/%llu) overlay %llu/%llu budget-denied %llu\n",
                 label.c_str(), a.egress_usd, a.total_usd, a.delivered_gb,
@@ -167,10 +160,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(a.via_overlay),
                 static_cast<unsigned long long>(a.admitted),
                 static_cast<unsigned long long>(a.budget_denied));
-    checks.push_back({label + ": decision fp shards 1 == 8 (1=yes)", 1.0,
-                      decision_ok ? 1.0 : 0.0});
-    checks.push_back(
-        {label + ": cost fp shards 1 == 8 (1=yes)", 1.0, cost_ok ? 1.0 : 0.0});
     checks.push_back({label + ": decision fingerprint (low 32 bits)", -1.0,
                       static_cast<double>(a.decision_fp & 0xffffffffu)});
     checks.push_back({label + ": cost fingerprint (low 32 bits)", -1.0,
@@ -178,16 +167,15 @@ int main(int argc, char** argv) {
     checks.push_back({label + ": metered egress USD", 0.0, a.egress_usd});
     checks.push_back({label + ": USD per Gbps-hour", 0.0, a.usd_per_gbps_hour});
     checks.push_back({label + ": SLO attainment", 0.0, a.attainment()});
-    total_admissions += static_cast<long>(a.admitted + b.admitted);
-    total_wall += a.wall_s + b.wall_s;
+    total_admissions += static_cast<long>(a.admitted);
+    total_wall += a.wall_s;
   };
 
   for (const econ::CostPolicy policy : policies) {
-    const RunResult r1 = run_policy(book, policy, 0.0, 1, shape);
-    const RunResult r8 = run_policy(book, policy, 0.0, 8, shape);
-    report(econ::cost_policy_name(policy), r1, r8);
-    if (policy == econ::CostPolicy::kPerformance) perf = r1;
-    if (policy == econ::CostPolicy::kMinCostMeetingSlo) min_cost = r1;
+    const RunResult r = run_policy(book, policy, 0.0, shape);
+    report(econ::cost_policy_name(policy), r);
+    if (policy == econ::CostPolicy::kPerformance) perf = r;
+    if (policy == econ::CostPolicy::kMinCostMeetingSlo) min_cost = r;
   }
 
   // Budget sweep: cap the fleet's reserved spend rate at fractions of the
@@ -197,24 +185,22 @@ int main(int argc, char** argv) {
   std::printf("unconstrained peak spend rate: %.4f USD/hour\n", peak);
   for (const double frac : {0.5, 0.1}) {
     const double budget = frac * peak;
-    const RunResult r1 = run_policy(
-        book, econ::CostPolicy::kMaxGoodputUnderBudget, budget, 1, shape);
-    const RunResult r8 = run_policy(
-        book, econ::CostPolicy::kMaxGoodputUnderBudget, budget, 8, shape);
+    const RunResult r = run_policy(
+        book, econ::CostPolicy::kMaxGoodputUnderBudget, budget, shape);
     const std::string label =
         "budget@" + std::to_string(static_cast<int>(frac * 100)) + "%";
-    report(label, r1, r8);
+    report(label, r);
     checks.push_back({label + ": budget-denied admissions", 0.0,
-                      static_cast<double>(r1.budget_denied)});
+                      static_cast<double>(r.budget_denied)});
     if (frac == 0.1) {  // else the cap below was never exercised
       checks.push_back({label + ": tight budget denied admissions (1=yes)",
-                        1.0, r1.budget_denied > 0 ? 1.0 : 0.0});
+                        1.0, r.budget_denied > 0 ? 1.0 : 0.0});
     }
     // The reservation gate must actually hold the line: the peak reserved
     // spend rate never exceeds the budget.
     checks.push_back({label + ": peak spend <= budget (1=yes)", 1.0,
-                      r1.peak_spend_usd_per_hour <= budget + 1e-12 ? 1.0
-                                                                   : 0.0});
+                      r.peak_spend_usd_per_hour <= budget + 1e-12 ? 1.0
+                                                                  : 0.0});
   }
   run.stop_clock();
 

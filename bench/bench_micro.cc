@@ -403,7 +403,7 @@ int main(int argc, char** argv) {
   const double sample_batch_s =
       std::chrono::duration<double>(clock::now() - sample_batch_t0).count();
 
-  // The dispatched sampler (CRONETS_SIMD: AVX2/NEON where available):
+  // The dispatched sampler (CRONETS_SIMD: AVX2 where available):
   // batching + vectorized AR(1) innovations + vectorized PFTK.
   model::BatchSampler vsampler(&world.flow());
   vsampler.begin_batch();

@@ -5,20 +5,16 @@
 // backbone edge so the plane has to route *around* its own backbone.
 // Both policies run — delay-based (EWMA + hysteresis, Jonglez
 // arXiv:1403.3488) and backpressure (virtual queue differentials,
-// Rai/Singh/Modiano arXiv:1612.05537) — each through two control
-// planes on the same seed: the broker with 1 shard (the reference) and
-// with 8 shards.
+// Rai/Singh/Modiano arXiv:1612.05537) — each through the broker.
 //
 // Reported per policy: the k-hop (k>=2 relay VMs) win-rate over the
 // one-hop overlay and the direct path, mid-episode detour routes (>= 2
 // backbone hops), convergence rounds, route flaps, and the two
 // determinism witnesses — the plane's routing-table fingerprint and the
 // control plane's per-pair-merged decision fingerprint. Every `checks`
-// row is a pure function of the seed: the "(1=yes)" rows assert the
-// 8-shard control plane reproduces the 1-shard reference's decisions and
-// routing tables bit for bit, that the incremental plane
-// (CRONETS_ROUTE_INCREMENTAL=1, the default) reproduces the
-// full-recompute reference bit for bit, and the bench gate
+// row is a pure function of the seed: the "(1=yes)" rows assert that the
+// incremental plane (CRONETS_ROUTE_INCREMENTAL=1, the default) reproduces
+// the full-recompute reference bit for bit, and the bench gate
 // (tools/check_bench_regress.py) diffs the whole text output across
 // CRONETS_THREADS 1/4 x CRONETS_ROUTE_INCREMENTAL 1/0 and CRONETS_SIMD
 // auto/scalar (only "-- timing:"/"-- config" rows are filtered).
@@ -88,12 +84,11 @@ struct RunResult {
   std::uint64_t via_overlay = 0;
 };
 
-// One full control-plane run on a broker with `num_shards` shards.
-// Everything else — world, plane config, workload, congestion episode — is
-// identical, so every RunResult field must be bitwise identical across
-// shard counts, and across incremental vs full-recompute plane modes.
-RunResult run_one(route::Policy policy, int num_shards, bool smoke,
-                  bool incremental = true) {
+// One full control-plane run. The world, plane config, workload and
+// congestion episode are fixed by the seed, so every RunResult field must
+// be bitwise identical across thread counts, and across incremental vs
+// full-recompute plane modes.
+RunResult run_one(route::Policy policy, bool smoke, bool incremental = true) {
   wkld::World world(bench::world_seed(), pathological_topology(),
                     pathological_cloud());
   auto& net = world.internet();
@@ -144,7 +139,7 @@ RunResult run_one(route::Policy policy, int num_shards, bool smoke,
   cfg.ranking.route_plane = &plane;
 
   service::ShardedBroker broker(&net, &world.meter(), &world.pool(), overlays,
-                                num_shards, cfg);
+                                cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = bench::world_seed() ^ 0x90f7e5;
@@ -349,11 +344,8 @@ int main(int argc, char** argv) {
        {route::Policy::kDelay, route::Policy::kBackpressure}) {
     if (only_dcs > 0) break;  // --dcs: skip the broker section
     const std::string tag = route::policy_name(policy);
-    const RunResult broker = run_one(policy, /*num_shards=*/1, smoke,
-                                     env_incremental);
-    const RunResult s8 = run_one(policy, 8, smoke, env_incremental);
-    const RunResult full = run_one(policy, /*num_shards=*/1, smoke,
-                                   /*incremental=*/false);
+    const RunResult broker = run_one(policy, smoke, env_incremental);
+    const RunResult full = run_one(policy, smoke, /*incremental=*/false);
     admitted_total += broker.admitted;
 
     const double win_rate =
@@ -372,17 +364,15 @@ int main(int argc, char** argv) {
                 broker.detour_routes_mid);
     std::printf("admitted %ld sessions (%llu via overlay)\n", broker.admitted,
                 static_cast<unsigned long long>(broker.via_overlay));
-    std::printf("table fp %016llx | decisions fp %016llx | sharded(8) %s | "
+    std::printf("table fp %016llx | decisions fp %016llx | "
                 "full-recompute %s\n",
                 static_cast<unsigned long long>(broker.table_fp),
                 static_cast<unsigned long long>(broker.decision_fp),
-                s8.decision_fp == broker.decision_fp ? "==" : "DIVERGED",
                 full.table_fp == broker.table_fp &&
                         full.decision_fp == broker.decision_fp
                     ? "=="
                     : "DIVERGED");
 
-    const bool tables_equal = s8.table_fp == broker.table_fp;
     checks.push_back({tag + ": pairs won by multi-hop (k>=2)", 0.0,
                       static_cast<double>(broker.multihop_pairs)});
     checks.push_back({tag + ": k>=2 win-rate positive (1=yes)", 1.0,
@@ -400,10 +390,6 @@ int main(int argc, char** argv) {
                       static_cast<double>(broker.table_fp & 0xffffffffu)});
     checks.push_back({tag + ": decision fingerprint (low 32 bits)", -1.0,
                       static_cast<double>(broker.decision_fp & 0xffffffffu)});
-    checks.push_back({tag + ": sharded decisions == broker (1=yes)", 1.0,
-                      s8.decision_fp == broker.decision_fp ? 1.0 : 0.0});
-    checks.push_back({tag + ": sharded routing table == broker (1=yes)", 1.0,
-                      tables_equal ? 1.0 : 0.0});
     checks.push_back({tag + ": incremental plane == full (1=yes)", 1.0,
                       full.table_fp == broker.table_fp &&
                               full.decision_fp == broker.decision_fp

@@ -1,29 +1,24 @@
-// Overlay-broker scale bench: drives the src/service/ control plane with
-// the session-churn workload (Poisson arrivals, Pareto durations) at
-// provider scale (default: 10^7 concurrent sessions across 8 broker
-// shards), injects a transit-adjacency failure mid-run, and reports
-// admission rate (aggregate and per shard), path-decision latency
-// (wall-clock and ranking staleness), probe overhead, failover reaction,
-// and goodput regret vs. the per-sample oracle. The control plane is the
-// sharded multi-broker (service::ShardedBroker): `--shards N` (or
-// CRONETS_SHARDS) picks the shard count, and every seed-pure output row —
-// the decision fingerprint above all — is bitwise identical at any shard
-// count and any thread count. Probe sweeps run through the batched SoA
-// measurement kernel (core::kProbeBatchSize pairs per call). `--smoke`
-// shrinks everything for CI (and writes smoke_*.json);
-// CRONETS_SERVICE_TARGET overrides the concurrency target.
+// Overlay-broker scale bench: drives the src/service/ control plane
+// (service::ShardedBroker) with the session-churn workload (Poisson
+// arrivals, Pareto durations) at provider scale (default: 10^7 concurrent
+// sessions), injects a transit-adjacency failure mid-run, and reports
+// admission rate, path-decision latency (wall-clock and ranking
+// staleness), probe overhead, failover reaction, and goodput regret vs.
+// the per-sample oracle. Every seed-pure output row — the decision
+// fingerprint above all — is bitwise identical at any thread count. Probe
+// sweeps run through the batched SoA measurement kernel
+// (core::kProbeBatchSize pairs per call). `--smoke` shrinks everything for
+// CI (and writes smoke_*.json); CRONETS_SERVICE_TARGET overrides the
+// concurrency target.
 //
 // JSON: all `checks` rows are a pure function of the seed (the decision
-// fingerprint row is the cross-thread *and* cross-shard determinism
-// witness); wall-clock metrics — aggregate and per-shard admission rates,
-// decision latency — land under `extra`. Text output: per-shard rows are
-// prefixed "-- shard" and the shard-count line "-- config", so the bench
-// gate's determinism diff can compare runs at different shard counts
-// after filtering those (every aggregate row must survive the diff).
+// fingerprint row is the cross-thread determinism witness); wall-clock
+// metrics — admission rates, decision latency — land under `extra`. Text
+// rows that differ across runs are prefixed "-- timing:", so the bench
+// gate's determinism diff filters them.
 
 #include <algorithm>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -61,22 +56,15 @@ double percentile_f(std::vector<float>* v, double p) {
 
 int main(int argc, char** argv) {
   bool smoke = bench::quick_mode();
-  long shards_arg = -1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards_arg = std::strtol(argv[++i], nullptr, 10);
-    }
   }
-  const int num_shards = static_cast<int>(
-      shards_arg > 0 ? shards_arg
-                     : sim::env_u64("CRONETS_SHARDS", smoke ? 1 : 8));
 
   double target =
       sim::env_double("CRONETS_SERVICE_TARGET", smoke ? 5'000 : 10'000'000,
                       1.0, 100e6);
 
-  bench::print_header("service", "sharded overlay broker at session scale");
+  bench::print_header("service", "overlay broker at session scale");
   bench::BenchRun run("bench_service_scale", smoke);
 
   wkld::World world(bench::world_seed());
@@ -100,7 +88,7 @@ int main(int argc, char** argv) {
   const econ::PricingBook pricing_book;
   cfg.ranking.econ = econ::econ_config_from_env(&pricing_book);
   service::ShardedBroker broker(&world.internet(), &world.meter(),
-                                &world.pool(), overlays, num_shards, cfg);
+                                &world.pool(), overlays, cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = bench::world_seed() ^ 0xc0ffee;
@@ -145,7 +133,7 @@ int main(int argc, char** argv) {
   // Aggregate goodput regret, recomputed from the recorded per-pair probe
   // histories with the core/selection oracle (mptcp_achieved at
   // efficiency 1 == the per-sample best path). Pairs are folded in
-  // global-pair-id order, so the sums are bitwise shard-count-invariant.
+  // pair-id order, so the sums are bitwise reproducible.
   double oracle_sum = 0.0, achieved_sum = 0.0;
   for (std::size_t g = 0; g < broker.pair_count(); ++g) {
     const auto& p = broker.pair(static_cast<int>(g));
@@ -174,26 +162,19 @@ int main(int argc, char** argv) {
       percentile_f(&churn_stats.admit_staleness_s, 0.99);
   const double wall_s = run.wall_seconds();
 
-  // The shards' live reservations must sum to the one (physical) NIC
-  // ledger — the shards split the sessions, not the capacity.
-  double shard_nic_sum = 0.0;
-  std::uint64_t overlay_denied = 0;
-  for (const auto& ss : st.shards) {
-    shard_nic_sum += ss.nic_used_bps;
-    overlay_denied += ss.overlay_denied;
-  }
-  const double global_nic = broker.global_nic().total_used_bps();
+  // Conservation: the live sessions' reservations equal the NIC ledger.
+  const double reserved =
+      broker.sessions().nic_reserved_bps(broker.ranker());
+  const double ledger = broker.global_nic().total_used_bps();
   const bool nic_books_ok =
-      std::abs(shard_nic_sum - global_nic) <=
-      1e-9 * std::max(1.0, std::max(std::abs(shard_nic_sum), std::abs(global_nic)));
+      std::abs(reserved - ledger) <=
+      1e-9 * std::max(1.0, std::max(std::abs(reserved), std::abs(ledger)));
 
   const double global_usd = broker.global_billing().total_usd();
   const double global_gb = broker.global_billing().delivered_gb();
 
   std::printf("clients=%zu servers=%zu pairs=%zu overlays=%zu\n",
               clients.size(), servers.size(), num_pairs, overlays.size());
-  std::printf("-- config: shards=%d threads=%d\n", broker.num_shards(),
-              sim::Parallelism{}.resolved());
   std::printf("target %.0f concurrent, arrival rate %.0f/s, horizon %.0f s\n",
               target, churn.arrival_rate_per_s(),
               churn_params.horizon.to_seconds());
@@ -204,7 +185,7 @@ int main(int argc, char** argv) {
   std::printf("via overlay %llu, overlay-denied %llu, migrations %llu, "
               "ranking flips %llu\n",
               static_cast<unsigned long long>(st.admitted_via_overlay),
-              static_cast<unsigned long long>(overlay_denied),
+              static_cast<unsigned long long>(st.overlay_denied),
               static_cast<unsigned long long>(st.migrations),
               static_cast<unsigned long long>(st.ranking_flips));
   std::printf("probes %llu (budget %d/tick), probe backlog %llu\n",
@@ -239,7 +220,6 @@ int main(int argc, char** argv) {
               "(%zu timed decisions)\n",
               admit_path_per_s / 1e6, churn_stats.admit_wall_ns.size());
 
-  run.add_extra("shards", static_cast<double>(broker.num_shards()));
   run.add_extra("decision_wall_p50_us", p50_wall_us);
   run.add_extra("decision_wall_p99_us", p99_wall_us);
   run.add_extra("p99_under_50us", p99_wall_us < 50.0 ? 1.0 : 0.0);
@@ -250,31 +230,9 @@ int main(int argc, char** argv) {
   // dirty-set size. The stateless scan would touch every pair every tick.
   run.add_extra("dirty_pairs_per_sweep", dirty_pairs_per_sweep);
 
-  // Per-shard rows: "-- shard" text prefix + shard<k>_* extras. These are
-  // the only outputs that legitimately differ between shard counts.
   run.add_extra("admissions_per_s",
                 wall_s > 0 ? static_cast<double>(st.sessions_admitted) / wall_s
                            : 0.0);
-  std::uint64_t shard_admitted_sum = 0;
-  for (std::size_t s = 0; s < st.shards.size(); ++s) {
-    const auto& ss = st.shards[s];
-    shard_admitted_sum += ss.sessions_admitted;
-    const double adm_per_s =
-        wall_s > 0 ? static_cast<double>(ss.sessions_admitted) / wall_s : 0.0;
-    std::printf("-- shard %zu: pairs=%zu admitted=%llu (%.0f/s) active=%zu "
-                "probes=%llu migrations=%llu nic_used=%.3g bps\n",
-                s, ss.pairs,
-                static_cast<unsigned long long>(ss.sessions_admitted),
-                adm_per_s, ss.active_sessions,
-                static_cast<unsigned long long>(ss.probes),
-                static_cast<unsigned long long>(ss.migrations),
-                ss.nic_used_bps);
-    run.add_extra("shard" + std::to_string(s) + "_admitted",
-                  static_cast<double>(ss.sessions_admitted));
-    run.add_extra("shard" + std::to_string(s) + "_admissions_per_s", adm_per_s);
-    run.add_extra("shard" + std::to_string(s) + "_probes",
-                  static_cast<double>(ss.probes));
-  }
 
   const bool failover_ok = fail_a >= 0 && crossing_after == 0 &&
                            st.last_failover_reaction <= cfg.probe.interval;
@@ -300,10 +258,8 @@ int main(int argc, char** argv) {
        static_cast<double>(crossing_after)},
       {"repinned within one probe interval (1=yes)", 1.0,
        failover_ok ? 1.0 : 0.0},
-      {"per-shard NIC books sum to global ledger (1=yes)", 1.0,
+      {"live reservations equal the NIC ledger (1=yes)", 1.0,
        nic_books_ok ? 1.0 : 0.0},
-      {"per-shard admissions sum to aggregate (1=yes)", 1.0,
-       shard_admitted_sum == st.sessions_admitted ? 1.0 : 0.0},
       {"metered egress USD", 0.0, global_usd},
       {"decision fingerprint (low 32 bits)", -1.0,
        static_cast<double>(st.decision_fingerprint & 0xffffffffu)},

@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
   cfg.probe.budget_per_tick = 16;
   cfg.failover_delay = sim::Time::seconds(1);
   service::ShardedBroker broker(&world.internet(), &world.meter(),
-                                &world.pool(), overlays, /*num_shards=*/1,
-                                cfg);
+                                &world.pool(), overlays, cfg);
 
   // 3. Sessions: every client opens one 2 Mbps session to every server.
   //    warm_up() probes all pairs first so admissions see real rankings.

@@ -121,7 +121,7 @@ void ResilienceMonitor::on_fault_begin(const Fault& f, sim::Time t) {
     if (!impacted) continue;
     af.pairs.insert(i);
     ++r.pairs_impacted;
-    const service::SessionManager& sessions = sessions_of(i);
+    const service::SessionManager& sessions = broker_->sessions();
     id_scratch_.clear();
     sessions.pair_session_ids(p, &id_scratch_);
     r.sessions_impacted += static_cast<int>(id_scratch_.size());
@@ -223,7 +223,7 @@ void ResilienceMonitor::on_probe_applied(int pair_idx, sim::Time t,
   // Sessions of this pair may have migrated off (or onto) a faulted
   // element; re-evaluate the degraded set for the pair.
   advance(t);
-  const service::SessionManager& sessions = sessions_of(pair_idx);
+  const service::SessionManager& sessions = broker_->sessions();
   id_scratch_.clear();
   sessions.pair_session_ids(p, &id_scratch_);
   for (const std::uint64_t id : id_scratch_) {

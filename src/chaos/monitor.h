@@ -30,7 +30,7 @@ struct FaultReport {
 };
 
 /// Aggregate resilience SLOs of one run. Every field is a pure function of
-/// the seeds and config — never of thread or shard count: all accounting
+/// the seeds and config — never of thread count: all accounting
 /// happens on the single-threaded control-plane queue, in event order.
 struct ResilienceReport {
   std::vector<FaultReport> faults;
@@ -60,9 +60,8 @@ struct ResilienceReport {
 /// Bridges the broker's decision stream and the injector's fault timeline
 /// into resilience SLOs: time-to-detect, time-to-repin, degraded
 /// session-seconds, availability, and in/out-of-fault goodput regret.
-/// Attaches itself as the broker's monitor (at any shard count); purely
-/// observational, so the broker's decision fingerprint is identical with
-/// or without it.
+/// Attaches itself as the broker's monitor; purely observational, so the
+/// broker's decision fingerprint is identical with or without it.
 class ResilienceMonitor : public service::BrokerMonitor, public FaultObserver {
  public:
   explicit ResilienceMonitor(service::ShardedBroker* broker);
@@ -105,10 +104,6 @@ class ResilienceMonitor : public service::BrokerMonitor, public FaultObserver {
   bool touches(const ActiveFault& af, const service::Candidate& c,
                bool include_invalid) const;
   bool pair_in_active_fault(int pair_idx) const;
-  /// The session table of the shard owning global pair `pair_idx`.
-  const service::SessionManager& sessions_of(int pair_idx) const {
-    return broker_->shard_sessions(broker_->pair_shard(pair_idx));
-  }
   /// Advance the session-second integrals to `t` (call before any state
   /// change that alters the live or degraded counts).
   void advance(sim::Time t);

@@ -23,9 +23,9 @@ struct BillCell {
 
 /// Deterministic metered-billing book: GB and USD accumulated per
 /// (overlay VM, egress region, path kind) cell. One book per control plane,
-/// written on its single-threaded event queue in global event order — so
-/// its doubles (and its fingerprint) are bitwise identical at any shard
-/// count, thread count, and SIMD level.
+/// written on its single-threaded event queue in event order — so its
+/// doubles (and its fingerprint) are bitwise identical at any thread count
+/// and SIMD level.
 ///
 /// Cells are indexed densely, with no hashing: a VM gets a slot the first
 /// time it is metered (a flat table indexed by endpoint id), and each slot
@@ -89,7 +89,7 @@ class BillingLedger {
 /// Reserved-spend book mirroring the NIC ledger: each admitted paid
 /// session reserves its demand's spend rate (USD/hour) here; releases
 /// return it. The budget policy checks admissions against the control
-/// plane's one instance — budgets, like NICs, don't multiply with shards.
+/// plane's one instance.
 class CostLedger {
  public:
   void add(double usd_per_hour);

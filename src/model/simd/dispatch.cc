@@ -19,11 +19,7 @@ bool cpu_has_avx2() {
 }
 
 Level widest_available() {
-#if defined(__aarch64__)
-  return Level::kNeon;
-#else
   return cpu_has_avx2() ? Level::kAvx2 : Level::kScalar;
-#endif
 }
 
 Level parse_env_level() {
@@ -32,9 +28,8 @@ Level parse_env_level() {
     return widest_available();
   }
   if (std::strcmp(v, "scalar") == 0) return Level::kScalar;
-  if (std::strcmp(v, "avx2") == 0 || std::strcmp(v, "neon") == 0) {
-    const Level want = std::strcmp(v, "avx2") == 0 ? Level::kAvx2 : Level::kNeon;
-    if (level_available(want)) return want;
+  if (std::strcmp(v, "avx2") == 0) {
+    if (level_available(Level::kAvx2)) return Level::kAvx2;
     std::fprintf(stderr,
                  "CRONETS_SIMD=%s: level not available on this machine; "
                  "using %s\n",
@@ -42,7 +37,7 @@ Level parse_env_level() {
     return widest_available();
   }
   std::fprintf(stderr,
-               "CRONETS_SIMD=%s: unrecognized (want auto|avx2|neon|scalar); "
+               "CRONETS_SIMD=%s: unrecognized (want auto|avx2|scalar); "
                "using %s\n",
                v, level_name(widest_available()));
   return widest_available();
@@ -54,8 +49,6 @@ const char* level_name(Level level) {
   switch (level) {
     case Level::kAvx2:
       return "avx2";
-    case Level::kNeon:
-      return "neon";
     case Level::kScalar:
     default:
       return "scalar";
@@ -68,12 +61,6 @@ bool level_available(Level level) {
       return true;
     case Level::kAvx2:
       return cpu_has_avx2();
-    case Level::kNeon:
-#if defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -91,11 +78,6 @@ void ar1_innovations(Level level, std::uint64_t stream, std::int64_t n,
       detail::ar1_innovations_avx2(stream, n, horizon, innov);
       return;
 #endif
-#if defined(__aarch64__)
-    case Level::kNeon:
-      detail::ar1_innovations_neon(stream, n, horizon, innov);
-      return;
-#endif
     default:
       detail::ar1_innovations_scalar(stream, n, horizon, innov);
       return;
@@ -109,11 +91,6 @@ void ar1_weighted_sums(Level level, int nf, const std::uint64_t* streams,
 #if defined(__x86_64__) || defined(_M_X64)
     case Level::kAvx2:
       detail::ar1_weighted_sums_avx2(nf, streams, ns, horizons, wt, maxh, acc);
-      return;
-#endif
-#if defined(__aarch64__)
-    case Level::kNeon:
-      detail::ar1_weighted_sums_neon(nf, streams, ns, horizons, wt, maxh, acc);
       return;
 #endif
     default:
@@ -131,12 +108,6 @@ void pftk_batch(Level level, std::size_t n, const double* rtt_ms,
 #if defined(__x86_64__) || defined(_M_X64)
     case Level::kAvx2:
       detail::pftk_batch_avx2(n, rtt_ms, loss, residual_bps, capacity_bps,
-                              rwnd_bytes, p, out_bps);
-      return;
-#endif
-#if defined(__aarch64__)
-    case Level::kNeon:
-      detail::pftk_batch_neon(n, rtt_ms, loss, residual_bps, capacity_bps,
                               rwnd_bytes, p, out_bps);
       return;
 #endif

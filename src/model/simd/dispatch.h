@@ -11,24 +11,23 @@ namespace cronets::model::simd {
 
 /// Instruction-set level of the vectorized measurement kernels. The level
 /// is picked once per process (see active_level) and every kernel has a
-/// portable scalar fallback, so a binary built with the AVX2/NEON
-/// translation units still runs — and produces identical bits — on a
-/// machine without them.
+/// portable scalar fallback, so a binary built with the AVX2 translation
+/// unit still runs — and produces identical bits — on a machine without
+/// it.
 enum class Level : int {
   kScalar = 0,  ///< portable reference loops (always available)
   kAvx2 = 1,    ///< 4-wide doubles / 4x64-bit hashing (x86-64 with AVX2)
-  kNeon = 2,    ///< 2-wide doubles (aarch64; NEON is baseline there)
 };
 
-/// Name used in logs and bench JSON ("scalar" / "avx2" / "neon").
+/// Name used in logs and bench JSON ("scalar" / "avx2").
 const char* level_name(Level level);
 
 /// Whether `level` can execute on this machine (compile-time ISA support
-/// AND a runtime CPUID check for AVX2; NEON is unconditional on aarch64).
+/// AND a runtime CPUID check for AVX2).
 bool level_available(Level level);
 
 /// The process-wide kernel level: the `CRONETS_SIMD` environment knob
-/// (auto | avx2 | neon | scalar) clamped to what the machine supports.
+/// (auto | avx2 | scalar) clamped to what the machine supports.
 /// "auto" (or unset) picks the widest available level; an unavailable or
 /// unrecognized request warns once on stderr and falls back to auto.
 /// Cached after the first call.

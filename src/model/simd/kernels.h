@@ -4,8 +4,8 @@
 // definitions live in a translation unit compiled with -mavx2 (and nothing
 // stronger: FMA contraction would change the bits); they are only declared
 // here and only called after a runtime CPUID check, so the rest of the
-// binary carries no AVX2 instructions. The NEON definitions exist only on
-// aarch64, where NEON is architecturally guaranteed.
+// binary carries no AVX2 instructions. Other architectures run the scalar
+// reference.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,18 +33,6 @@ void ar1_weighted_sums_avx2(int nf, const std::uint64_t* streams,
                             const std::int64_t* ns, const int* horizons,
                             const double* wt, int maxh, double* acc);
 void pftk_batch_avx2(std::size_t n, const double* rtt_ms, const double* loss,
-                     const double* residual_bps, const double* capacity_bps,
-                     const double* rwnd_bytes, const TcpModelParams& p,
-                     double* out_bps);
-#endif
-
-#if defined(__aarch64__)
-void ar1_innovations_neon(std::uint64_t stream, std::int64_t n, int horizon,
-                          double* innov);
-void ar1_weighted_sums_neon(int nf, const std::uint64_t* streams,
-                            const std::int64_t* ns, const int* horizons,
-                            const double* wt, int maxh, double* acc);
-void pftk_batch_neon(std::size_t n, const double* rtt_ms, const double* loss,
                      const double* residual_bps, const double* capacity_bps,
                      const double* rwnd_bytes, const TcpModelParams& p,
                      double* out_bps);

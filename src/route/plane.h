@@ -56,8 +56,8 @@ class RouteComposer {
 /// Determinism: rounds run single-threaded on the event queue, agents
 /// update in node index order from round-start snapshots, and every edge
 /// measurement is keyed on (seed, src, dst, t) — so `table_fingerprint()`
-/// is bitwise invariant across worker thread counts, broker shard counts,
-/// and SIMD levels. The benches assert exactly that.
+/// is bitwise invariant across worker thread counts and SIMD levels. The
+/// benches assert exactly that.
 class RoutePlane {
  public:
   RoutePlane(topo::Internet* topo, const model::FlowModel* flow,

@@ -359,12 +359,10 @@ void PathRanker::mark_adjacency_down(int as_a, int as_b,
   }
 }
 
-std::uint64_t PathRanker::partial_decision_fingerprint(
-    const std::vector<int>& local_to_global) const {
+std::uint64_t PathRanker::decision_fingerprint() const {
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    sum += pair_decision_term(static_cast<std::uint64_t>(local_to_global[i]),
-                              pairs_[i]);
+    sum += pair_decision_term(i, pairs_[i]);
   }
   return sum;
 }

@@ -118,17 +118,12 @@ struct PairState {
   double last_oracle_bps = 0.0;
   double last_pinned_bps = 0.0;
   /// Per-pair goodput regret, accumulated by apply_sample in probe-time
-  /// order. Unlike a broker-global running sum, a per-pair sum is a pure
-  /// function of the pair's own probe sequence, so it is bitwise identical
-  /// no matter how the pair space is partitioned across broker shards.
+  /// order; the broker folds it over pairs in pair-id order.
   double regret_sum = 0.0;
   std::uint64_t regret_samples = 0;
   /// Order-sensitive hash chain over this pair's own control-plane
   /// decisions (admissions and repins, stamped via stamp_pair_admit /
-  /// stamp_pair_repin). All of a pair's decisions happen on its owning
-  /// shard in simulated-time order, so the chain — unlike a broker-global
-  /// chain, whose cross-pair interleaving depends on the partitioning —
-  /// is invariant to shard count and thread count.
+  /// stamp_pair_repin) in simulated-time order.
   std::uint64_t decision_fp = 0;
   std::uint64_t admit_seq = 0;  ///< admissions stamped into the chain
   /// Cached admission order (see PathRanker::admission_order) plus its
@@ -159,14 +154,14 @@ inline void stamp_pair_repin(PairState& p, int moved) {
                                           static_cast<std::uint64_t>(p.best))));
 }
 
-/// One pair's contribution to a global decision fingerprint, keyed by its
-/// partition-independent global pair id. Contributions combine by wrapping
-/// 64-bit addition — commutative and associative — so per-shard partial
-/// sums merged in shard-index order equal the 1-shard sum bit for bit.
-inline std::uint64_t pair_decision_term(std::uint64_t global_id,
+/// One pair's contribution to the broker's decision fingerprint, keyed by
+/// its pair id. Contributions combine by wrapping 64-bit addition —
+/// commutative and associative — so the sum does not depend on the order
+/// (or grouping) in which pairs are folded.
+inline std::uint64_t pair_decision_term(std::uint64_t pair_id,
                                         const PairState& p) {
   return sim::splitmix64(sim::hash_combine(
-      sim::hash_combine(0x5da4d5ull, global_id),
+      sim::hash_combine(0x5da4d5ull, pair_id),
       sim::hash_combine(p.decision_fp, p.admit_seq)));
 }
 
@@ -247,12 +242,9 @@ class PathRanker {
   std::uint64_t order_rebuilds() const { return order_rebuilds_; }
   std::uint64_t order_hits() const { return order_hits_; }
 
-  /// Sum of this ranker's pair_decision_term contributions, keyed by
-  /// `local_to_global`. Per-shard partials merged in shard-index order
-  /// reproduce the 1-shard sum bitwise — the broker's global decision
-  /// fingerprint.
-  std::uint64_t partial_decision_fingerprint(
-      const std::vector<int>& local_to_global) const;
+  /// Wrapping sum of every pair's pair_decision_term, keyed by ranker
+  /// index — the broker's decision fingerprint.
+  std::uint64_t decision_fingerprint() const;
 
  private:
   void build_candidates(PairState* p) const;

@@ -43,9 +43,7 @@ class ProbeScheduler {
 
   /// Append up to budget due pair indices to `out`, most-stale first (ties
   /// broken by pair index), scanning a flat staleness table indexed by
-  /// global pair id (`last_probe[g]`, negative = never probed). The table
-  /// is the broker's global view, which keeps the probe schedule invariant
-  /// to how pairs are partitioned across shards.
+  /// pair id (`last_probe[i]`, negative = never probed).
   void select(const std::vector<sim::Time>& last_probe, sim::Time now,
               std::vector<int>* out);
 

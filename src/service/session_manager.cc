@@ -45,11 +45,9 @@ double NicLedger::total_used_bps() const {
   return sum;
 }
 
-SessionManager::SessionManager(AdmissionConfig cfg, Books* books,
-                               std::uint64_t id_tag)
-    : cfg_(cfg), books_(books), id_tag_(id_tag) {
+SessionManager::SessionManager(AdmissionConfig cfg, Books* books)
+    : cfg_(cfg), books_(books) {
   assert(books != nullptr);
-  assert((id_tag & ~(0xffull << 56)) == 0 && "tag lives in the top byte");
 }
 
 /// Reserved spend rate of a session: USD per wall-clock hour at its demand

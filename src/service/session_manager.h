@@ -44,10 +44,9 @@ class NicLedger {
 };
 
 /// The control plane's one set of books: overlay NIC reservations, metered
-/// billing, and reserved spend rate. NICs and budgets are physical, so a
-/// sharded control plane keeps one set for all shards; every shard's
-/// session table writes it on the single event queue, in global event
-/// order, so its contents are bitwise invariant to the shard count.
+/// billing, and reserved spend rate. The session table writes it on the
+/// single event queue, in event order, so its contents are bitwise
+/// reproducible.
 struct Books {
   explicit Books(const std::vector<int>& overlay_eps) : nic(overlay_eps) {}
   NicLedger nic;
@@ -81,14 +80,10 @@ static_assert(sizeof(Session) <= 64, "a session holds no heap block and fits 64 
 /// without per-session allocation or hashing on the hot admission path.
 class SessionManager {
  public:
-  /// `books` (not owned) is the control plane's one set of books: the
-  /// sharded broker hands every shard the same instance. `id_tag` is OR'd
-  /// into the top byte of every session id (shard routing; 0 = untagged).
-  SessionManager(AdmissionConfig cfg, Books* books, std::uint64_t id_tag = 0);
+  /// `books` (not owned) is the control plane's one set of books.
+  SessionManager(AdmissionConfig cfg, Books* books);
 
   static constexpr std::uint64_t kInvalidSession = 0;
-  /// Top-byte tag a session id was minted with (0 for untagged tables).
-  static int id_tag_of(std::uint64_t id) { return static_cast<int>(id >> 56); }
 
   /// Admit a session onto the best admissible candidate of its pair
   /// (ranked order, skipping down candidates and full overlay NICs; the
@@ -109,16 +104,16 @@ class SessionManager {
   int repin_pair(PathRanker& ranker, int pair_idx, sim::Time now);
 
   /// Meter every live session of the pair up to `now` without releasing
-  /// anything (end-of-run settlement). Callers that need a shard-count-
-  /// invariant billing book must settle pairs in global-pair-id order.
+  /// anything (end-of-run settlement). Callers that need a reproducible
+  /// billing book must settle pairs in a fixed order.
   void settle_pair(PathRanker& ranker, int pair_idx, sim::Time now);
 
   bool live(std::uint64_t id) const;
   const Session& session(std::uint64_t id) const;
   std::size_t active() const { return active_; }
 
-  /// NIC bandwidth this table's live sessions hold, summed on demand over
-  /// their plans (the table's share of Books::nic).
+  /// NIC bandwidth the live sessions hold, summed on demand over their
+  /// plans — equal to Books::nic's total up to rounding.
   double nic_reserved_bps(const PathRanker& ranker) const;
   const AdmissionConfig& config() const { return cfg_; }
 
@@ -132,7 +127,6 @@ class SessionManager {
   std::uint64_t budget_denied() const { return budget_denied_; }
   /// SLO attainment counters: of all admissions, how many landed on a
   /// measured candidate whose smoothed score met EconConfig::slo_bps.
-  /// Plain integers, so per-shard counts sum exactly to the global count.
   std::uint64_t slo_met() const { return slo_met_; }
   std::uint64_t slo_total() const { return slo_total_; }
 
@@ -149,22 +143,20 @@ class SessionManager {
   }
 
  private:
-  /// Id layout: [tag:8][gen:24][slot+1:32]. The tag routes a session back
-  /// to its owning shard; the generation guards slot reuse. A slot whose
-  /// masked generation wraps is retired rather than reused, so a stale id
-  /// never aliases a live one.
+  /// Id layout: [gen:24][slot+1:32]; the top byte is always zero. The
+  /// generation guards slot reuse. A slot whose masked generation wraps is
+  /// retired rather than reused, so a stale id never aliases a live one.
   static constexpr std::uint32_t kGenMask = 0x00ffffffu;
   std::uint64_t id_of(std::uint32_t slot) const {
-    return id_tag_ |
-           (static_cast<std::uint64_t>(slots_[slot].gen & kGenMask) << 32) |
+    return (static_cast<std::uint64_t>(slots_[slot].gen & kGenMask) << 32) |
            (slot + 1);
   }
   static std::uint32_t slot_of(std::uint64_t id) {
     return static_cast<std::uint32_t>(id & 0xffffffffu) - 1;
   }
-  static std::uint32_t gen_of(std::uint64_t id) {
-    return static_cast<std::uint32_t>(id >> 32) & kGenMask;
-  }
+  /// Everything above the slot: the generation, plus any top-byte bits a
+  /// minted id never has — so such an id matches no generation.
+  static std::uint64_t gen_of(std::uint64_t id) { return id >> 32; }
 
   /// First admissible candidate in ranked order for `demand`.
   int pick_candidate(PathRanker& ranker, int pair_idx, double demand_bps);
@@ -181,7 +173,6 @@ class SessionManager {
 
   AdmissionConfig cfg_;
   Books* books_;
-  std::uint64_t id_tag_ = 0;
   std::vector<Session> slots_;
   std::vector<std::uint32_t> free_;
   std::size_t active_ = 0;

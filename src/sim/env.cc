@@ -19,7 +19,7 @@ void warn(const char* name, const char* value, const char* why) {
 }
 
 /// True the first time a given (knob, reason) pair warns; later calls for
-/// the same pair stay silent, so a knob read in a hot loop (per-shard, per
+/// the same pair stay silent, so a knob read in a hot loop (per run, per
 /// round) complains once instead of flooding stderr.
 bool first_warning(const char* name, const char* why) {
   static std::mutex mu;

@@ -45,9 +45,9 @@ inline double hash_normal(std::uint64_t key) {
 }
 
 /// Canonical packed (src, dst) endpoint-pair key: the 64-bit id every
-/// per-pair table keys on (ranker indices, batch plans, shard hashing,
+/// per-pair table keys on (the broker's pair directory, batch plans,
 /// route tables). Feed through splitmix64 when a uniform hash of the pair
-/// is needed (e.g. ShardedBroker::shard_of).
+/// is needed.
 inline std::uint64_t pack_pair(int src, int dst) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
          static_cast<std::uint32_t>(dst);

@@ -60,7 +60,7 @@ struct SessionChurnStats {
 /// fixed client/server populations. All randomness comes from one seeded
 /// serial stream drawn on the (single-threaded) event queue, so the
 /// workload is deterministic and independent of the broker's probe
-/// parallelism and shard count.
+/// parallelism.
 class SessionChurn {
  public:
   SessionChurn(service::ShardedBroker* broker, std::vector<int> clients,

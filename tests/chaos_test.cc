@@ -2,8 +2,8 @@
 // (world_seed, scenario_seed); the injector applies and reverts every
 // fault through the production mutation machinery; the resilience monitor
 // is purely observational (identical decision fingerprints with and
-// without it) and its SLO report is bitwise identical across thread and
-// shard counts; hard faults repin within failover_delay + one probe interval;
+// without it) and its SLO report is bitwise identical across thread
+// counts; hard faults repin within failover_delay + one probe interval;
 // and the three measurement samplers stay bitwise identical while storm
 // and gray-failure overlays are active.
 
@@ -180,9 +180,8 @@ struct ChaosRun {
 };
 
 /// One broker run under the standard fault mix. Everything in the result
-/// must be a pure function of the seeds and config — never of `shards` or
-/// `threads`.
-ChaosRun run_chaos(int shards, int threads, bool with_monitor = true) {
+/// must be a pure function of the seeds and config — never of `threads`.
+ChaosRun run_chaos(int threads, bool with_monitor = true) {
   wkld::World world(kWorldSeed);
   const auto clients = world.make_web_clients(12);
   const auto servers = world.make_servers();
@@ -195,7 +194,7 @@ ChaosRun run_chaos(int shards, int threads, bool with_monitor = true) {
   cfg.failover_delay = sim::Time::seconds(1);
   sim::ThreadPool pool(sim::Parallelism{threads});
   service::ShardedBroker broker(&world.internet(), &world.meter(), &pool,
-                                overlays, shards, cfg);
+                                overlays, cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = kWorldSeed ^ 0x5e55;
@@ -228,7 +227,7 @@ ChaosRun run_chaos(int shards, int threads, bool with_monitor = true) {
 }
 
 TEST(ChaosResilience, HardFaultsRepinWithinFailoverPlusOneInterval) {
-  const ChaosRun r = run_chaos(/*shards=*/1, /*threads=*/1);
+  const ChaosRun r = run_chaos(/*threads=*/1);
   // The scenario actually hit the control plane: hard faults had sessions
   // in their blast radius and the workload kept running throughout.
   EXPECT_GT(r.stats.sessions_admitted, 500u);
@@ -292,28 +291,13 @@ void expect_same_run(const ChaosRun& x, const ChaosRun& y) {
 }
 
 TEST(ChaosResilience, SloReportBitwiseIdenticalAcrossThreadCounts) {
-  expect_same_run(run_chaos(/*shards=*/1, /*threads=*/1),
-                  run_chaos(/*shards=*/1, /*threads=*/4));
-}
-
-TEST(ChaosResilience, SloReportBitwiseIdenticalAcrossShardCounts) {
-  // The monitor's hooks fire from shard-routed paths with global pair ids,
-  // in global event and selection order: partitioning the pairs (and
-  // fanning their probes out over threads) must not move a single SLO bit.
-  const ChaosRun one = run_chaos(/*shards=*/1, /*threads=*/1);
-  const ChaosRun four = run_chaos(/*shards=*/4, /*threads=*/4);
-  expect_same_run(one, four);
-  EXPECT_GT(one.report.hard_faults_impacting, 0);
-  EXPECT_GT(one.report.degraded_session_s, 0.0);
+  expect_same_run(run_chaos(/*threads=*/1), run_chaos(/*threads=*/4));
 }
 
 TEST(ChaosResilience, MonitorIsPurelyObservational) {
-  // Attaching the monitor must not perturb a single decision, including
-  // on the shard-routed paths its hooks sit on.
-  const ChaosRun observed = run_chaos(/*shards=*/4, /*threads=*/1,
-                                      /*with_monitor=*/true);
-  const ChaosRun bare = run_chaos(/*shards=*/4, /*threads=*/1,
-                                  /*with_monitor=*/false);
+  // Attaching the monitor must not perturb a single decision.
+  const ChaosRun observed = run_chaos(/*threads=*/1, /*with_monitor=*/true);
+  const ChaosRun bare = run_chaos(/*threads=*/1, /*with_monitor=*/false);
   EXPECT_EQ(observed.stats.decision_fingerprint, bare.stats.decision_fingerprint);
   EXPECT_EQ(observed.stats.sessions_admitted, bare.stats.sessions_admitted);
   EXPECT_EQ(observed.stats.migrations, bare.stats.migrations);

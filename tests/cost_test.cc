@@ -6,6 +6,7 @@
 #include "econ/billing_ledger.h"
 #include "econ/pricing_book.h"
 #include "service/sharded_broker.h"
+#include "sim/thread_pool.h"
 #include "sim/time.h"
 #include "topo/types.h"
 #include "wkld/session_churn.h"
@@ -191,7 +192,7 @@ TEST(EconLedgerTest, CostLedgerTracksReservedAndPeak) {
 // ---------------------------------------------------------------------------
 // Broker integration. The Cost* suites run under both sanitizer jobs: the
 // ASan job's exclusions are anchored at the suite name, so neither
-// CostServiceTest nor CostShardedTest matches them.
+// CostServiceTest nor CostThreadsTest matches them.
 
 constexpr std::uint64_t kWorldSeed = 42;
 
@@ -207,9 +208,10 @@ struct EconRun {
 };
 
 /// One churn run under the given economics config (a null `book` turns
-/// the economics plane off) on a broker with `num_shards` shards.
+/// the economics plane off) on a broker measuring on a `threads`-thread
+/// pool.
 EconRun run_broker(const econ::PricingBook* book, econ::CostPolicy policy,
-                   int num_shards, double budget_usd_per_hour = 0.0) {
+                   int threads, double budget_usd_per_hour = 0.0) {
   wkld::World world(kWorldSeed);
   const auto clients = world.make_web_clients(8);
   const auto servers = world.make_servers();
@@ -222,8 +224,9 @@ EconRun run_broker(const econ::PricingBook* book, econ::CostPolicy policy,
   cfg.ranking.econ.pricing = book;
   cfg.ranking.econ.policy = policy;
   cfg.ranking.econ.budget_usd_per_hour = budget_usd_per_hour;
-  service::ShardedBroker broker(&world.internet(), &world.meter(), nullptr,
-                                overlays, num_shards, cfg);
+  sim::ThreadPool pool(sim::Parallelism{threads});
+  service::ShardedBroker broker(&world.internet(), &world.meter(), &pool,
+                                overlays, cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = kWorldSeed ^ 0x5e55;
@@ -298,28 +301,28 @@ TEST(CostServiceTest, MeteringConservesDeliveredVolume) {
   EXPECT_GT(r.delivered_gb, 0.0);
 }
 
-using CostShardedTest = ::testing::TestWithParam<econ::CostPolicy>;
+using CostThreadsTest = ::testing::TestWithParam<econ::CostPolicy>;
 
-TEST_P(CostShardedTest, GlobalBooksBitwiseIdenticalAcrossShardCounts) {
+TEST_P(CostThreadsTest, GlobalBooksBitwiseIdenticalAcrossThreadCounts) {
   econ::PricingBook book;
   const econ::CostPolicy policy = GetParam();
   const double budget =
       policy == econ::CostPolicy::kMaxGoodputUnderBudget ? 0.05 : 0.0;
-  const EconRun single = run_broker(&book, policy, 1, budget);
-  const EconRun sharded = run_broker(&book, policy, 4, budget);
-  EXPECT_EQ(single.decision_fp, sharded.decision_fp);
-  EXPECT_EQ(single.cost_fp, sharded.cost_fp);
-  EXPECT_EQ(single.budget_denied, sharded.budget_denied);
-  EXPECT_EQ(single.slo_met, sharded.slo_met);
-  EXPECT_EQ(single.slo_total, sharded.slo_total);
-  // Doubles on the global ledger are written in global event order, so
-  // they are bitwise equal, not merely close.
-  EXPECT_EQ(single.metered_usd, sharded.metered_usd);
-  EXPECT_EQ(single.delivered_gb, sharded.delivered_gb);
+  const EconRun serial = run_broker(&book, policy, 1, budget);
+  const EconRun parallel = run_broker(&book, policy, 4, budget);
+  EXPECT_EQ(serial.decision_fp, parallel.decision_fp);
+  EXPECT_EQ(serial.cost_fp, parallel.cost_fp);
+  EXPECT_EQ(serial.budget_denied, parallel.budget_denied);
+  EXPECT_EQ(serial.slo_met, parallel.slo_met);
+  EXPECT_EQ(serial.slo_total, parallel.slo_total);
+  // Doubles on the ledger are written in event order, so they are
+  // bitwise equal, not merely close.
+  EXPECT_EQ(serial.metered_usd, parallel.metered_usd);
+  EXPECT_EQ(serial.delivered_gb, parallel.delivered_gb);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllPolicies, CostShardedTest,
+    AllPolicies, CostThreadsTest,
     ::testing::Values(econ::CostPolicy::kPerformance,
                       econ::CostPolicy::kMaxGoodputUnderBudget,
                       econ::CostPolicy::kMinCostMeetingSlo,

@@ -23,6 +23,8 @@ struct ScenarioResult {
   int crossing_after = -1;
   double nic_used_bps = 0.0;
   double nic_peak_bps = 0.0;
+  /// What the live sessions hold, summed over their plans.
+  double nic_reserved_bps = 0.0;
 };
 
 BrokerConfig scenario_config() {
@@ -36,10 +38,12 @@ BrokerConfig scenario_config() {
 
 /// One broker run: churn workload + a transit-adjacency failure halfway
 /// through. Every field of the result must be a pure function of the
-/// seeds and config — never of `shards` or `threads` (nor of
-/// `incremental`, the dirty-set scheduler being a pure performance knob).
-ScenarioResult run_scenario(int shards, int threads, double nic_cap_bps = 0.0,
-                            bool incremental = true) {
+/// seeds and config — never of `threads` (nor of `incremental`, the
+/// dirty-set scheduler being a pure performance knob). `probe_all` makes
+/// every pair due on every tick, so each sweep spans several
+/// core::kProbeBatchSize batches and fans out over the pool.
+ScenarioResult run_scenario(int threads, double nic_cap_bps = 0.0,
+                            bool incremental = true, bool probe_all = false) {
   wkld::World world(kWorldSeed);
   const auto clients = world.make_web_clients(12);
   const auto servers = world.make_servers();
@@ -48,9 +52,14 @@ ScenarioResult run_scenario(int shards, int threads, double nic_cap_bps = 0.0,
   BrokerConfig cfg = scenario_config();
   cfg.nic_capacity_bps = nic_cap_bps;
   cfg.probe.incremental = incremental;
+  if (probe_all) {
+    cfg.probe.interval = cfg.probe.tick;
+    cfg.probe.budget_per_tick =
+        static_cast<int>(clients.size() * servers.size());
+  }
   sim::ThreadPool pool(sim::Parallelism{threads});
   ShardedBroker broker(&world.internet(), &world.meter(), &pool, overlays,
-                       shards, cfg);
+                       cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = kWorldSeed ^ 0x5e55;
@@ -79,12 +88,13 @@ ScenarioResult run_scenario(int shards, int threads, double nic_cap_bps = 0.0,
   r.peak_concurrent = churn.stats().peak_concurrent;
   r.nic_used_bps = broker.global_nic().total_used_bps();
   r.nic_peak_bps = broker.global_nic().peak_used_bps();
+  r.nic_reserved_bps = broker.sessions().nic_reserved_bps(broker.ranker());
   return r;
 }
 
 void expect_same_decisions(const ScenarioResult& a, const ScenarioResult& b) {
-  // The merged per-pair decision chains hash every admission and repin —
-  // a single diverging decision on any shard flips the fingerprint.
+  // The summed per-pair decision chains hash every admission and repin —
+  // a single diverging decision flips the fingerprint.
   EXPECT_EQ(a.stats.decision_fingerprint, b.stats.decision_fingerprint);
   EXPECT_EQ(a.stats.sessions_admitted, b.stats.sessions_admitted);
   EXPECT_EQ(a.stats.sessions_released, b.stats.sessions_released);
@@ -93,29 +103,40 @@ void expect_same_decisions(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.stats.probes, b.stats.probes);
   EXPECT_EQ(a.stats.ranking_flips, b.stats.ranking_flips);
   EXPECT_EQ(a.stats.failover_repins, b.stats.failover_repins);
-  // Regret is floating point, but folded per pair in global-pair-id order:
+  // Regret is floating point, but folded per pair in pair-id order:
   // bitwise equality is the contract, not approximate equality.
   EXPECT_EQ(a.stats.regret_sum, b.stats.regret_sum);
   EXPECT_EQ(a.stats.regret_samples, b.stats.regret_samples);
   EXPECT_EQ(a.peak_concurrent, b.peak_concurrent);
   EXPECT_EQ(a.crossing_before, b.crossing_before);
   EXPECT_EQ(a.crossing_after, b.crossing_after);
-  // Physical capacity is one book no matter how many shards reserve on it.
   EXPECT_EQ(a.nic_used_bps, b.nic_used_bps);
   EXPECT_EQ(a.nic_peak_bps, b.nic_peak_bps);
 }
 
 TEST(ServiceDeterminism, BitwiseIdenticalAcrossThreadCounts) {
-  const ScenarioResult serial = run_scenario(/*shards=*/1, /*threads=*/1);
-  const ScenarioResult parallel = run_scenario(/*shards=*/1, /*threads=*/4);
+  const ScenarioResult serial = run_scenario(/*threads=*/1);
+  const ScenarioResult parallel = run_scenario(/*threads=*/4);
   expect_same_decisions(serial, parallel);
   // The workload actually exercised the paths being compared.
   EXPECT_GT(serial.stats.sessions_admitted, 500u);
   EXPECT_GT(serial.stats.probes, 0u);
+  EXPECT_GT(serial.stats.migrations, 0u);
+  EXPECT_GT(serial.nic_peak_bps, 0.0);
+
+  // Full sweeps: more than one batch per tick, so the 4-thread run
+  // measures on its pool.
+  const ScenarioResult sweep_serial =
+      run_scenario(1, 0.0, /*incremental=*/true, /*probe_all=*/true);
+  const ScenarioResult sweep_parallel =
+      run_scenario(4, 0.0, /*incremental=*/true, /*probe_all=*/true);
+  expect_same_decisions(sweep_serial, sweep_parallel);
+  EXPECT_GT(sweep_serial.stats.probes,
+            sweep_serial.stats.probe_ticks * core::kProbeBatchSize);
 }
 
 TEST(ServiceFailover, AllSessionsOffFailedAdjacencyWithinOneInterval) {
-  const ScenarioResult r = run_scenario(/*shards=*/1, /*threads=*/1);
+  const ScenarioResult r = run_scenario(/*threads=*/1);
   // The injected failure actually hit live sessions...
   EXPECT_GT(r.crossing_before, 0);
   // ...and one failover delay later none remained on the dead adjacency.
@@ -132,10 +153,10 @@ TEST(ServiceAdmission, OverlayReservationsNeverExceedNicCapacity) {
   // A tight NIC cap forces denials; the capacity invariant must hold at
   // the peak, not just at the end.
   const double cap = 2e6;
-  const ScenarioResult r = run_scenario(/*shards=*/1, /*threads=*/1, cap);
+  const ScenarioResult r = run_scenario(/*threads=*/1, cap);
   EXPECT_LE(r.nic_peak_bps, cap);
   EXPECT_GT(r.nic_peak_bps, 0.0);
-  EXPECT_GT(r.stats.shards[0].overlay_denied, 0u);
+  EXPECT_GT(r.stats.overlay_denied, 0u);
   // Denied sessions still got service (direct fallback admits always).
   EXPECT_GT(r.stats.sessions_admitted, 500u);
 }
@@ -148,12 +169,12 @@ TEST(ServiceAdmission, DirectPathAdmitsWhenEveryOverlayIsFull) {
   BrokerConfig cfg;
   cfg.nic_capacity_bps = 1.0;  // nothing fits on any overlay NIC
   ShardedBroker broker(&world.internet(), &world.meter(), nullptr, overlays,
-                       /*num_shards=*/1, cfg);
+                       cfg);
   const int pair = broker.register_pair(clients[0], servers[0]);
   broker.warm_up();
   const std::uint64_t id = broker.open_session(pair, 5e6);
   ASSERT_NE(id, SessionManager::kInvalidSession);
-  const Session& s = broker.shard_sessions(0).session(id);
+  const Session& s = broker.sessions().session(id);
   EXPECT_EQ(broker.pair(pair).candidates[s.candidate].kind,
             core::PathKind::kDirect);
   EXPECT_EQ(broker.global_nic().peak_used_bps(), 0.0);
@@ -164,8 +185,7 @@ TEST(SessionIds, GenerationWrapRetiresTheSlotInsteadOfAliasing) {
   const auto clients = world.make_web_clients(1);
   const auto servers = world.make_servers();
   ShardedBroker broker(&world.internet(), &world.meter(), nullptr,
-                       world.rent_paper_overlays(), /*num_shards=*/1,
-                       BrokerConfig{});
+                       world.rent_paper_overlays());
   const int pair = broker.register_pair(clients[0], servers[0]);
   // Every cycle reuses the one free slot; 2^23 cycles walk its 24-bit
   // generation (two steps per use) all the way round.
@@ -177,12 +197,38 @@ TEST(SessionIds, GenerationWrapRetiresTheSlotInsteadOfAliasing) {
   const std::uint64_t live = broker.open_session(pair, 1e6);
   ASSERT_NE(live, SessionManager::kInvalidSession);
   EXPECT_NE(live, first);
-  EXPECT_FALSE(broker.shard_sessions(0).live(first));
+  EXPECT_FALSE(broker.sessions().live(first));
   // A stale close must not release whoever holds the slot's successor.
   broker.close_session(first);
-  EXPECT_TRUE(broker.shard_sessions(0).live(live));
+  EXPECT_TRUE(broker.sessions().live(live));
   EXPECT_EQ(broker.active_sessions(), 1u);
   EXPECT_EQ(broker.stats().sessions_released, std::uint64_t{1} << 23);
+}
+
+TEST(SessionIds, StaleAndForeignIdsAreIgnored) {
+  wkld::World world(kWorldSeed);
+  const auto clients = world.make_web_clients(1);
+  const auto servers = world.make_servers();
+  ShardedBroker broker(&world.internet(), &world.meter(), nullptr,
+                       world.rent_paper_overlays(), scenario_config());
+  const int pair = broker.register_pair(clients[0], servers[0]);
+  const std::uint64_t stale = broker.open_session(pair, 1e6);
+  broker.close_session(stale);
+  const std::uint64_t live = broker.open_session(pair, 1e6);  // same slot
+  // None of these names the live session, so each closes nothing.
+  broker.close_session(stale);
+  broker.close_session(0xff00000000000001ull);
+  broker.close_session(live | (std::uint64_t{1} << 56));
+  EXPECT_TRUE(broker.sessions().live(live));
+  EXPECT_EQ(broker.active_sessions(), 1u);
+  EXPECT_EQ(broker.stats().sessions_released, 1u);
+}
+
+TEST(ServiceAccounting, LiveReservationsEqualTheNicLedger) {
+  const ScenarioResult r = run_scenario(/*threads=*/1);
+  EXPECT_GT(r.nic_used_bps, 0.0);
+  EXPECT_NEAR(r.nic_reserved_bps, r.nic_used_bps,
+              1e-9 * std::max(1.0, r.nic_used_bps));
 }
 
 /// A backbone whose detours can beat direct edges, so the delay plane
@@ -425,8 +471,8 @@ TEST(IncrementalReRank, DirtySetSweepsMatchFullScanBitwise) {
   // The dirty-set machinery (incremental probe scheduling + cached
   // admission orders) is a pure performance knob: the full-scan reference
   // run must agree decision for decision, bit for bit.
-  const ScenarioResult inc = run_scenario(1, 1, 0.0, /*incremental=*/true);
-  const ScenarioResult full = run_scenario(1, 1, 0.0, /*incremental=*/false);
+  const ScenarioResult inc = run_scenario(1, 0.0, /*incremental=*/true);
+  const ScenarioResult full = run_scenario(1, 0.0, /*incremental=*/false);
   expect_same_decisions(inc, full);
   EXPECT_EQ(inc.stats.probe_ticks, full.stats.probe_ticks);
   // Same decisions, far less work: the stateless scan examines every pair
@@ -447,7 +493,7 @@ TEST(IncrementalReRank, CleanSteadyStateSweepTouchesZeroPairs) {
   cfg.probe.interval = sim::Time::seconds(10);
   cfg.probe.tick = sim::Time::seconds(1);
   ShardedBroker broker(&world.internet(), &world.meter(), nullptr, overlays,
-                       /*num_shards=*/1, cfg);
+                       cfg);
   for (int c : clients) broker.register_pair(c, servers[0]);
   broker.warm_up();
   broker.run_until(sim::Time::seconds(5));
@@ -620,118 +666,13 @@ TEST(InternetMutation, ListenersObserveEventsAndUnsubscribe) {
   EXPECT_EQ(seen.size(), 3u);  // unsubscribed: no further deliveries
 }
 
-TEST(ShardedDeterminism, BitwiseIdenticalAcrossShardCounts) {
-  const ScenarioResult one = run_scenario(/*shards=*/1, /*threads=*/1);
-  const ScenarioResult four = run_scenario(/*shards=*/4, /*threads=*/1);
-  const ScenarioResult eight = run_scenario(/*shards=*/8, /*threads=*/1);
-  expect_same_decisions(one, four);
-  expect_same_decisions(one, eight);
-  // The workload actually exercised the paths being compared.
-  EXPECT_GT(one.stats.sessions_admitted, 500u);
-  EXPECT_GT(one.stats.probes, 0u);
-  EXPECT_GT(one.stats.migrations, 0u);
-  EXPECT_GT(one.nic_peak_bps, 0.0);
-}
-
-TEST(ShardedDeterminism, BitwiseIdenticalAcrossThreadCounts) {
-  const ScenarioResult serial = run_scenario(/*shards=*/8, /*threads=*/1);
-  const ScenarioResult parallel = run_scenario(/*shards=*/8, /*threads=*/4);
-  expect_same_decisions(serial, parallel);
-}
-
-TEST(ShardedDeterminism, ShardAssignmentIsPureAndDense) {
-  // shard_of is a pure function of the endpoints — no registration-order
-  // or seed dependence — and spreads a realistic pair population across
-  // every shard.
-  std::vector<int> hits(8, 0);
-  for (int src = 0; src < 64; ++src) {
-    for (int dst = 64; dst < 96; ++dst) {
-      const int s = ShardedBroker::shard_of(src, dst, 8);
-      ASSERT_GE(s, 0);
-      ASSERT_LT(s, 8);
-      ASSERT_EQ(s, ShardedBroker::shard_of(src, dst, 8));
-      ++hits[static_cast<std::size_t>(s)];
-    }
-  }
-  for (int s = 0; s < 8; ++s) EXPECT_GT(hits[static_cast<std::size_t>(s)], 0);
-}
-
-TEST(ShardedFailover, RepinsSpanShardBoundaries) {
-  const ScenarioResult r = run_scenario(/*shards=*/8, /*threads=*/1);
-  // The injected failure hit live sessions, and one failover delay later
-  // none remained on the dead adjacency — across every shard.
-  EXPECT_GT(r.crossing_before, 0);
-  EXPECT_EQ(r.crossing_after, 0);
-  EXPECT_EQ(r.stats.failover_events, 1u);
-  EXPECT_GT(r.stats.failover_repins, 0u);
-  EXPECT_EQ(r.stats.last_failover_reaction, sim::Time::seconds(1));
-  // The busiest transit adjacency carries pairs owned by multiple shards,
-  // so the coordinated failover must have repinned on at least two.
-  int shards_with_repins = 0;
-  for (const auto& ss : r.stats.shards) {
-    if (ss.failover_repins > 0) ++shards_with_repins;
-  }
-  EXPECT_GE(shards_with_repins, 2);
-}
-
-TEST(ShardedAccounting, PerShardBooksSumToGlobalLedger) {
-  const ScenarioResult r = run_scenario(/*shards=*/8, /*threads=*/1);
-  double shard_sum = 0.0;
-  std::uint64_t admitted = 0, released = 0, probes = 0;
-  std::size_t pairs = 0;
-  for (const auto& ss : r.stats.shards) {
-    shard_sum += ss.nic_used_bps;
-    admitted += ss.sessions_admitted;
-    released += ss.sessions_released;
-    probes += ss.probes;
-    pairs += ss.pairs;
-    // Every shard owns a slice of the pair space and did real work.
-    EXPECT_GT(ss.pairs, 0u);
-    EXPECT_GT(ss.probes, 0u);
-  }
-  EXPECT_GT(r.nic_used_bps, 0.0);
-  EXPECT_NEAR(shard_sum, r.nic_used_bps, 1e-9 * std::max(1.0, r.nic_used_bps));
-  EXPECT_EQ(admitted, r.stats.sessions_admitted);
-  EXPECT_EQ(released, r.stats.sessions_released);
-  EXPECT_EQ(probes, r.stats.probes);
-  EXPECT_EQ(pairs, std::size_t{12} * 10);  // clients x servers
-  // The shared ledger's peak respects the per-VM cap at all times.
-  EXPECT_GT(r.nic_peak_bps, 0.0);
-}
-
-TEST(ShardedAccounting, SessionIdsRouteToOwningShard) {
-  wkld::World world(kWorldSeed);
-  const auto clients = world.make_web_clients(4);
-  const auto servers = world.make_servers();
-  const auto overlays = world.rent_paper_overlays();
-  ShardedBroker broker(&world.internet(), &world.meter(), /*pool=*/nullptr,
-                       overlays, /*num_shards=*/8, scenario_config());
-  std::vector<std::uint64_t> ids;
-  for (int c : clients) {
-    for (int s : servers) {
-      const int g = broker.register_pair(c, s);
-      const std::uint64_t id = broker.open_session(g, 1e6);
-      // The id's top byte names the owning shard (tag = shard + 1).
-      EXPECT_EQ(SessionManager::id_tag_of(id) - 1, broker.pair_shard(g));
-      ids.push_back(id);
-    }
-  }
-  EXPECT_EQ(broker.active_sessions(), ids.size());
-  for (std::uint64_t id : ids) broker.close_session(id);
-  EXPECT_EQ(broker.active_sessions(), 0u);
-  // Stale and foreign-tagged ids are ignored, not misrouted.
-  broker.close_session(ids.front());
-  broker.close_session(0xff00000000000001ull);
-  EXPECT_EQ(broker.active_sessions(), 0u);
-}
-
 TEST(ShardedAccounting, OpenSessionRejectsUnregisteredPairId) {
   wkld::World world(kWorldSeed);
   const auto clients = world.make_web_clients(2);
   const auto servers = world.make_servers();
   const auto overlays = world.rent_paper_overlays();
   ShardedBroker broker(&world.internet(), &world.meter(), /*pool=*/nullptr,
-                       overlays, /*num_shards=*/4, scenario_config());
+                       overlays, scenario_config());
   for (int c : clients) {
     for (int s : servers) broker.register_pair(c, s);
   }
@@ -750,8 +691,7 @@ TEST(ShardedAccounting, OpenSessionRejectsUnregisteredPairId) {
 TEST(ShardedClock, RunUntilNeverMovesTheClockBackwards) {
   wkld::World world(kWorldSeed);
   ShardedBroker broker(&world.internet(), &world.meter(), /*pool=*/nullptr,
-                       world.rent_paper_overlays(), /*num_shards=*/4,
-                       scenario_config());
+                       world.rent_paper_overlays(), scenario_config());
   broker.run_until(sim::Time::seconds(10));
   broker.run_until(sim::Time::seconds(5));
   EXPECT_EQ(broker.now(), sim::Time::seconds(10));

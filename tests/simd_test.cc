@@ -1,9 +1,9 @@
 // The vectorized measurement kernels' contract: CRONETS_SIMD is a pure
-// performance knob. Every ISA level (AVX2 on x86-64, NEON on aarch64, the
-// portable scalar reference) must produce bitwise identical AR(1)
-// innovation lanes, PFTK throughputs, and end-to-end batched samples — at
-// every horizon, array length (including ragged SIMD tails), and loss
-// regime (the branch-turned-blend).
+// performance knob. Every ISA level (AVX2 on x86-64, the portable scalar
+// reference) must produce bitwise identical AR(1) innovation lanes, PFTK
+// throughputs, and end-to-end batched samples — at every horizon, array
+// length (including ragged SIMD tails), and loss regime (the
+// branch-turned-blend).
 
 #include <gtest/gtest.h>
 
@@ -24,9 +24,7 @@ using model::simd::Level;
 
 std::vector<Level> wide_levels() {
   std::vector<Level> out;
-  for (Level l : {Level::kAvx2, Level::kNeon}) {
-    if (model::simd::level_available(l)) out.push_back(l);
-  }
+  if (model::simd::level_available(Level::kAvx2)) out.push_back(Level::kAvx2);
   return out;
 }
 
@@ -38,7 +36,6 @@ TEST(SimdDispatch, ActiveLevelIsAvailable) {
 TEST(SimdDispatch, LevelNames) {
   EXPECT_STREQ("scalar", model::simd::level_name(Level::kScalar));
   EXPECT_STREQ("avx2", model::simd::level_name(Level::kAvx2));
-  EXPECT_STREQ("neon", model::simd::level_name(Level::kNeon));
 }
 
 TEST(SimdAr1, MatchesScalarReferenceAtEveryHorizon) {

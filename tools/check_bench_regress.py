@@ -4,15 +4,15 @@
 Usage: tools/check_bench_regress.py [BUILD_DIR]      (default: build)
 
 Each MATRIX row is (bench, fixed settings, axes). A setting that starts
-with "--" goes on the command line ("--shards 4" is two arguments); any
-other is NAME=value in the environment. The axes are crossed; the first
-combination is the row's reference run, which every other run must
-reproduce. Each run gets the caller's environment minus all CRONETS_*
-variables, plus CRONETS_QUICK=1, and a fresh working directory under
+with "--" is a command-line argument; any other is NAME=value in the
+environment. The axes are crossed; the first combination is the row's
+reference run, which every other run must reproduce. Each run gets the
+caller's environment minus all CRONETS_* variables, plus
+CRONETS_QUICK=1, and a fresh working directory under
 bench_results/gate/. Each bench's first reference run is then compared
 with its bench/baselines/ file (compare), and must fail against that
-baseline with its fingerprints perturbed (perturb_errors). EXPERIMENTS.md
-("CI gates") lists every rule.
+baseline with its fingerprints perturbed (perturb_errors).
+EXPERIMENTS.md ("CI gates") lists every rule.
 """
 
 import copy
@@ -36,11 +36,11 @@ MATRIX = [
     ("bench_micro", ("--benchmark_min_time=0.2",), ()),
     # ^$ skips the Google Benchmarks; the recorded sweep and its checks run.
     ("bench_micro", ("--benchmark_filter=^$",), (SIMD,)),
-    ("bench_service_scale", (), (("--shards", ("4", "1", "8")), THREADS)),
+    ("bench_service_scale", (), (THREADS,)),
     ("bench_service_scale", (), (SIMD,)),
     *[("bench_service_scale",
        (f"CRONETS_COST_POLICY={policy}", "CRONETS_COST_BUDGET_USD=0.5"),
-       (("--shards", ("1", "8")), THREADS))
+       (THREADS,))
       for policy in ("max_goodput_under_budget", "min_cost_meeting_slo",
                      "pareto")],
     ("bench_chaos", (), (THREADS,)),
@@ -71,12 +71,11 @@ GATES = {
 # Where a run's JSON records an axis value it was given.
 READBACK = {
     "CRONETS_THREADS": lambda d: d["threads"],
-    "--shards": lambda d: d.get("extra", {}).get("shards"),
 }
 
 REQUIRED_FIELDS = ("bench", "seed", "threads", "wall_s", "pairs",
                    "pairs_per_s", "checks")
-FILTER = re.compile(r"timing:|^-- shard |^-- config")
+FILTER = re.compile(r"timing:|^-- config")
 THROUGHPUT_DROP_WARN = 0.20
 BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                          "bench", "baselines")
@@ -99,7 +98,7 @@ def run(build, bench, settings, workdir):
     argv = [os.path.abspath(os.path.join(build, "bench", bench))]
     for s in settings:
         if s.startswith("--"):
-            argv += s.split()
+            argv.append(s)
         else:
             name, _, value = s.partition("=")
             env[name] = value
@@ -210,9 +209,7 @@ def main():
         ref = None
         for combo in itertools.product(
                 *[[(name, v) for v in values] for name, values in axes]):
-            settings = list(fixed) + [
-                f"{n} {v}" if n.startswith("--") else f"{n}={v}"
-                for n, v in combo]
+            settings = list(fixed) + [f"{n}={v}" for n, v in combo]
             label = " ".join([bench] + settings)
             runs += 1
             out, doc, errs = run(build, bench, settings,
