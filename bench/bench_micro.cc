@@ -241,8 +241,8 @@ std::vector<topo::PathRef> sweep_paths(wkld::World& world,
 
 }  // namespace
 
-// Scalar sampling kernel: per-path FlowModel::sample through the memoized
-// aggregates, the pre-batching hot path. Items processed = path samples.
+// Scalar sampling kernel: the reference FlowModel::sample per path (with
+// its per-thread field memo). Items processed = path samples.
 static void BM_ScalarSample(benchmark::State& state) {
   wkld::World world(bench::world_seed());
   const auto clients = world.make_web_clients(8);
@@ -255,7 +255,7 @@ static void BM_ScalarSample(benchmark::State& state) {
   for (auto _ : state) {
     const sim::Time at = sim::Time::hours(1) + sim::Time::minutes(1 + rep % 59);
     ++rep;
-    for (const auto& p : paths) sink += world.flow().sample(p, at).rtt_ms;
+    for (const auto& p : paths) sink += world.flow().sample(*p, at).rtt_ms;
     n += static_cast<long>(paths.size());
   }
   benchmark::DoNotOptimize(sink);
@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
 
   // --- scalar vs batched sampling kernel ---------------------------------
   // The same sweep's path set through both samplers, single-threaded: the
-  // scalar side is per-path FlowModel::sample (memoized aggregates + field
+  // scalar side is the reference FlowModel::sample per path (with its field
   // memo), the batched side one SoA sample_batch over pre-interned handles.
   // Rates are pair sweeps per second (11 paths per pair: direct plus two
   // legs for each of five overlays). These are the headline
@@ -382,7 +382,7 @@ int main(int argc, char** argv) {
   const auto sample_scalar_t0 = clock::now();
   for (int rep = 0; rep < kSampleReps; ++rep) {
     const sim::Time at = sim::Time::hours(3) + sim::Time::minutes(rep);
-    for (const auto& p : kpaths) kernel_sink += world.flow().sample(p, at).rtt_ms;
+    for (const auto& p : kpaths) kernel_sink += world.flow().sample(*p, at).rtt_ms;
   }
   const double sample_scalar_s =
       std::chrono::duration<double>(clock::now() - sample_scalar_t0).count();
@@ -531,21 +531,6 @@ int main(int argc, char** argv) {
   }
   benchmark::DoNotOptimize(kernel_sink);
 
-  // Fast-path aggregates must reproduce the generic sampler bit for bit.
-  int fast_eq_generic = 1;
-  for (int s : servers) {
-    for (int c : clients) {
-      const topo::PathRef p = world.internet().cached_path(s, c);
-      const model::PathMetrics fast = world.flow().sample(p, sim::Time::minutes(90));
-      const model::PathMetrics ref = world.flow().sample(*p, sim::Time::minutes(90));
-      if (fast.rtt_ms != ref.rtt_ms || fast.loss != ref.loss ||
-          fast.residual_bps != ref.residual_bps ||
-          fast.capacity_bps != ref.capacity_bps || fast.hop_count != ref.hop_count) {
-        fast_eq_generic = 0;
-      }
-    }
-  }
-
   run.finish({
       {"micro: mean direct throughput (Mbit/s)", 76.161,
        direct_sum_bps / static_cast<double>(n) / 1e6},
@@ -555,8 +540,6 @@ int main(int argc, char** argv) {
        static_cast<double>(sweep_hits) / 1000.0},
       {"micro: interned paths == cache misses (1=yes)", 1.0,
        cache.size() == cache.misses() ? 1.0 : 0.0},
-      {"micro: fast sample == generic sample (1=yes)", 1.0,
-       static_cast<double>(fast_eq_generic)},
       {"micro: batch sample == scalar sample (1=yes)", 1.0,
        static_cast<double>(batch_eq_scalar)},
       {"micro: simd sample == scalar sample (1=yes)", 1.0,

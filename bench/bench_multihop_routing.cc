@@ -13,11 +13,11 @@
 // determinism witnesses — the plane's routing-table fingerprint and the
 // control plane's per-pair-merged decision fingerprint. Every `checks`
 // row is a pure function of the seed: the "(1=yes)" rows assert that the
-// incremental plane (CRONETS_ROUTE_INCREMENTAL=1, the default) reproduces
-// the full-recompute reference bit for bit, and the bench gate
-// (tools/check_bench_regress.py) diffs the whole text output across
-// CRONETS_THREADS 1/4 x CRONETS_ROUTE_INCREMENTAL 1/0 and CRONETS_SIMD
-// auto/scalar (only "-- timing:"/"-- config" rows are filtered).
+// incremental plane reproduces a full-recompute run of the same policy,
+// in the same process, bit for bit in every RunResult field, and the
+// bench gate (tools/check_bench_regress.py) diffs the whole text output
+// across CRONETS_THREADS 1/4 and CRONETS_SIMD auto/scalar (only
+// "-- timing:"/"-- config" rows are filtered).
 //
 // The `--dcs N` axis (default sweep: 32/128, plus 512 in full mode) grows
 // a synthetic DC mesh and runs the plane alone — incremental and full
@@ -82,13 +82,15 @@ struct RunResult {
   int convergence_round = -1;
   long admitted = 0;
   std::uint64_t via_overlay = 0;
+
+  bool operator==(const RunResult&) const = default;
 };
 
 // One full control-plane run. The world, plane config, workload and
 // congestion episode are fixed by the seed, so every RunResult field must
 // be bitwise identical across thread counts, and across incremental vs
 // full-recompute plane modes.
-RunResult run_one(route::Policy policy, bool smoke, bool incremental = true) {
+RunResult run_one(route::Policy policy, bool smoke, bool incremental) {
   wkld::World world(bench::world_seed(), pathological_topology(),
                     pathological_cloud());
   auto& net = world.internet();
@@ -334,18 +336,15 @@ int main(int argc, char** argv) {
 
   std::vector<bench::PaperCheck> checks;
   long admitted_total = 0;
-  // The broker runs honor CRONETS_ROUTE_INCREMENTAL (default on), so the
-  // bench gate can byte-diff the whole filtered output across =0 and =1;
-  // the explicit full-recompute reference below keeps the in-process
-  // "incremental == full" gate meaningful in either setting.
-  const bool env_incremental =
-      sim::env_int("CRONETS_ROUTE_INCREMENTAL", 1, 0, 1) != 0;
   for (const route::Policy policy :
        {route::Policy::kDelay, route::Policy::kBackpressure}) {
     if (only_dcs > 0) break;  // --dcs: skip the broker section
     const std::string tag = route::policy_name(policy);
-    const RunResult broker = run_one(policy, smoke, env_incremental);
+    // The full-recompute run is the lockstep witness: it must reproduce
+    // every field the incremental broker run reports.
+    const RunResult broker = run_one(policy, smoke, /*incremental=*/true);
     const RunResult full = run_one(policy, smoke, /*incremental=*/false);
+    const bool same = full == broker;
     admitted_total += broker.admitted;
 
     const double win_rate =
@@ -368,10 +367,7 @@ int main(int argc, char** argv) {
                 "full-recompute %s\n",
                 static_cast<unsigned long long>(broker.table_fp),
                 static_cast<unsigned long long>(broker.decision_fp),
-                full.table_fp == broker.table_fp &&
-                        full.decision_fp == broker.decision_fp
-                    ? "=="
-                    : "DIVERGED");
+                same ? "==" : "DIVERGED");
 
     checks.push_back({tag + ": pairs won by multi-hop (k>=2)", 0.0,
                       static_cast<double>(broker.multihop_pairs)});
@@ -391,10 +387,7 @@ int main(int argc, char** argv) {
     checks.push_back({tag + ": decision fingerprint (low 32 bits)", -1.0,
                       static_cast<double>(broker.decision_fp & 0xffffffffu)});
     checks.push_back({tag + ": incremental plane == full (1=yes)", 1.0,
-                      full.table_fp == broker.table_fp &&
-                              full.decision_fp == broker.decision_fp
-                          ? 1.0
-                          : 0.0});
+                      same ? 1.0 : 0.0});
   }
 
   // --- the `--dcs` scale axis ------------------------------------------

@@ -1,7 +1,6 @@
 #include "core/measure_model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <unordered_map>
 
@@ -103,11 +102,10 @@ PairSample ModelMeasurement::measure(int src_ep, int dst_ep,
   // fixed, so the sample is reproducible no matter where it runs.
   sim::Rng rng(sim::pair_seed(seed_ ^ flow_->seed(), src_ep, dst_ep, t.ns()));
 
-  // Interned paths + precomputed aggregates: the direct path and both legs
-  // of every overlay candidate are looked up, never rebuilt, so the only
-  // per-call work left is evaluating the stochastic link field.
+  // The reference sampler over interned paths: the direct path and both
+  // legs of every overlay candidate are looked up, never rebuilt.
   const topo::PathRef direct = topo_->cached_path(src_ep, dst_ep);
-  model::PathMetrics dm = flow_->sample(direct, t);
+  model::PathMetrics dm = flow_->sample(*direct, t);
   dm.rwnd_bytes = static_cast<double>(topo_->endpoint(dst_ep).rcv_buf);
   out.direct_bps = flow_->tcp_throughput(dm, rng);
   out.direct_rtt_ms = dm.rtt_ms;
@@ -119,8 +117,8 @@ PairSample ModelMeasurement::measure(int src_ep, int dst_ep,
     if (o == src_ep || o == dst_ep) continue;
     const topo::PathRef leg1 = topo_->cached_path(src_ep, o);
     const topo::PathRef leg2 = topo_->cached_path(o, dst_ep);
-    model::PathMetrics m1 = flow_->sample(leg1, t);
-    model::PathMetrics m2 = flow_->sample(leg2, t);
+    model::PathMetrics m1 = flow_->sample(*leg1, t);
+    model::PathMetrics m2 = flow_->sample(*leg2, t);
     // Split-TCP legs terminate at their own receivers: the overlay VM for
     // leg 1, the final destination for leg 2.
     m1.rwnd_bytes = static_cast<double>(topo_->endpoint(o).rcv_buf);
@@ -234,17 +232,7 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
 
   // Pass 3: the per-pair stochastic pass — draw-for-draw the sequence
   // measure() makes on its private (seed, src, dst, t) stream, applied to
-  // the precomputed PFTK values.
-  const double sigma = p.noise_sigma;
-  const auto finish_tcp = [&](double pftk, const model::PathMetrics& m,
-                              sim::Rng& rng) {
-    double v = pftk;
-    // When the flow saturates the residual capacity it also builds queue;
-    // throughput clips slightly below the residual rate.
-    const double cap = std::min(m.residual_bps, m.capacity_bps);
-    if (v > 0.92 * cap) v = cap * rng.uniform(0.88, 0.96);
-    return v * std::exp(rng.normal(0.0, sigma));
-  };
+  // the precomputed PFTK values through FlowModel's own noise tail.
   cursor = 0;
   std::size_t eval = 0, cc = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -254,7 +242,7 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
     ps.dst = r.dst;
     sim::Rng rng(sim::pair_seed(seed_ ^ flow_->seed(), r.src, r.dst, t.ns()));
     const model::PathMetrics& dm = S.metrics[cursor++];
-    ps.direct_bps = finish_tcp(S.pftk_bps[eval++], dm, rng);
+    ps.direct_bps = flow_->noisy(S.pftk_bps[eval++], dm, rng);
     ps.direct_rtt_ms = dm.rtt_ms;
     ps.direct_loss = dm.loss;
     ps.direct_hops = dm.hop_count;
@@ -268,17 +256,17 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
       const double pftk_2 = S.pftk_bps[eval++];
       OverlaySample s;
       s.overlay_ep = o;
-      s.plain_bps = finish_tcp(pftk_cm, cm, rng);
-      const double t1 = finish_tcp(pftk_1, m1, rng);
-      const double t2 = finish_tcp(pftk_2, m2, rng);
+      s.plain_bps = flow_->noisy(pftk_cm, cm, rng);
+      const double t1 = flow_->noisy(pftk_1, m1, rng);
+      const double t2 = flow_->noisy(pftk_2, m2, rng);
       s.leg1_bps = t1;
       s.leg2_bps = t2;
       s.split_bps = 0.97 * std::min(t1, t2);
       // discrete() draws inside an unsequenced std::min call; the compiler
       // evaluates the second leg first, so mirror that draw order here
       // (pinned by the batched==scalar equality tests).
-      const double d2 = finish_tcp(pftk_2, m2, rng);
-      const double d1 = finish_tcp(pftk_1, m1, rng);
+      const double d2 = flow_->noisy(pftk_2, m2, rng);
+      const double d1 = flow_->noisy(pftk_1, m1, rng);
       s.discrete_bps = std::min(d1, d2);
       s.rtt_ms = cm.rtt_ms;
       s.loss = cm.loss;

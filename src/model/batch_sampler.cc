@@ -4,20 +4,18 @@
 #include <cassert>
 
 #include "model/simd/dispatch.h"
-#include "sim/hash_rng.h"
 
 namespace cronets::model {
 
 namespace {
-// utilization() caps the AR(1) truncation horizon at 64 (see FlowModel);
-// the innovation scratch below relies on that bound.
+// field_constants() caps the AR(1) truncation horizon at 64; the grouped
+// weight rows below rely on that bound.
 constexpr int kMaxHorizon = 64;
 }  // namespace
 
 void BatchSampler::reset() {
   path_index_.clear();
   path_ref_.clear();
-  path_base_rtt_ms_.clear();
   path_min_capacity_bps_.clear();
   path_hops_.clear();
   path_slot_begin_.clear();
@@ -26,7 +24,6 @@ void BatchSampler::reset() {
   field_index_.clear();
   f_stream_.clear();
   f_epoch_ns_.clear();
-  f_a_.clear();
   f_horizon_.clear();
   f_stationary_sd_.clear();
   f_sqrt_w2_.clear();
@@ -61,33 +58,44 @@ bool BatchSampler::begin_batch() {
   return true;
 }
 
-std::uint32_t BatchSampler::intern_field(const FlowModel::LinkField& f) {
+std::uint32_t BatchSampler::intern_field(const topo::Traversal& trav) {
+  const std::uint64_t stream =
+      field_stream(flow_->seed(), trav.link_id, trav.forward);
   const auto [it, inserted] =
-      field_index_.emplace(f.stream, static_cast<std::uint32_t>(f_stream_.size()));
+      field_index_.emplace(stream, static_cast<std::uint32_t>(f_stream_.size()));
   if (!inserted) return it->second;
-  assert(f.horizon <= kMaxHorizon);
-  f_stream_.push_back(f.stream);
-  f_epoch_ns_.push_back(f.epoch_ns);
-  f_a_.push_back(f.a);
-  f_horizon_.push_back(f.horizon);
-  f_stationary_sd_.push_back(f.stationary_sd);
-  f_sqrt_w2_.push_back(f.sqrt_w2);
-  f_delay_ms_.push_back(f.delay_ms);
-  f_pkt_ms_.push_back(f.pkt_ms);
-  f_capacity_bps_.push_back(f.capacity_bps);
-  f_bg_.push_back(f.bg);
-  f_has_diurnal_.push_back(f.has_diurnal ? 1 : 0);
+  // The same constants, from the same expressions, as the reference
+  // sampler's FlowModel::sample/utilization pair, so the arithmetic in
+  // sample_batch stays bitwise identical to it.
+  const topo::TopoLink& link = topo_->links()[trav.link_id];
+  const net::BackgroundParams& bg = trav.forward ? link.bg_fwd : link.bg_rev;
+  const FieldConstants c = field_constants(bg);
+  assert(c.horizon <= kMaxHorizon);
+  f_stream_.push_back(stream);
+  f_epoch_ns_.push_back(std::max<std::int64_t>(bg.epoch.ns(), 1));
+  f_horizon_.push_back(c.horizon);
+  f_stationary_sd_.push_back(c.stationary_sd);
+  f_sqrt_w2_.push_back(c.sqrt_w2);
+  f_delay_ms_.push_back(link.delay_ms);
+  f_pkt_ms_.push_back(1500.0 * 8.0 / link.capacity_bps * 1e3);
+  f_capacity_bps_.push_back(link.capacity_bps);
+  f_bg_.push_back(bg);
+  f_has_diurnal_.push_back(bg.diurnal_amp != 0.0 ? 1 : 0);
   if (f_event_begin_.empty()) f_event_begin_.push_back(0);
-  events_.insert(events_.end(), f.events.begin(), f.events.end());
+  for (const topo::LinkEvent& ev : topo_->events()) {
+    if (ev.link_id == trav.link_id && ev.forward == trav.forward) {
+      events_.push_back(ev);
+    }
+  }
   f_event_begin_.push_back(static_cast<std::uint32_t>(events_.size()));
   // Precompute the exponential weights with the scalar sampler's own
   // w *= a recurrence: the lane-ordered reduction over this array is then
   // bitwise identical to the original loop-carried form.
   if (f_weight_begin_.empty()) f_weight_begin_.push_back(0);
   double w = 1.0;
-  for (int j = 0; j < f.horizon; ++j) {
+  for (int j = 0; j < c.horizon; ++j) {
     f_weights_.push_back(w);
-    w *= f.a;
+    w *= c.a;
   }
   f_weight_begin_.push_back(static_cast<std::uint32_t>(f_weights_.size()));
   return it->second;
@@ -96,17 +104,16 @@ std::uint32_t BatchSampler::intern_field(const FlowModel::LinkField& f) {
 int BatchSampler::intern(const topo::PathRef& path) {
   const auto it = path_index_.find(path.get());
   if (it != path_index_.end()) return it->second;
-  // Reuse the model's memoized aggregates: the SoA store is a repack of
-  // exactly the constants the scalar fast path consumes.
-  const auto agg = flow_->aggregates(path);
   const int handle = static_cast<int>(path_ref_.size());
   path_ref_.push_back(path);
-  path_base_rtt_ms_.push_back(agg->base_rtt_ms);
-  path_min_capacity_bps_.push_back(agg->min_capacity_bps);
-  path_hops_.push_back(agg->hop_count);
-  for (const FlowModel::LinkField& f : agg->links) {
-    slot_field_.push_back(intern_field(f));
+  double min_capacity_bps = 1e18;
+  for (const topo::Traversal& trav : path->traversals) {
+    const std::uint32_t fi = intern_field(trav);
+    slot_field_.push_back(fi);
+    min_capacity_bps = std::min(min_capacity_bps, f_capacity_bps_[fi]);
   }
+  path_min_capacity_bps_.push_back(min_capacity_bps);
+  path_hops_.push_back(static_cast<int>(path->routers.size()));
   path_slot_begin_.push_back(static_cast<std::uint32_t>(slot_field_.size()));
   path_index_.emplace(path.get(), handle);
   return handle;

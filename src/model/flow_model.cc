@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <unordered_map>
 
 #include "sim/hash_rng.h"
 
@@ -19,30 +20,26 @@ std::uint64_t next_flow_model_tag() {
 
 namespace {
 
-// Per-thread memo of field_utilization results, keyed by the link
-// direction's innovation stream id. The value is a pure function of
-// (model, topology mutation epoch, stream, t); the tag comparison is exact,
-// so a hit returns the same bits a recompute would. Shared links — access
-// links on every overlay leg, common backbone hops — are evaluated once per
-// (thread, timestep) instead of once per path traversal.
+// Per-thread memo of utilization() results, keyed by the link direction's
+// innovation stream id. The value is a pure function of (model, topology
+// mutation epoch, stream, t); the tag comparison is exact, so a hit returns
+// the same bits a recompute would. Shared links — access links on every
+// overlay leg, common backbone hops — are evaluated once per (thread,
+// timestep) instead of once per path traversal.
 struct FieldMemoEntry {
   std::uint64_t model = 0;
   std::uint64_t epoch = 0;
   std::int64_t t_ns = 0;
   double u = 0.0;
   bool valid = false;
-  // Hoisted AR(1) truncation constants for the scalar utilization() path —
-  // a pure function of (model, epoch, stream), so warm probes skip the
-  // log/ceil horizon derivation and the weight-norm loop. Stamped
-  // separately from the value above: the value goes stale every timestep,
-  // the constants only on model/topology change.
+  // Hoisted field constants — a pure function of (model, epoch, stream),
+  // so warm probes skip the log/ceil horizon derivation and the
+  // weight-norm loop. Stamped separately from the value above: the value
+  // goes stale every timestep, the constants only on model/topology change.
   std::uint64_t cmodel = 0;
   std::uint64_t cepoch = 0;
   bool consts_valid = false;
-  double a = 0.0;
-  int horizon = 1;
-  double stationary_sd = 0.0;
-  double sqrt_w2 = 1.0;
+  FieldConstants c;
 };
 
 std::unordered_map<std::uint64_t, FieldMemoEntry>& field_memo() {
@@ -90,6 +87,29 @@ void pftk_throughput_batch(simd::Level level, std::size_t n,
                    rwnd_bytes, p, out_bps);
 }
 
+FieldConstants field_constants(const net::BackgroundParams& bg) {
+  FieldConstants c;
+  c.a = std::clamp(1.0 - bg.theta, 0.0, 0.999);
+  c.horizon = 1;  // smallest J with a^J <= 1e-3 (cap keeps cost bounded)
+  if (c.a > 1e-3) {
+    c.horizon = std::min(64, static_cast<int>(std::ceil(-6.907755 / std::log(c.a))));
+  }
+  double w = 1.0, w2_sum = 0.0;
+  for (int j = 0; j < c.horizon; ++j) {
+    w2_sum += w * w;
+    w *= c.a;
+  }
+  c.stationary_sd = bg.sigma / std::sqrt(std::max(1e-9, 1.0 - c.a * c.a));
+  c.sqrt_w2 = std::sqrt(w2_sum);
+  return c;
+}
+
+std::uint64_t field_stream(std::uint64_t seed, int link_id, bool forward) {
+  return sim::hash_combine(
+      seed, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(link_id)) << 1) |
+                (forward ? 1u : 0u));
+}
+
 double FlowModel::utilization(int link_id, bool forward, Time t) const {
   const auto& link = topo_->links()[link_id];
   const net::BackgroundParams& bg = forward ? link.bg_fwd : link.bg_rev;
@@ -103,9 +123,7 @@ double FlowModel::utilization(int link_id, bool forward, Time t) const {
   // the recursive form, any (link, direction, t) can be evaluated
   // independently, in any order, on any thread, with identical bits.
   const std::int64_t n = t.ns() / std::max<std::int64_t>(bg.epoch.ns(), 1);
-  const std::uint64_t stream = sim::hash_combine(
-      seed_, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(link_id)) << 1) |
-                 (forward ? 1u : 0u));
+  const std::uint64_t stream = field_stream(seed_, link_id, forward);
 
   const std::uint64_t epoch = topo_->mutation_epoch();
   FieldMemoEntry& memo = field_memo()[stream];
@@ -114,33 +132,20 @@ double FlowModel::utilization(int link_id, bool forward, Time t) const {
     return memo.u;
   }
   if (!(memo.consts_valid && memo.cmodel == model_tag_ && memo.cepoch == epoch)) {
-    // Cold path: derive the truncation constants once per (model, epoch).
-    // Same expressions as build_aggregates, so warm hits change no bits.
-    memo.a = std::clamp(1.0 - bg.theta, 0.0, 0.999);
-    memo.horizon = 1;  // smallest J with a^J <= 1e-3 (cap keeps cost bounded)
-    if (memo.a > 1e-3) {
-      memo.horizon =
-          std::min(64, static_cast<int>(std::ceil(-6.907755 / std::log(memo.a))));
-    }
-    double w = 1.0, w2_sum = 0.0;
-    for (int j = 0; j < memo.horizon; ++j) {
-      w2_sum += w * w;
-      w *= memo.a;
-    }
-    memo.stationary_sd =
-        bg.sigma / std::sqrt(std::max(1e-9, 1.0 - memo.a * memo.a));
-    memo.sqrt_w2 = std::sqrt(w2_sum);
+    // Cold path: derive the field constants once per (model, epoch).
+    memo.c = field_constants(bg);
     memo.cmodel = model_tag_;
     memo.cepoch = epoch;
     memo.consts_valid = true;
   }
+  const FieldConstants& c = memo.c;
   double acc = 0.0, w = 1.0;
-  for (int j = 0; j < memo.horizon; ++j) {
+  for (int j = 0; j < c.horizon; ++j) {
     acc += w * sim::hash_centered(
                    sim::hash_combine(stream, static_cast<std::uint64_t>(n - j)));
-    w *= memo.a;
+    w *= c.a;
   }
-  double u = bg.mean_util + acc * memo.stationary_sd / memo.sqrt_w2;
+  double u = bg.mean_util + acc * c.stationary_sd / c.sqrt_w2;
   u = std::clamp(u, 0.0, 0.98);
 
   double out = u + net::diurnal_component(bg, t);
@@ -157,19 +162,6 @@ double FlowModel::utilization(int link_id, bool forward, Time t) const {
   memo.u = out;
   memo.valid = true;
   return out;
-}
-
-double FlowModel::link_loss(int link_id, bool forward, Time t) const {
-  const auto& link = topo_->links()[link_id];
-  const net::BackgroundParams& bg = forward ? link.bg_fwd : link.bg_rev;
-  double loss = net::loss_from_utilization(bg, utilization(link_id, forward, t));
-  for (const auto& ev : topo_->events()) {
-    if (ev.link_id == link_id && ev.forward == forward && ev.loss_boost != 0.0 &&
-        t >= ev.from && t < ev.until) {
-      loss = 1.0 - (1.0 - loss) * (1.0 - ev.loss_boost);
-    }
-  }
-  return loss;
 }
 
 PathMetrics FlowModel::sample(const topo::RouterPath& path, Time t) const {
@@ -206,138 +198,6 @@ PathMetrics FlowModel::sample(const topo::RouterPath& path, Time t) const {
   return m;
 }
 
-std::shared_ptr<const FlowModel::PathAggregates> FlowModel::build_aggregates(
-    const topo::PathRef& path) const {
-  // Every constant below replicates the exact expression the generic
-  // sample()/utilization() pair evaluates per call, so the fast path's
-  // arithmetic stays bitwise identical.
-  auto agg = std::make_shared<PathAggregates>();
-  agg->path = path;
-  agg->hop_count = static_cast<int>(path->routers.size());
-  agg->links.reserve(path->traversals.size());
-  double oneway_ms = 0.0;
-  for (const auto& trav : path->traversals) {
-    const auto& link = topo_->links()[trav.link_id];
-    LinkField f;
-    f.bg = trav.forward ? link.bg_fwd : link.bg_rev;
-    f.delay_ms = link.delay_ms;
-    f.capacity_bps = link.capacity_bps;
-    f.pkt_ms = 1500.0 * 8.0 / link.capacity_bps * 1e3;
-    f.a = std::clamp(1.0 - f.bg.theta, 0.0, 0.999);
-    f.epoch_ns = std::max<std::int64_t>(f.bg.epoch.ns(), 1);
-    f.stream = sim::hash_combine(
-        seed_,
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(trav.link_id)) << 1) |
-            (trav.forward ? 1u : 0u));
-    f.horizon = 1;
-    if (f.a > 1e-3) {
-      f.horizon =
-          std::min(64, static_cast<int>(std::ceil(-6.907755 / std::log(f.a))));
-    }
-    double w = 1.0, w2_sum = 0.0;
-    for (int j = 0; j < f.horizon; ++j) {
-      w2_sum += w * w;
-      w *= f.a;
-    }
-    f.stationary_sd = f.bg.sigma / std::sqrt(std::max(1e-9, 1.0 - f.a * f.a));
-    f.sqrt_w2 = std::sqrt(w2_sum);
-    f.has_diurnal = f.bg.diurnal_amp != 0.0;
-    for (const auto& ev : topo_->events()) {
-      if (ev.link_id == trav.link_id && ev.forward == trav.forward) {
-        f.events.push_back(ev);
-      }
-    }
-    oneway_ms += link.delay_ms;
-    agg->min_capacity_bps = std::min(agg->min_capacity_bps, link.capacity_bps);
-    agg->links.push_back(std::move(f));
-  }
-  agg->base_rtt_ms = 2.0 * oneway_ms;
-  return agg;
-}
-
-std::shared_ptr<const FlowModel::PathAggregates> FlowModel::aggregates(
-    const topo::PathRef& path) const {
-  const std::uint64_t epoch = topo_->mutation_epoch();
-  {
-    std::shared_lock<std::shared_mutex> lk(agg_mu_);
-    if (agg_epoch_ == epoch) {
-      auto it = agg_cache_.find(path.get());
-      if (it != agg_cache_.end()) return it->second;
-    }
-  }
-  // Build outside the lock; the first insert wins on a race (identical
-  // aggregates either way — they are a pure function of path and epoch).
-  auto agg = build_aggregates(path);
-  std::unique_lock<std::shared_mutex> lk(agg_mu_);
-  if (agg_epoch_ != epoch) {
-    agg_cache_.clear();
-    agg_epoch_ = epoch;
-  }
-  return agg_cache_.emplace(path.get(), std::move(agg)).first->second;
-}
-
-double FlowModel::field_utilization(const LinkField& f, Time t) const {
-  const std::uint64_t epoch = topo_->mutation_epoch();
-  FieldMemoEntry& memo = field_memo()[f.stream];
-  if (memo.valid && memo.model == model_tag_ && memo.epoch == epoch &&
-      memo.t_ns == t.ns()) {
-    return memo.u;
-  }
-  // Mirror of utilization() over precomputed constants; every floating
-  // point operation appears in the same shape and order.
-  const std::int64_t n = t.ns() / f.epoch_ns;
-  double acc = 0.0, w = 1.0;
-  for (int j = 0; j < f.horizon; ++j) {
-    acc += w * sim::hash_centered(
-                   sim::hash_combine(f.stream, static_cast<std::uint64_t>(n - j)));
-    w *= f.a;
-  }
-  double u = f.bg.mean_util + acc * f.stationary_sd / f.sqrt_w2;
-  u = std::clamp(u, 0.0, 0.98);
-  // diurnal_component returns exactly 0.0 when the amplitude is zero, and
-  // u >= 0 here, so skipping the call cannot change the sum's bits.
-  double out = f.has_diurnal ? u + net::diurnal_component(f.bg, t) : u;
-  for (const auto& ev : f.events) {
-    if (t >= ev.from && t < ev.until) out += ev.util_boost;
-  }
-  out = std::clamp(out, 0.0, 0.98);
-  // Field-wise write: the entry's hoisted utilization() constants (stamped
-  // independently) survive the value refresh.
-  memo.model = model_tag_;
-  memo.epoch = epoch;
-  memo.t_ns = t.ns();
-  memo.u = out;
-  memo.valid = true;
-  return out;
-}
-
-PathMetrics FlowModel::sample(const topo::PathRef& path, Time t) const {
-  const auto agg = aggregates(path);
-  PathMetrics m;
-  m.capacity_bps = agg->min_capacity_bps;
-  m.residual_bps = 1e18;
-  double survive = 1.0;
-  double oneway_ms = 0.0;
-  for (const LinkField& f : agg->links) {
-    const double u = field_utilization(f, t);
-    double one_minus_loss = 1.0 - net::loss_from_utilization(f.bg, u);
-    for (const auto& ev : f.events) {
-      if (ev.loss_boost != 0.0 && t >= ev.from && t < ev.until) {
-        one_minus_loss *= (1.0 - ev.loss_boost);
-      }
-    }
-    survive *= one_minus_loss;
-    oneway_ms += f.delay_ms;
-    // Light cross-traffic queueing (M/M/1-ish, negligible except when hot).
-    oneway_ms += std::min(5.0, u / std::max(0.02, 1.0 - u) * f.pkt_ms);
-    m.residual_bps = std::min(m.residual_bps, f.capacity_bps * (1.0 - u));
-  }
-  m.loss = 1.0 - survive;
-  m.rtt_ms = 2.0 * oneway_ms;
-  m.hop_count = agg->hop_count;
-  return m;
-}
-
 PathMetrics FlowModel::concat(const PathMetrics& a, const PathMetrics& b) {
   PathMetrics m;
   m.rtt_ms = a.rtt_ms + b.rtt_ms;
@@ -352,12 +212,19 @@ PathMetrics FlowModel::concat(const PathMetrics& a, const PathMetrics& b) {
 double FlowModel::tcp_throughput(const PathMetrics& m, sim::Rng& rng) const {
   TcpModelParams p = params_;
   if (m.rwnd_bytes > 0) p.rwnd_bytes = m.rwnd_bytes;
-  double t = pftk_throughput_bps(m.rtt_ms, m.loss, m.residual_bps, m.capacity_bps, p);
+  return noisy(
+      pftk_throughput_bps(m.rtt_ms, m.loss, m.residual_bps, m.capacity_bps, p),
+      m, rng);
+}
+
+double FlowModel::noisy(double pftk_bps, const PathMetrics& m,
+                        sim::Rng& rng) const {
+  double t = pftk_bps;
   // When the flow saturates the residual capacity it also builds queue;
   // throughput clips slightly below the residual rate.
   const double cap = std::min(m.residual_bps, m.capacity_bps);
   if (t > 0.92 * cap) t = cap * rng.uniform(0.88, 0.96);
-  return t * noise(rng);
+  return t * std::exp(rng.normal(0.0, params_.noise_sigma));
 }
 
 double FlowModel::overlay_plain(const PathMetrics& leg1, const PathMetrics& leg2,

@@ -1,9 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "model/simd/dispatch.h"
@@ -69,13 +66,42 @@ void pftk_throughput_batch(simd::Level level, std::size_t n,
 /// simulation would be prohibitive; its agreement with the packet
 /// simulator is enforced by tests.
 ///
-/// Thread-safety: `utilization`, `link_loss`, and `sample` are const and
-/// touch no mutable state — the utilization at (link, direction, t) is a
-/// pure function of the model seed, so concurrent measurements see one
-/// consistent world regardless of query order or thread count. The
-/// throughput predictors draw measurement noise: pass an explicit `Rng`
-/// (e.g. a per-pair stream) from parallel code; the overloads without one
-/// use the model's own serial stream and are NOT thread-safe.
+/// Static constants of one link direction's AR(1) utilization field: the
+/// coefficient, the truncation horizon of the weighted innovation sum, and
+/// the scale that restores the stationary variance. FlowModel::utilization
+/// and BatchSampler both derive them through field_constants, so the two
+/// samplers evaluate one set of expressions.
+struct FieldConstants {
+  double a = 0.0;              ///< AR(1) coefficient
+  int horizon = 1;             ///< truncation length of the weighted sum
+  double stationary_sd = 0.0;
+  double sqrt_w2 = 1.0;        ///< sqrt of the truncated weight norm
+};
+FieldConstants field_constants(const net::BackgroundParams& bg);
+
+/// Innovation stream id of one link direction's field under model seed
+/// `seed`; also the key both samplers deduplicate fields by.
+std::uint64_t field_stream(std::uint64_t seed, int link_id, bool forward);
+
+/// Analytic "measurement instrument": evaluates per-link utilizations as a
+/// stateless hash-indexed random field (stationary AR(1) statistics — the
+/// same process the packet-level BackgroundProcess integrates), derives
+/// path metrics, and predicts TCP / split-TCP / MPTCP throughput. Used for
+/// the paper's large-scale sweeps (6,600 paths) where packet-level
+/// simulation would be prohibitive; its agreement with the packet
+/// simulator is enforced by tests.
+///
+/// `sample` is the reference sampler; model::BatchSampler is its
+/// structure-of-arrays batch copy, pinned to it bit for bit by tests.
+///
+/// Thread-safety: `utilization` and `sample` are const and touch no shared
+/// mutable state (only a per-thread memo) — the utilization at (link,
+/// direction, t) is a pure function of the model seed, so concurrent
+/// measurements see one consistent world regardless of query order or
+/// thread count. The throughput predictors draw measurement noise: pass an
+/// explicit `Rng` (e.g. a per-pair stream) from parallel code; the
+/// overloads without one use the model's own serial stream and are NOT
+/// thread-safe.
 namespace detail {
 /// Process-unique tag per FlowModel instance; keys the per-thread
 /// field-value memo so models over different topologies never alias.
@@ -91,54 +117,20 @@ class FlowModel {
   /// random field, with diurnal component and scheduled transient events
   /// applied). Pure function of (seed, link, direction, t).
   double utilization(int link_id, bool forward, sim::Time t) const;
-  /// Loss probability of one link direction at time `t`.
-  double link_loss(int link_id, bool forward, sim::Time t) const;
 
   /// Sample the instantaneous metrics of a router path.
   PathMetrics sample(const topo::RouterPath& path, sim::Time t) const;
-  /// Fast-path overload for interned paths: per-path constants (AR(1)
-  /// field parameters, direction-resolved link conditions, matching
-  /// transient events) are precomputed once per cached path, so the
-  /// per-sample loop evaluates only the stochastic field itself. Bitwise
-  /// identical to the generic overload — enforced by tests.
-  PathMetrics sample(const topo::PathRef& path, sim::Time t) const;
   /// Metrics of the concatenation A->O->B (one tunnel; RTT and loss add).
   static PathMetrics concat(const PathMetrics& a, const PathMetrics& b);
 
-  /// Static per-link constants of one directed traversal, precomputed at
-  /// aggregate-build time so `sample` touches no topology state.
-  struct LinkField {
-    net::BackgroundParams bg;   ///< direction-resolved condition (copy)
-    double delay_ms = 0.0;
-    double capacity_bps = 0.0;
-    double pkt_ms = 0.0;        ///< 1500-byte serialization time, ms
-    std::uint64_t stream = 0;   ///< AR(1) innovation stream id
-    std::int64_t epoch_ns = 1;
-    double a = 0.0;             ///< AR(1) coefficient
-    int horizon = 1;            ///< truncation length of the weighted sum
-    double stationary_sd = 0.0;
-    double sqrt_w2 = 1.0;       ///< sqrt of the truncated weight norm
-    bool has_diurnal = false;
-    std::vector<topo::LinkEvent> events;  ///< transients on this direction
-  };
-
-  /// Precomputed static aggregates of one interned path: the quantities
-  /// the per-sample loop would otherwise re-derive on every call.
-  struct PathAggregates {
-    topo::PathRef path;          ///< pins the keying pointer alive
-    double base_rtt_ms = 0.0;    ///< uncongested propagation RTT
-    int hop_count = 0;
-    double min_capacity_bps = 1e18;
-    std::vector<LinkField> links;
-  };
-
-  /// The (memoized) aggregates of an interned path. Thread-safe; entries
-  /// are invalidated when the Internet's mutation_epoch advances (transient
-  /// events added, BGP failures injected).
-  std::shared_ptr<const PathAggregates> aggregates(const topo::PathRef& path) const;
-
   // --- Throughput predictors (bit/s), with measurement noise ---
   double tcp_throughput(const PathMetrics& m, sim::Rng& rng) const;
+  /// The measurement-noise tail of every TCP estimate, applied to a PFTK
+  /// rate for path `m`: a flow that saturates the residual capacity builds
+  /// queue and clips to cap × U(0.88, 0.96), then the rate takes lognormal
+  /// noise exp(N(0, noise_sigma)). tcp_throughput ends with it; batched
+  /// consumers that evaluate PFTK themselves call it with the same draws.
+  double noisy(double pftk_bps, const PathMetrics& m, sim::Rng& rng) const;
   /// Plain tunnel overlay: a single TCP connection over the whole A->O->B.
   double overlay_plain(const PathMetrics& leg1, const PathMetrics& leg2,
                        sim::Rng& rng) const;
@@ -186,29 +178,11 @@ class FlowModel {
   TcpModelParams& params() { return params_; }
 
  private:
-  double noise(sim::Rng& rng) const {
-    return std::exp(rng.normal(0.0, params_.noise_sigma));
-  }
-
-  std::shared_ptr<const PathAggregates> build_aggregates(
-      const topo::PathRef& path) const;
-  double field_utilization(const LinkField& f, sim::Time t) const;
-
   topo::Internet* topo_;
   std::uint64_t seed_;
   std::uint64_t model_tag_ = detail::next_flow_model_tag();
   sim::Rng rng_;  ///< serial stream backing the legacy overloads only
   TcpModelParams params_;
-
-  // Per-path aggregate memo, keyed on the interned path's address (the
-  // stored PathRef inside each entry keeps that address from being
-  // recycled). agg_epoch_ tracks the Internet mutation epoch the entries
-  // were built against; a mismatch clears the memo lazily.
-  mutable std::shared_mutex agg_mu_;
-  mutable std::unordered_map<const topo::RouterPath*,
-                             std::shared_ptr<const PathAggregates>>
-      agg_cache_;
-  mutable std::uint64_t agg_epoch_ = 0;  // guarded by agg_mu_
 };
 
 }  // namespace cronets::model

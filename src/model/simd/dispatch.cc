@@ -70,20 +70,6 @@ Level active_level() {
   return cached;
 }
 
-void ar1_innovations(Level level, std::uint64_t stream, std::int64_t n,
-                     int horizon, double* innov) {
-  switch (level) {
-#if defined(__x86_64__) || defined(_M_X64)
-    case Level::kAvx2:
-      detail::ar1_innovations_avx2(stream, n, horizon, innov);
-      return;
-#endif
-    default:
-      detail::ar1_innovations_scalar(stream, n, horizon, innov);
-      return;
-  }
-}
-
 void ar1_weighted_sums(Level level, int nf, const std::uint64_t* streams,
                        const std::int64_t* ns, const int* horizons,
                        const double* wt, int maxh, double* acc) {

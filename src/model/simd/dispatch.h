@@ -33,33 +33,25 @@ bool level_available(Level level);
 /// Cached after the first call.
 Level active_level();
 
-/// Fill innov[0..horizon) with the AR(1) innovation lanes of one field:
-///   innov[j] = sim::hash_centered(sim::hash_combine(stream, uint64(n - j)))
-/// Bitwise identical across levels: the hash is integer math and the
-/// uint64 -> double conversion plus affine map are exact IEEE operations,
-/// so vector lanes reproduce the scalar loop bit-for-bit. The caller keeps
-/// the exponentially-weighted *reduction* scalar, in lane order j = 0,1,...
-/// (the "deterministic lane-ordered reduction"), which is what pins
-/// SIMD == scalar at every batch size. `horizon` must be <= 64.
-void ar1_innovations(Level level, std::uint64_t stream, std::int64_t n,
-                     int horizon, double* innov);
-
 /// Exponentially-weighted AR(1) folds for a *group* of up to four link
 /// fields, one SIMD lane per field:
 ///   acc[k] = sum_{j=0}^{horizons[k]-1} wt[4*j + k] * innov_k(j)
-/// with innov_k(j) as in ar1_innovations for (streams[k], ns[k]). `wt` is
-/// the lane-transposed weight matrix: row j holds the four fields' j-th
-/// exponential weights, zero-padded past each field's own horizon, `maxh`
-/// rows total (maxh = max horizon of the group, <= 64).
+/// where innov_k(j) is the field's AR(1) innovation
+///   sim::hash_centered(sim::hash_combine(streams[k], uint64(ns[k] - j))).
+/// `wt` is the lane-transposed weight matrix: row j holds the four fields'
+/// j-th exponential weights, zero-padded past each field's own horizon,
+/// `maxh` rows total (maxh = max horizon of the group, <= 64).
 ///
-/// Each lane's accumulation runs in strict j order — the identical serial
-/// chain the scalar per-field fold executes — and a zero-padded term
-/// contributes an exact +/-0.0 (the accumulator is never -0.0, so adding
-/// it is a bitwise no-op). Hence acc[k] is bitwise identical to the scalar
-/// fold at every level; the win is four independent latency-bound chains
-/// advancing per vector add instead of one. streams/ns/horizons must have
-/// four entries (pad spare lanes with any valid field); only acc[0..nf)
-/// is meaningful.
+/// The innovations are bitwise identical across levels: the hash is
+/// integer math and the uint64 -> double conversion plus affine map are
+/// exact IEEE operations. Each lane's accumulation runs in strict j order —
+/// the identical serial chain the scalar per-field fold executes — and a
+/// zero-padded term contributes an exact +/-0.0 (the accumulator is never
+/// -0.0, so adding it is a bitwise no-op). Hence acc[k] is bitwise
+/// identical to the scalar fold at every level; the win is four
+/// independent latency-bound chains advancing per vector add instead of
+/// one. streams/ns/horizons must have four entries (pad spare lanes with
+/// any valid field); only acc[0..nf) is meaningful.
 void ar1_weighted_sums(Level level, int nf, const std::uint64_t* streams,
                        const std::int64_t* ns, const int* horizons,
                        const double* wt, int maxh, double* acc);

@@ -16,8 +16,6 @@ struct TcpModelParams;
 
 namespace cronets::model::simd::detail {
 
-void ar1_innovations_scalar(std::uint64_t stream, std::int64_t n, int horizon,
-                            double* innov);
 void ar1_weighted_sums_scalar(int nf, const std::uint64_t* streams,
                               const std::int64_t* ns, const int* horizons,
                               const double* wt, int maxh, double* acc);
@@ -27,8 +25,6 @@ void pftk_batch_scalar(std::size_t n, const double* rtt_ms, const double* loss,
                        double* out_bps);
 
 #if defined(__x86_64__) || defined(_M_X64)
-void ar1_innovations_avx2(std::uint64_t stream, std::int64_t n, int horizon,
-                          double* innov);
 void ar1_weighted_sums_avx2(int nf, const std::uint64_t* streams,
                             const std::int64_t* ns, const int* horizons,
                             const double* wt, int maxh, double* acc);

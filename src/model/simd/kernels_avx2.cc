@@ -7,8 +7,6 @@
 
 #include <immintrin.h>
 
-#include <cstring>
-
 #include "model/flow_model.h"
 #include "model/simd/kernels.h"
 
@@ -54,9 +52,9 @@ inline __m256d u64_to_double(__m256i v) {
   return _mm256_add_pd(_mm256_mul_pd(dhi, _mm256_set1_pd(0x1.0p32)), dlo);
 }
 
-// Four lanes of hash_centered(hash_combine(stream, n - j)) for consecutive
-// j. The additive constant of hash_combine depends only on `stream`, so it
-// is hoisted; the two splitmix64 rounds (one inside hash_combine, one
+// Four lanes of hash_centered(hash_combine(stream, b)). The additive
+// constant of hash_combine depends only on `stream`, so the caller hoists
+// it into `add`; the two splitmix64 rounds (one inside hash_combine, one
 // inside hash_u01) and the affine map to [-sqrt3, sqrt3] mirror the scalar
 // expressions operation for operation.
 inline __m256d centered_lanes(__m256i stream, __m256i add, __m256i b) {
@@ -70,29 +68,6 @@ inline __m256d centered_lanes(__m256i stream, __m256i add, __m256i b) {
 }
 
 }  // namespace
-
-void ar1_innovations_avx2(std::uint64_t stream, std::int64_t n, int horizon,
-                          double* innov) {
-  const __m256i vs = _mm256_set1_epi64x(static_cast<long long>(stream));
-  // hash_combine(a, b) mixes a ^ (b + C + (a<<6) + (a>>2)); fold the
-  // a-dependent terms into one per-field constant.
-  const __m256i add = _mm256_set1_epi64x(static_cast<long long>(
-      0x9e3779b97f4a7c15ull + (stream << 6) + (stream >> 2)));
-  const __m256i vn = _mm256_set1_epi64x(static_cast<long long>(n));
-  int j = 0;
-  for (; j + 4 <= horizon; j += 4) {
-    const __m256i b = _mm256_sub_epi64(
-        vn, _mm256_setr_epi64x(j, j + 1, j + 2, j + 3));
-    _mm256_storeu_pd(innov + j, centered_lanes(vs, add, b));
-  }
-  if (j < horizon) {
-    alignas(32) double tail[4];
-    const __m256i b = _mm256_sub_epi64(
-        vn, _mm256_setr_epi64x(j, j + 1, j + 2, j + 3));
-    _mm256_store_pd(tail, centered_lanes(vs, add, b));
-    std::memcpy(innov + j, tail, sizeof(double) * static_cast<std::size_t>(horizon - j));
-  }
-}
 
 void ar1_weighted_sums_avx2(int nf, const std::uint64_t* streams,
                             const std::int64_t* ns, const int* horizons,

@@ -12,6 +12,8 @@ namespace cronets::model::simd::detail {
 // level is pinned bitwise against these (tests/simd_test.cc and the
 // bench_micro "simd sample == scalar sample" row).
 
+namespace {
+
 void ar1_innovations_scalar(std::uint64_t stream, std::int64_t n, int horizon,
                             double* innov) {
   std::uint64_t keys[64];
@@ -22,6 +24,8 @@ void ar1_innovations_scalar(std::uint64_t stream, std::int64_t n, int horizon,
     innov[j] = sim::hash_centered(keys[j]);
   }
 }
+
+}  // namespace
 
 void ar1_weighted_sums_scalar(int nf, const std::uint64_t* streams,
                               const std::int64_t* ns, const int* horizons,

@@ -210,8 +210,8 @@ void OverlayGraph::measure(sim::Time t) {
     sampler_.sample_batch(sel_handles_.data(), m, t, metrics_.data());
 
     // Flat PFTK over the probed edges (SIMD-dispatched, bitwise
-    // level-invariant), then the same two per-edge noise draws
-    // FlowModel::tcp_throughput makes, from a stream keyed on
+    // level-invariant), then FlowModel::noisy, the noise tail
+    // FlowModel::tcp_throughput ends with, on a stream keyed on
     // (seed, src VM, dst VM, t) — so an edge estimate never depends on
     // measurement order or on which other edges share the batch.
     const model::TcpModelParams& p = flow_->params();
@@ -235,7 +235,6 @@ void OverlayGraph::measure(sim::Time t) {
                                  residual_bps_.data(), capacity_bps_.data(),
                                  rwnd_bytes_.data(), p, pftk_bps_.data());
 
-    const double sigma = p.noise_sigma;
     const double alpha = cfg_.ewma_alpha;
     const double th = cfg_.metric_threshold;
     for (std::size_t s = 0; s < m; ++s) {
@@ -245,10 +244,7 @@ void OverlayGraph::measure(sim::Time t) {
       const model::PathMetrics& mm = metrics_[s];
       sim::Rng rng(
           sim::pair_seed(seed_ ^ flow_->seed(), eps_[i], eps_[j], t.ns()));
-      double v = pftk_bps_[s];
-      const double cap = std::min(mm.residual_bps, mm.capacity_bps);
-      if (v > 0.92 * cap) v = cap * rng.uniform(0.88, 0.96);
-      v *= std::exp(rng.normal(0.0, sigma));
+      const double v = flow_->noisy(pftk_bps_[s], mm, rng);
       EdgeState& e = edge(i, j);
       e.last_bps = v;
       e.last_delay_ms = mm.rtt_ms;

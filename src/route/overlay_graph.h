@@ -34,8 +34,8 @@ struct MeasureConfig {
   double metric_threshold = 0.10;
   /// Selection structure: the ordered due-set (ProbeScheduler idiom) or
   /// the stateless full-scan reference. Both produce the same probe set
-  /// by construction; bench_multihop_routing's CRONETS_ROUTE_INCREMENTAL=0
-  /// runs the reference so the fingerprint gates keep re-proving it.
+  /// by construction; bench_multihop_routing's full-recompute runs use the
+  /// reference so its fingerprint checks keep re-proving it.
   bool incremental = true;
 };
 

@@ -45,9 +45,8 @@ struct RouteConfig {
   /// exchange rounds, per-destination route versions. Off runs the
   /// full-recompute reference — same probe schedule, same latched metrics,
   /// bitwise-identical tables and decisions; only the amount of work per
-  /// round differs. bench_multihop_routing exposes it as
-  /// CRONETS_ROUTE_INCREMENTAL, and the bench gate diffs the two modes
-  /// byte for byte.
+  /// round differs. bench_multihop_routing runs both modes in one process
+  /// and checks that every reported field matches.
   bool incremental = true;
   /// Probing cadence (see route::MeasureConfig): re-probe an edge every
   /// `probe_interval_rounds` rounds, at most `probe_budget` staleness

@@ -270,16 +270,14 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
     ++p.regret_samples;
   }
 
-  if (cfg_.record_history) {
-    p.history.direct.push_back(direct_raw);
-    std::vector<double> row;
-    row.reserve(p.candidates.size() - 1);
-    for (std::size_t ci = 1; ci < p.candidates.size(); ++ci) {
-      row.push_back(p.candidates[ci].last_bps);
-    }
-    p.history.overlay.push_back(std::move(row));
-    p.achieved_bps.push_back(p.last_pinned_bps);
+  p.history.direct.push_back(direct_raw);
+  std::vector<double> row;
+  row.reserve(p.candidates.size() - 1);
+  for (std::size_t ci = 1; ci < p.candidates.size(); ++ci) {
+    row.push_back(p.candidates[ci].last_bps);
   }
+  p.history.overlay.push_back(std::move(row));
+  p.achieved_bps.push_back(p.last_pinned_bps);
 
   // Re-rank: the challenger must clear the hysteresis margin over the
   // incumbent's objective (unless the incumbent is down/unreachable).

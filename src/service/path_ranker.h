@@ -25,10 +25,6 @@ struct RankerConfig {
   /// A challenger must beat the incumbent best path's smoothed score by
   /// this relative margin before the pair switches (and sessions migrate).
   double hysteresis = 0.10;
-  /// Record every probe into a core::PairHistory per pair (direct +
-  /// per-overlay split samples plus the score the pinned path achieved),
-  /// so regret and the core/selection baselines can be computed offline.
-  bool record_history = true;
   /// Multi-hop routing plane (not owned; null = feature off, zero new
   /// candidates, all fingerprints unchanged). When set AND the plane's
   /// policy is enabled, every pair also ranks kMultiHop candidates: enter
@@ -109,7 +105,8 @@ struct PairState {
   /// Session slots currently pinned to this pair (owned by SessionManager;
   /// order = admission order, with swap-removal on release).
   std::vector<std::uint32_t> sessions;
-  /// Probe log for offline analysis (RankerConfig::record_history).
+  /// Probe log: every probe's direct and per-overlay raw samples, so
+  /// regret and the core/selection baselines can be computed offline.
   core::PairHistory history;
   std::vector<double> achieved_bps;  ///< pinned path's raw sample per probe
   /// Regret inputs of the latest applied sample, both clamped to 0 on

@@ -105,7 +105,7 @@ TEST(BatchSampler, BitwiseEqualsScalarAtEveryBatchSize) {
         sampler.sample_batch(handles.data() + lo, len, t, out.data() + lo);
       }
       for (std::size_t i = 0; i < paths.size(); ++i) {
-        expect_metrics_equal(out[i], world.flow().sample(paths[i], t), "batch");
+        expect_metrics_equal(out[i], world.flow().sample(*paths[i], t), "batch");
       }
     }
   }
@@ -137,7 +137,7 @@ TEST(BatchSampler, ReinternsAfterTopologyMutation) {
                        out.data());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     expect_metrics_equal(out[i],
-                         world.flow().sample(paths[i], sim::Time::minutes(60)),
+                         world.flow().sample(*paths[i], sim::Time::minutes(60)),
                          "post-event");
   }
 
@@ -164,7 +164,7 @@ TEST(BatchSampler, ReinternsAfterTopologyMutation) {
                        out.data());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     expect_metrics_equal(out[i],
-                         world.flow().sample(paths[i], sim::Time::minutes(90)),
+                         world.flow().sample(*paths[i], sim::Time::minutes(90)),
                          "post-failure");
   }
 }
@@ -327,7 +327,7 @@ TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
     const sim::Time t = sim::Time::minutes(15 * (round + 1));
     sampler.sample_batch(handles.data(), handles.size(), t, out.data());
     for (std::size_t i = 0; i < paths.size(); ++i) {
-      expect_metrics_equal(out[i], world.flow().sample(paths[i], t), "storm");
+      expect_metrics_equal(out[i], world.flow().sample(*paths[i], t), "storm");
     }
   }
   net.remove_mutation_listener(listener);

@@ -1,9 +1,9 @@
 // The interning PathCache's contract: cached paths are structurally equal
 // to fresh expansions across an endpoint mesh, pointer-stable, dropped on
 // topology mutation, and deterministic under concurrent hammering. Also
-// pins the fast FlowModel::sample(PathRef) overload to the generic sampler
-// bit for bit — including after transient events invalidate the
-// precomputed aggregates.
+// checks that a transient event invalidates the per-path aggregates the
+// batch sampler interns, so its next batch matches the reference sampler
+// bit for bit on the mutated topology.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "model/batch_sampler.h"
 #include "model/flow_model.h"
 #include "topo/internet.h"
 #include "wkld/world.h"
@@ -204,7 +205,7 @@ TEST(PathCache, FlapStormWithListenerChurnKeepsCacheConsistent) {
 }
 
 void expect_same_metrics(const model::PathMetrics& a, const model::PathMetrics& b) {
-  // Exact comparison on purpose: the fast path must be bitwise identical.
+  // Exact comparison on purpose: batching must be bitwise identical.
   EXPECT_EQ(a.rtt_ms, b.rtt_ms);
   EXPECT_EQ(a.loss, b.loss);
   EXPECT_EQ(a.residual_bps, b.residual_bps);
@@ -212,34 +213,27 @@ void expect_same_metrics(const model::PathMetrics& a, const model::PathMetrics& 
   EXPECT_EQ(a.hop_count, b.hop_count);
 }
 
-TEST(PathAggregates, FastSampleMatchesGenericBitwise) {
-  wkld::World world(11);
-  const std::vector<int> eps = mesh_endpoints(world);
-  for (int src : eps) {
-    for (int dst : eps) {
-      if (src == dst) continue;
-      const topo::PathRef p = world.internet().cached_path(src, dst);
-      for (const sim::Time t :
-           {sim::Time::minutes(7), sim::Time::hours(3), sim::Time::hours(25)}) {
-        expect_same_metrics(world.flow().sample(p, t), world.flow().sample(*p, t));
-      }
-    }
-  }
-}
-
 TEST(PathAggregates, TransientEventInvalidatesAggregates) {
   wkld::World world(11);
   auto& net = world.internet();
   const std::vector<int> eps = mesh_endpoints(world);
   const int src = eps.front(), dst = eps.back();
-  const sim::Time t = sim::Time::hours(2);
+  const sim::Time t = sim::Time::hours(2), after = sim::Time::hours(4);
 
+  model::BatchSampler sampler(&world.flow());
+  const auto batch_sample = [&](sim::Time at) {
+    const int h = sampler.intern(net.cached_path(src, dst));
+    model::PathMetrics m;
+    sampler.sample_batch(&h, 1, at, &m);
+    return m;
+  };
   const topo::PathRef p = net.cached_path(src, dst);
-  const model::PathMetrics calm = world.flow().sample(p, t);
+  const model::PathMetrics calm = batch_sample(t);
+  const model::PathMetrics calm_after = batch_sample(after);
   expect_same_metrics(calm, world.flow().sample(*p, t));
 
   // Saturate the first traversed link inside a window covering t; the
-  // precomputed aggregates (which carry per-link event lists) must rebuild.
+  // interned aggregates (which carry per-link event lists) must rebuild.
   topo::LinkEvent ev;
   ev.link_id = p->traversals.front().link_id;
   ev.forward = p->traversals.front().forward;
@@ -247,15 +241,17 @@ TEST(PathAggregates, TransientEventInvalidatesAggregates) {
   ev.until = sim::Time::hours(3);
   ev.util_boost = 0.5;
   net.add_event(ev);
+  EXPECT_TRUE(sampler.begin_batch());
 
-  const model::PathMetrics hot = world.flow().sample(p, t);
+  const model::PathMetrics hot = batch_sample(t);
   expect_same_metrics(hot, world.flow().sample(*p, t));
   EXPECT_GT(hot.loss, calm.loss);
   EXPECT_LT(hot.residual_bps, calm.residual_bps);
 
   // Outside the window the event contributes nothing.
-  expect_same_metrics(world.flow().sample(p, sim::Time::hours(4)),
-                      world.flow().sample(*p, sim::Time::hours(4)));
+  const model::PathMetrics cooled = batch_sample(after);
+  expect_same_metrics(cooled, world.flow().sample(*p, after));
+  expect_same_metrics(cooled, calm_after);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The vectorized measurement kernels' contract: CRONETS_SIMD is a pure
 // performance knob. Every ISA level (AVX2 on x86-64, the portable scalar
-// reference) must produce bitwise identical AR(1) innovation lanes, PFTK
+// reference) must produce bitwise identical AR(1) weighted sums, PFTK
 // throughputs, and end-to-end batched samples — at every horizon, array
 // length (including ragged SIMD tails), and loss regime (the
 // branch-turned-blend).
@@ -38,33 +38,69 @@ TEST(SimdDispatch, LevelNames) {
   EXPECT_STREQ("avx2", model::simd::level_name(Level::kAvx2));
 }
 
+// One AR(1) field: hash stream, epoch, truncation horizon, weight ratio.
+struct Ar1Lane {
+  std::uint64_t stream;
+  std::int64_t n;
+  int horizon;
+  double a;
+};
+
+// Runs lanes[0..nf) as one ar1_weighted_sums group at every level and
+// asserts each lane bitwise equal to the per-field fold recomputed from the
+// hash primitives. Spare lanes repeat the last field; their outputs are
+// ignored.
+void expect_group_matches_fold(const Ar1Lane* lanes, int nf) {
+  std::uint64_t gs[4];
+  std::int64_t gn[4];
+  int gh[4];
+  int maxh = 0;
+  for (int k = 0; k < 4; ++k) {
+    const Ar1Lane& l = lanes[std::min(k, nf - 1)];
+    gs[k] = l.stream;
+    gn[k] = l.n;
+    gh[k] = l.horizon;
+    maxh = std::max(maxh, l.horizon);
+  }
+  // Lane-transposed weight matrix, zero-padded past each horizon.
+  std::vector<double> wt(4 * static_cast<std::size_t>(maxh), 0.0);
+  double want[4];
+  for (int k = 0; k < nf; ++k) {
+    const Ar1Lane& l = lanes[k];
+    double w = 1.0, acc = 0.0;
+    for (int j = 0; j < l.horizon; ++j) {
+      wt[4 * static_cast<std::size_t>(j) + static_cast<std::size_t>(k)] = w;
+      acc += w * sim::hash_centered(sim::hash_combine(
+                     l.stream, static_cast<std::uint64_t>(l.n - j)));
+      w *= l.a;
+    }
+    want[k] = acc;
+  }
+  std::vector<Level> levels = wide_levels();
+  levels.push_back(Level::kScalar);
+  for (const Level level : levels) {
+    double got[4];
+    model::simd::ar1_weighted_sums(level, nf, gs, gn, gh, wt.data(), maxh, got);
+    for (int k = 0; k < nf; ++k) {
+      ASSERT_EQ(want[k], got[k])
+          << model::simd::level_name(level) << " stream=" << gs[k]
+          << " n=" << gn[k] << " horizon=" << gh[k] << " nf=" << nf;
+    }
+  }
+}
+
 TEST(SimdAr1, MatchesScalarReferenceAtEveryHorizon) {
-  const auto levels = wide_levels();
-  if (levels.empty()) GTEST_SKIP() << "no wide SIMD level on this machine";
   // Streams and epochs spanning small, huge, and sign-wrapped values; every
-  // horizon 1..64 exercises each possible ragged tail.
+  // horizon 1..64 exercises each possible ragged tail of the j loop.
   const std::uint64_t streams[] = {0u, 1u, 0x9e3779b97f4a7c15ull,
                                    0xffffffffffffffffull, 12345678901234ull};
   const std::int64_t epochs[] = {0, 1, -3, 1'000'000'007, -987654321012345678};
-  for (const Level level : levels) {
-    for (const std::uint64_t stream : streams) {
-      for (const std::int64_t n : epochs) {
-        for (int horizon = 1; horizon <= 64; ++horizon) {
-          double ref[64], got[64];
-          model::simd::ar1_innovations(Level::kScalar, stream, n, horizon, ref);
-          model::simd::ar1_innovations(level, stream, n, horizon, got);
-          for (int j = 0; j < horizon; ++j) {
-            ASSERT_EQ(ref[j], got[j])
-                << model::simd::level_name(level) << " stream=" << stream
-                << " n=" << n << " horizon=" << horizon << " j=" << j;
-          }
-          // And against the hash primitives directly.
-          for (int j = 0; j < horizon; ++j) {
-            ASSERT_EQ(sim::hash_centered(sim::hash_combine(
-                          stream, static_cast<std::uint64_t>(n - j))),
-                      got[j]);
-          }
-        }
+  sim::Rng rng(7);
+  for (const std::uint64_t stream : streams) {
+    for (const std::int64_t n : epochs) {
+      for (int horizon = 1; horizon <= 64; ++horizon) {
+        const Ar1Lane lane{stream, n, horizon, 0.5 + 0.49 * rng.uniform()};
+        ASSERT_NO_FATAL_FAILURE(expect_group_matches_fold(&lane, 1));
       }
     }
   }
@@ -72,58 +108,24 @@ TEST(SimdAr1, MatchesScalarReferenceAtEveryHorizon) {
 
 TEST(SimdAr1, GroupedWeightedSumsMatchScalarFoldExactly) {
   // The grouped fold (four fields per kernel call, one lane each) must
-  // reproduce the plain per-field scalar fold bit-for-bit: zero-padded
-  // weight rows past a lane's horizon contribute exact +/-0.0 adds, and
-  // lane order never mixes fields. Exercised with mixed horizons per
-  // group, short tail groups (nf 1..4), and every available level.
+  // reproduce the plain per-field fold bit-for-bit: zero-padded weight rows
+  // past a lane's horizon contribute exact +/-0.0 adds, and lane order
+  // never mixes fields. Exercised with mixed horizons per group and short
+  // tail groups (nf 1..4).
   sim::Rng rng(11);
   const std::uint64_t streams[] = {3u, 0x9e3779b97f4a7c15ull, 77777777777ull,
                                    0xfedcba9876543210ull};
   const std::int64_t ns[] = {5, -2, 123456789, 0};
   for (int nf = 1; nf <= 4; ++nf) {
     for (const int base_h : {1, 7, 31, 64}) {
-      int horizons[4];
-      int maxh = 0;
+      Ar1Lane lanes[4];
       for (int k = 0; k < 4; ++k) {
         // Mixed horizons: base, then progressively shorter lanes.
-        horizons[k] = std::max(1, base_h - 9 * k);
-        if (k < nf) maxh = std::max(maxh, horizons[k]);
+        lanes[k] = {streams[k], ns[k], std::max(1, base_h - 9 * k),
+                    0.5 + 0.49 * rng.uniform()};
       }
-      // Lane-transposed weight matrix, zero-padded past each horizon.
-      std::vector<double> wt(4 * static_cast<std::size_t>(maxh), 0.0);
-      std::vector<std::vector<double>> w(4);
-      for (int k = 0; k < 4; ++k) {
-        double wk = 1.0;
-        const double a = 0.5 + 0.49 * rng.uniform();
-        for (int j = 0; j < horizons[k]; ++j) {
-          w[k].push_back(wk);
-          if (j < maxh) wt[4 * static_cast<std::size_t>(j) + k] = wk;
-          wk *= a;
-        }
-      }
-      double ref[4], got[4];
-      model::simd::ar1_weighted_sums(Level::kScalar, nf, streams, ns, horizons,
-                                     wt.data(), maxh, ref);
-      // Scalar reference recomputed from first principles.
-      for (int k = 0; k < nf; ++k) {
-        double acc = 0.0;
-        for (int j = 0; j < horizons[k]; ++j) {
-          acc += w[k][static_cast<std::size_t>(j)] *
-                 sim::hash_centered(sim::hash_combine(
-                     streams[k], static_cast<std::uint64_t>(ns[k] - j)));
-        }
-        ASSERT_EQ(acc, ref[k]) << "nf=" << nf << " base_h=" << base_h
-                               << " k=" << k;
-      }
-      for (const Level level : wide_levels()) {
-        model::simd::ar1_weighted_sums(level, nf, streams, ns, horizons,
-                                       wt.data(), maxh, got);
-        for (int k = 0; k < nf; ++k) {
-          ASSERT_EQ(ref[k], got[k])
-              << model::simd::level_name(level) << " nf=" << nf
-              << " base_h=" << base_h << " k=" << k;
-        }
-      }
+      ASSERT_NO_FATAL_FAILURE(expect_group_matches_fold(lanes, nf))
+          << "base_h=" << base_h;
     }
   }
 }

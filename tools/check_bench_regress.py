@@ -44,8 +44,7 @@ MATRIX = [
       for policy in ("max_goodput_under_budget", "min_cost_meeting_slo",
                      "pareto")],
     ("bench_chaos", (), (THREADS,)),
-    ("bench_multihop_routing", (),
-     (THREADS, ("CRONETS_ROUTE_INCREMENTAL", ("1", "0")))),
+    ("bench_multihop_routing", (), (THREADS,)),
     ("bench_multihop_routing", (), (SIMD,)),
     ("bench_cost_model", (), ()),
     ("bench_cost_pareto", (), (THREADS, SIMD)),
