@@ -436,7 +436,8 @@ int main(int argc, char** argv) {
 
   // Dispatched == scalar ISA, bit for bit, and an order-sensitive
   // fingerprint over the dispatched sweep (identical under any
-  // CRONETS_SIMD setting — the baseline the CI determinism legs diff).
+  // CRONETS_SIMD setting — what the SIMD axis of the bench gate's MATRIX
+  // diffs).
   int simd_eq_scalar = 1;
   std::uint64_t sample_fp = 0;
   for (const sim::Time at : {sim::Time::hours(5) + sim::Time::minutes(11),

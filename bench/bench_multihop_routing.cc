@@ -13,18 +13,20 @@
 // determinism witnesses — the plane's routing-table fingerprint and the
 // control plane's per-pair-merged decision fingerprint. Every `checks`
 // row is a pure function of the seed: the "(1=yes)" rows assert that the
-// incremental plane reproduces a full-recompute run of the same policy,
-// in the same process, bit for bit in every RunResult field, and the
-// bench gate (tools/check_bench_regress.py) diffs the whole text output
-// across CRONETS_THREADS 1/4 and CRONETS_SIMD auto/scalar (only
-// "-- timing:"/"-- config" rows are filtered).
+// default incremental plane reproduces a full-recompute run of the same
+// policy (RouteConfig::full_refresh_rounds = 1: every round recomputes
+// every entry), in the same process, bit for bit in every RunResult
+// field, and the bench gate (tools/check_bench_regress.py) diffs the
+// whole text output across CRONETS_THREADS 1/4 and CRONETS_SIMD
+// auto/scalar (only "-- timing:"/"-- config" rows are filtered).
 //
 // The `--dcs N` axis (default sweep: 32/128, plus 512 in full mode) grows
-// a synthetic DC mesh and runs the plane alone — incremental and full
-// reference in lockstep on one world, fingerprint-checked every warm and
-// perturbed round — reporting steady-state rounds/s for both modes, the
-// speedup, edges probed per round, and table-entry deltas per round. The
-// ">= 10x" gate at 128 DCs is the headline incrementality win.
+// a synthetic DC mesh and runs the plane alone — the default plane and
+// the full_refresh_rounds = 1 reference in lockstep on one world,
+// fingerprint-checked every warm and perturbed round — reporting
+// steady-state rounds/s for both, the speedup, edges probed per round,
+// and table-entry deltas per round. The ">= 10x" gate at 128 DCs is the
+// headline incrementality win.
 
 #include <chrono>
 #include <cstdio>
@@ -88,9 +90,9 @@ struct RunResult {
 
 // One full control-plane run. The world, plane config, workload and
 // congestion episode are fixed by the seed, so every RunResult field must
-// be bitwise identical across thread counts, and across incremental vs
-// full-recompute plane modes.
-RunResult run_one(route::Policy policy, bool smoke, bool incremental) {
+// be bitwise identical across thread counts, and at any
+// `full_refresh_rounds` (1 = the full-recompute reference).
+RunResult run_one(route::Policy policy, bool smoke, int full_refresh_rounds) {
   wkld::World world(bench::world_seed(), pathological_topology(),
                     pathological_cloud());
   auto& net = world.internet();
@@ -129,7 +131,7 @@ RunResult run_one(route::Policy policy, bool smoke, bool incremental) {
   route::RouteConfig rcfg;
   rcfg.policy = policy;
   rcfg.round_interval = sim::Time::seconds(1);
-  rcfg.incremental = incremental;
+  rcfg.full_refresh_rounds = full_refresh_rounds;
   route::RoutePlane plane(&net, &world.flow(), world.seed(), rcfg);
 
   service::BrokerConfig cfg;
@@ -226,8 +228,9 @@ struct ScaleResult {
   int timed_rounds = 0;
 };
 
-// The `--dcs` axis: the routing plane alone on an n-DC mesh, incremental
-// and full-recompute planes in lockstep on ONE world so both see the
+// The `--dcs` axis: the routing plane alone on an n-DC mesh, the default
+// incremental plane and the full-recompute reference
+// (full_refresh_rounds = 1) in lockstep on ONE world so both see the
 // identical mutation timeline. Fingerprints are compared after every warm
 // and perturbed round (and once after the timed quiescent window, where
 // per-round hashing would swamp the thing being measured); the timed
@@ -242,14 +245,13 @@ ScaleResult run_scale(route::Policy policy, int dcs, bool smoke) {
   base.round_interval = sim::Time::seconds(1);
   // A quiescent steady state probes each edge every 128 rounds (cadence
   // E/128 per round after the first sweep drains). Probing is the one
-  // cost the two modes share, so the interval — identical in both planes,
-  // and therefore fingerprint-neutral — sets the ceiling on the
-  // measurable incremental speedup.
+  // cost the two planes share, so the interval — identical in both, and
+  // therefore fingerprint-neutral — sets the ceiling on the measurable
+  // incremental speedup.
   base.probe_interval_rounds = 128;
-  route::RouteConfig inc_cfg = base;
-  inc_cfg.incremental = true;
+  const route::RouteConfig& inc_cfg = base;
   route::RouteConfig full_cfg = base;
-  full_cfg.incremental = false;
+  full_cfg.full_refresh_rounds = 1;
   route::RoutePlane inc(&net, &world.flow(), world.seed(), inc_cfg);
   route::RoutePlane full(&net, &world.flow(), world.seed(), full_cfg);
 
@@ -342,8 +344,9 @@ int main(int argc, char** argv) {
     const std::string tag = route::policy_name(policy);
     // The full-recompute run is the lockstep witness: it must reproduce
     // every field the incremental broker run reports.
-    const RunResult broker = run_one(policy, smoke, /*incremental=*/true);
-    const RunResult full = run_one(policy, smoke, /*incremental=*/false);
+    const RunResult broker =
+        run_one(policy, smoke, route::RouteConfig{}.full_refresh_rounds);
+    const RunResult full = run_one(policy, smoke, /*full_refresh_rounds=*/1);
     const bool same = full == broker;
     admitted_total += broker.admitted;
 

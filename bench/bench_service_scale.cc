@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/selection.h"
 #include "econ/pricing_book.h"
 #include "service/sharded_broker.h"
 #include "wkld/session_churn.h"
@@ -130,16 +129,15 @@ int main(int argc, char** argv) {
   // pairs_per_s is the headline sessions-admitted-per-wall-second rate.
   run.set_pairs(static_cast<long>(st.sessions_admitted));
 
-  // Aggregate goodput regret, recomputed from the recorded per-pair probe
-  // histories with the core/selection oracle (mptcp_achieved at
-  // efficiency 1 == the per-sample best path). Pairs are folded in
-  // pair-id order, so the sums are bitwise reproducible.
+  // Aggregate goodput regret: each pair sums, over its probes, the
+  // per-sample best path's rate (the oracle) and the pinned path's rate.
+  // Pairs are folded in pair-id order, so the sums are bitwise
+  // reproducible.
   double oracle_sum = 0.0, achieved_sum = 0.0;
   for (std::size_t g = 0; g < broker.pair_count(); ++g) {
     const auto& p = broker.pair(static_cast<int>(g));
-    const auto oracle = core::mptcp_achieved(p.history, 1.0);
-    for (double v : oracle) oracle_sum += v;
-    for (double v : p.achieved_bps) achieved_sum += v;
+    oracle_sum += p.oracle_bps_sum;
+    achieved_sum += p.pinned_bps_sum;
   }
   const double aggregate_regret =
       oracle_sum > 0.0 ? 1.0 - achieved_sum / oracle_sum : 0.0;

@@ -7,32 +7,38 @@
 
 namespace cronets::route {
 
+namespace {
+/// EWMA weight of a fresh edge sample (matches RankerConfig's default).
+constexpr double kEwmaAlpha = 0.3;
+/// Relative EWMA change that re-latches an edge's policy-facing metric.
+constexpr double kMetricThreshold = 0.10;
+}  // namespace
+
 OverlayGraph::OverlayGraph(topo::Internet* topo, const model::FlowModel* flow,
-                           std::uint64_t seed, MeasureConfig cfg)
-    : topo_(topo), flow_(flow), seed_(seed), cfg_(cfg), sampler_(flow) {
-  if (cfg_.probe_interval_rounds < 1) cfg_.probe_interval_rounds = 1;
+                           std::uint64_t seed, int probe_interval_rounds)
+    : topo_(topo),
+      flow_(flow),
+      seed_(seed),
+      interval_(std::max(1, probe_interval_rounds)),
+      sampler_(flow) {
   eps_ = topo_->dc_endpoints();
   n_ = static_cast<int>(eps_.size());
   as_.resize(eps_.size());
   for (int i = 0; i < n_; ++i) {
+    const auto ep = static_cast<std::size_t>(eps_[i]);
     as_[static_cast<std::size_t>(i)] = topo_->endpoint(eps_[i]).as_id;
-    node_of_ep_.emplace(eps_[i], i);
+    if (ep >= node_of_ep_.size()) node_of_ep_.resize(ep + 1, -1);
+    node_of_ep_[ep] = i;
   }
   const std::size_t nn =
       static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_);
   edges_.resize(nn);
   handles_.resize(static_cast<std::size_t>(n_) * (n_ > 0 ? n_ - 1 : 0));
   const int num_edges = n_ * (n_ > 0 ? n_ - 1 : 0);
-  budget_ = cfg_.probe_budget > 0
-                ? cfg_.probe_budget
-                : std::max(1, (num_edges + cfg_.probe_interval_rounds - 1) /
-                                  cfg_.probe_interval_rounds);
-  last_round_.assign(nn, -1);
-  if (cfg_.incremental) {
-    for (int i = 0; i < n_; ++i) {
-      for (int j = 0; j < n_; ++j) {
-        if (j != i) due_set_.insert({-1, i * n_ + j});
-      }
+  budget_ = std::max(1, (num_edges + interval_ - 1) / interval_);
+  for (int i = 0; i < n_; ++i) {
+    for (int j = 0; j < n_; ++j) {
+      due_.add(j == i ? sim::DueSet::kNeverDue : sim::DueSet::kDueNow);
     }
   }
   delay_dirty_rows_.assign(eps_.size(), 0);
@@ -80,15 +86,7 @@ void OverlayGraph::refresh_liveness(std::vector<int>* flipped) {
   }
 }
 
-void OverlayGraph::mark_dirty(int e) {
-  int& key = last_round_[static_cast<std::size_t>(e)];
-  if (key < 0) return;  // already due-now
-  if (cfg_.incremental) {
-    due_set_.erase({key, e});
-    due_set_.insert({-1, e});
-  }
-  key = -1;
-}
+void OverlayGraph::mark_dirty(int e) { due_.set(e, sim::DueSet::kDueNow); }
 
 void OverlayGraph::mark_node_edges_dirty(int node) {
   for (int j = 0; j < n_; ++j) {
@@ -120,48 +118,25 @@ void OverlayGraph::note_link_event(const topo::LinkEvent& ev) {
 }
 
 void OverlayGraph::select_due(std::vector<int>* out) {
+  // Dirty edges (kDueNow) first in edge order and budget-exempt, then the
+  // stale due edges most-stale-first with edge-index tie-break. During the
+  // first interval the threshold lies below kDueNow; the walk still visits
+  // every dirty edge.
   out->clear();
-  const int due_key = rounds_measured_ - cfg_.probe_interval_rounds;
-  if (cfg_.incremental) {
-    // Ordered due-set prefix walk (the ProbeScheduler idiom): dirty edges
-    // (key -1) first in edge order and budget-exempt, then the stale due
-    // edges most-stale-first with edge-index tie-break.
-    int taken = 0;
-    for (const auto& [key, e] : due_set_) {
-      if (key < 0) {
-        out->push_back(e);
-        continue;
-      }
-      if (key > due_key || taken >= budget_) break;
-      out->push_back(e);
+  int taken = 0;
+  due_.walk(rounds_measured_ - interval_, [&](std::int64_t key, int e) {
+    if (key != sim::DueSet::kDueNow) {
+      if (taken == budget_) return false;
       ++taken;
     }
-  } else {
-    // Stateless full-scan reference: identical selection by construction.
-    stale_scratch_.clear();
-    for (int i = 0; i < n_; ++i) {
-      for (int j = 0; j < n_; ++j) {
-        if (j == i) continue;
-        const int e = i * n_ + j;
-        const int key = last_round_[static_cast<std::size_t>(e)];
-        if (key < 0) {
-          out->push_back(e);
-        } else if (key <= due_key) {
-          stale_scratch_.emplace_back(key, e);
-        }
-      }
-    }
-    std::sort(stale_scratch_.begin(), stale_scratch_.end());
-    const int take =
-        std::min(budget_, static_cast<int>(stale_scratch_.size()));
-    for (int s = 0; s < take; ++s) out->push_back(stale_scratch_[s].second);
-  }
+    out->push_back(e);
+    return true;
+  });
 }
 
 void OverlayGraph::measure(sim::Time t) {
   std::fill(delay_dirty_rows_.begin(), delay_dirty_rows_.end(), 0);
-  rate_latch_moves_round_ = 0;
-  probed_last_round_ = 0;
+  rate_latch_moved_ = false;
   if (handles_.empty()) {
     ++rounds_measured_;
     return;
@@ -235,8 +210,8 @@ void OverlayGraph::measure(sim::Time t) {
                                  residual_bps_.data(), capacity_bps_.data(),
                                  rwnd_bytes_.data(), p, pftk_bps_.data());
 
-    const double alpha = cfg_.ewma_alpha;
-    const double th = cfg_.metric_threshold;
+    const double alpha = kEwmaAlpha;
+    const double th = kMetricThreshold;
     for (std::size_t s = 0; s < m; ++s) {
       const int eid = selected_[s];
       const int i = eid / n_;
@@ -246,8 +221,6 @@ void OverlayGraph::measure(sim::Time t) {
           sim::pair_seed(seed_ ^ flow_->seed(), eps_[i], eps_[j], t.ns()));
       const double v = flow_->noisy(pftk_bps_[s], mm, rng);
       EdgeState& e = edge(i, j);
-      e.last_bps = v;
-      e.last_delay_ms = mm.rtt_ms;
       if (e.measured) {
         e.ewma_bps = alpha * v + (1.0 - alpha) * e.ewma_bps;
         e.ewma_delay_ms = alpha * mm.rtt_ms + (1.0 - alpha) * e.ewma_delay_ms;
@@ -260,24 +233,16 @@ void OverlayGraph::measure(sim::Time t) {
       // fresh edge latches on first sight (|x - 0| > th*0 for any x > 0).
       if (std::abs(e.ewma_bps - e.metric_bps) > th * e.metric_bps) {
         e.metric_bps = e.ewma_bps;
-        ++rate_latch_moves_round_;
-        ++latch_moves_total_;
+        rate_latch_moved_ = true;
       }
       if (std::abs(e.ewma_delay_ms - e.metric_delay_ms) >
           th * e.metric_delay_ms) {
         e.metric_delay_ms = e.ewma_delay_ms;
         delay_dirty_rows_[static_cast<std::size_t>(i)] = 1;
-        ++latch_moves_total_;
       }
-      const int old_key = last_round_[static_cast<std::size_t>(eid)];
-      last_round_[static_cast<std::size_t>(eid)] = rounds_measured_;
-      if (cfg_.incremental) {
-        due_set_.erase({old_key, eid});
-        due_set_.insert({rounds_measured_, eid});
-      }
+      due_.set(eid, rounds_measured_);
     }
   }
-  probed_last_round_ = static_cast<int>(m);
   probed_total_ += m;
   ++rounds_measured_;
 }

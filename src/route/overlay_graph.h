@@ -1,43 +1,16 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "model/batch_sampler.h"
 #include "model/flow_model.h"
+#include "sim/due_set.h"
 #include "sim/time.h"
 #include "topo/internet.h"
 
 namespace cronets::route {
-
-/// Probing knobs of the overlay graph (a slice of route::RouteConfig,
-/// duplicated here so the graph does not depend on the policy header).
-struct MeasureConfig {
-  double ewma_alpha = 0.3;
-  /// An edge is due for a re-probe once it has gone this many rounds
-  /// without one. 1 = probe everything every round (the pre-incremental
-  /// behaviour).
-  int probe_interval_rounds = 8;
-  /// Edges re-probed per round on staleness alone; 0 = auto, one
-  /// interval's worth of the mesh (ceil(E / probe_interval_rounds)), so
-  /// the steady-state backlog never grows. Dirty edges (mutations, never
-  /// measured) bypass the budget — they are probed the round they appear.
-  int probe_budget = 0;
-  /// Relative EWMA change that re-latches the policy-facing metric of an
-  /// edge. Policies read the latched values, so estimate jitter below the
-  /// threshold provably cannot change any routing decision — that is what
-  /// lets the incremental exchange skip untouched (agent, destination)
-  /// rows while staying bitwise identical to the full recompute.
-  double metric_threshold = 0.10;
-  /// Selection structure: the ordered due-set (ProbeScheduler idiom) or
-  /// the stateless full-scan reference. Both produce the same probe set
-  /// by construction; bench_multihop_routing's full-recompute runs use the
-  /// reference so its fingerprint checks keep re-proving it.
-  bool incremental = true;
-};
 
 /// The routing plane's view of the cloud: one node per data-center VM
 /// endpoint, one directed edge per ordered DC pair, riding the private
@@ -48,11 +21,17 @@ struct MeasureConfig {
 /// at every SIMD level, and of the probe schedule, which is itself a pure
 /// function of the mutation timeline.
 ///
-/// Probing is incremental: each edge carries a staleness key (the round it
-/// was last probed; -1 = dirty, probe now). A round probes every dirty
-/// edge plus up to `probe_budget` of the most-stale due edges, so a
+/// Probing is incremental: an edge's staleness key in a sim::DueSet is the
+/// round it was last probed (kDueNow = dirty, probe now). A round probes
+/// every dirty edge plus the most-stale edges idle for at least
+/// `probe_interval_rounds`, at most ceil(E / interval) of them, so a
 /// quiescent mesh costs E/interval edge measurements per round instead of
-/// E. Mutation listeners feed the dirty set: a transient link event marks
+/// E and the backlog never grows. An edge's policy-facing metric
+/// re-latches only when its EWMA (weight 0.3) moves by more than 10%:
+/// jitter below that provably cannot change a routing decision, which is
+/// what lets the incremental exchange skip untouched rows bitwise-exactly.
+///
+/// Mutation listeners feed the dirty set: a transient link event marks
 /// every edge whose backbone path crosses the link dirty at the event's
 /// start and end, and a BGP adjacency change marks the flipped DC's edges
 /// dirty — so faults are re-measured the next round, not an interval later.
@@ -67,7 +46,7 @@ struct MeasureConfig {
 class OverlayGraph {
  public:
   OverlayGraph(topo::Internet* topo, const model::FlowModel* flow,
-               std::uint64_t seed, MeasureConfig cfg);
+               std::uint64_t seed, int probe_interval_rounds);
   ~OverlayGraph();
   OverlayGraph(const OverlayGraph&) = delete;
   OverlayGraph& operator=(const OverlayGraph&) = delete;
@@ -76,8 +55,9 @@ class OverlayGraph {
   int node_ep(int i) const { return eps_[static_cast<std::size_t>(i)]; }
   /// Node index of a DC VM endpoint; -1 for non-DC endpoints.
   int node_of_ep(int ep) const {
-    const auto it = node_of_ep_.find(ep);
-    return it == node_of_ep_.end() ? -1 : it->second;
+    // A negative id wraps past the end, so one compare rejects it too.
+    const auto k = static_cast<std::size_t>(ep);
+    return k < node_of_ep_.size() ? node_of_ep_[k] : -1;
   }
   bool node_up(int i) const { return up_[static_cast<std::size_t>(i)] != 0; }
   /// Bumped by every BGP adjacency change (the only mutation that can
@@ -91,9 +71,6 @@ class OverlayGraph {
 
   bool edge_measured(int i, int j) const { return edge(i, j).measured; }
   double ewma_bps(int i, int j) const { return edge(i, j).ewma_bps; }
-  double ewma_delay_ms(int i, int j) const { return edge(i, j).ewma_delay_ms; }
-  double last_bps(int i, int j) const { return edge(i, j).last_bps; }
-  double last_delay_ms(int i, int j) const { return edge(i, j).last_delay_ms; }
   /// Latched policy metrics: the EWMA as of its last threshold crossing.
   /// Both exchange policies read only these, so between latch moves their
   /// inputs are frozen — the incremental skip set falls out of that.
@@ -102,13 +79,7 @@ class OverlayGraph {
     return edge(i, j).metric_delay_ms;
   }
 
-  int rounds_measured() const { return rounds_measured_; }
-  const MeasureConfig& config() const { return cfg_; }
-  /// The resolved per-round staleness budget (auto = ceil(E/interval)).
-  int resolved_budget() const { return budget_; }
-
-  /// Edges probed in the latest round / since construction.
-  int edges_probed_last_round() const { return probed_last_round_; }
+  /// Edges probed since construction.
   std::uint64_t edges_probed_total() const { return probed_total_; }
 
   /// Rows (source nodes) with a delay-latch move in the latest round; the
@@ -120,16 +91,13 @@ class OverlayGraph {
   /// Any rate (bps) latch moved in the latest round. Backpressure weights
   /// couple every commodity to every edge rate, so one rate move wakes
   /// all virtual-queue columns for one round.
-  bool rate_latch_moved() const { return rate_latch_moves_round_ > 0; }
-  std::uint64_t latch_moves_total() const { return latch_moves_total_; }
+  bool rate_latch_moved() const { return rate_latch_moved_; }
 
  private:
   struct EdgeState {
     topo::PathRef path;  ///< interned backbone segment (pins the pointer)
     double ewma_bps = 0.0;
     double ewma_delay_ms = 0.0;
-    double last_bps = 0.0;
-    double last_delay_ms = 0.0;
     double metric_bps = 0.0;       ///< latched (policy-facing) rate
     double metric_delay_ms = 0.0;  ///< latched (policy-facing) delay
     bool measured = false;
@@ -152,13 +120,13 @@ class OverlayGraph {
   topo::Internet* topo_;
   const model::FlowModel* flow_;
   std::uint64_t seed_;
-  MeasureConfig cfg_;
-  int budget_ = 0;
+  int interval_ = 1;  ///< probe_interval_rounds, at least 1
+  int budget_ = 0;    ///< staleness probes per round: ceil(E / interval_)
 
   int n_ = 0;
   std::vector<int> eps_;  ///< node index -> DC VM endpoint id
   std::vector<int> as_;   ///< node index -> cloud AS id
-  std::unordered_map<int, int> node_of_ep_;
+  std::vector<int> node_of_ep_;  ///< endpoint id -> node index, -1 = not a DC
   std::vector<char> up_;
   std::uint64_t liveness_epoch_ = 0;
   int listener_id_ = -1;
@@ -166,22 +134,16 @@ class OverlayGraph {
 
   std::vector<EdgeState> edges_;  ///< n*n row-major; diagonal unused
 
-  // Staleness/dirty bookkeeping. `last_round_[e]` is the round the edge
-  // was last probed (-1 = dirty: never measured, or touched by a
-  // mutation). The incremental selection keeps the same keys in an
-  // ordered due-set, (key, edge) ascending — the ProbeScheduler idiom —
-  // whose prefix walk reproduces the full scan's sort exactly.
-  std::vector<int> last_round_;            ///< n*n, keyed like edges_
-  std::set<std::pair<int, int>> due_set_;  ///< (last_round, edge id)
+  // Staleness/dirty bookkeeping: per edge id (n*n row-major, keyed like
+  // edges_) the round it was last probed, kDueNow = dirty (never measured,
+  // or touched by a mutation), kNeverDue on the diagonal.
+  sim::DueSet due_;
   std::vector<std::pair<std::int64_t, int>> pending_dirty_;  ///< (ns, edge)
-  std::vector<int> selected_;              ///< scratch: this round's probes
-  std::vector<std::pair<int, int>> stale_scratch_;
+  std::vector<int> selected_;  ///< scratch: this round's probes
 
-  int probed_last_round_ = 0;
   std::uint64_t probed_total_ = 0;
   std::vector<char> delay_dirty_rows_;
-  int rate_latch_moves_round_ = 0;
-  std::uint64_t latch_moves_total_ = 0;
+  bool rate_latch_moved_ = false;
 
   // Batched measurement machinery (scratch persists across rounds so a
   // warm round allocates nothing).

@@ -7,35 +7,10 @@
 
 namespace cronets::route {
 
-void RouteComposer::mid_segments(const std::vector<int>& via_eps,
-                                 std::vector<topo::PathRef>* out) const {
-  out->clear();
-  for (std::size_t k = 1; k < via_eps.size(); ++k) {
-    out->push_back(topo_->cached_backbone_path(via_eps[k - 1], via_eps[k]));
-  }
-}
-
-void RouteComposer::segments(int src_ep, const std::vector<int>& via_eps,
-                             int dst_ep,
-                             std::vector<topo::PathRef>* out) const {
-  out->clear();
-  if (via_eps.empty()) {
-    out->push_back(topo_->cached_path(src_ep, dst_ep));
-    return;
-  }
-  out->push_back(topo_->cached_path(src_ep, via_eps.front()));
-  for (std::size_t k = 1; k < via_eps.size(); ++k) {
-    out->push_back(topo_->cached_backbone_path(via_eps[k - 1], via_eps[k]));
-  }
-  out->push_back(topo_->cached_path(via_eps.back(), dst_ep));
-}
-
 RoutePlane::RoutePlane(topo::Internet* topo, const model::FlowModel* flow,
                        std::uint64_t seed, RouteConfig cfg)
-    : topo_(topo),
-      cfg_(cfg),
-      graph_(topo, flow, seed, cfg.measure_config()),
-      composer_(topo),
+    : cfg_(cfg),
+      graph_(topo, flow, seed, cfg.probe_interval_rounds),
       policy_(make_policy(cfg)) {
   const int n = graph_.size();
   agents_.resize(static_cast<std::size_t>(n));
@@ -60,14 +35,13 @@ void RoutePlane::schedule_round(sim::Time t) {
 void RoutePlane::step(sim::Time t) {
   graph_.measure(t);
   ++rounds_;
-  if (policy_ == nullptr) return;
   const bool liveness_moved = graph_.liveness_epoch() != seen_liveness_epoch_;
   seen_liveness_epoch_ = graph_.liveness_epoch();
   RoundContext ctx;
-  ctx.incremental = cfg_.incremental;
   // Full refresh: the first round installs everything, a liveness move
   // invalidates node-up terms in every entry, and the periodic refresh
-  // keeps a standing audit that the delta path missed nothing.
+  // keeps a standing audit that the delta path missed nothing (every
+  // round, in the full_refresh_rounds = 1 reference).
   ctx.full_refresh = rounds_ == 1 || liveness_moved ||
                      (cfg_.full_refresh_rounds > 0 &&
                       rounds_ % cfg_.full_refresh_rounds == 0);
@@ -79,7 +53,8 @@ void RoutePlane::step(sim::Time t) {
   flaps_ += ctx.flaps;
   // Per-destination versions from the policy's changed bitsets: column d
   // moved somewhere => every cached route toward d may be stale. The bits
-  // are bitwise change detections, identical between modes.
+  // are bitwise change detections, identical in full and incremental
+  // rounds.
   if (ctx.changed_words != nullptr && ctx.words_per_agent > 0) {
     const int n = graph_.size();
     const int words = ctx.words_per_agent;
@@ -122,7 +97,6 @@ bool RoutePlane::route(int entry_ep, int exit_ep,
     via_eps->push_back(exit_ep);
     return true;
   };
-  if (policy_ == nullptr) return fallback();
   // Liveness is checked live, not via the tables: between a DC outage and
   // the next exchange round the tables still hold pre-outage routes, and a
   // chain to or through a dark DC must never be handed out.

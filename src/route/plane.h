@@ -13,29 +13,6 @@
 
 namespace cronets::route {
 
-/// Turns a node-index route into interned path segments. All lookups go
-/// through topo::PathCache (public legs in the normal key space, backbone
-/// legs in the backbone key space), so composing a k-hop path allocates
-/// nothing once warm and every consumer shares one immutable RouterPath
-/// per segment.
-class RouteComposer {
- public:
-  explicit RouteComposer(topo::Internet* topo) : topo_(topo) {}
-
-  /// The backbone segments between consecutive via DCs:
-  /// out[k] = backbone(via_eps[k] -> via_eps[k+1]). `out` is cleared first.
-  void mid_segments(const std::vector<int>& via_eps,
-                    std::vector<topo::PathRef>* out) const;
-
-  /// Full composed chain: public access leg src -> via_eps.front(), the
-  /// backbone mids, then public leg via_eps.back() -> dst.
-  void segments(int src_ep, const std::vector<int>& via_eps, int dst_ep,
-                std::vector<topo::PathRef>* out) const;
-
- private:
-  topo::Internet* topo_;
-};
-
 /// The multi-hop overlay routing plane: the overlay graph, one RoutingAgent
 /// per DC, and a RoutePolicy exchanging metrics between them in periodic
 /// rounds on the owner's event queue. Consumers (service::PathRanker via
@@ -44,14 +21,14 @@ class RouteComposer {
 /// and watch `pair_route_version()` to re-compose a cached candidate only
 /// when the table column or DC liveness behind it actually moved.
 ///
-/// Incrementality (RouteConfig::incremental, default on): the graph
-/// probes only dirty/stale edges per round, the policy recomputes only
-/// entries whose inputs moved, and consumers recompose only pairs whose
-/// destination version moved. A periodic full-refresh round recomputes
-/// everything anyway, and `incremental = false` runs the full-recompute
-/// reference over the same probe schedule — tables, fingerprints, and
-/// decisions are bitwise identical between the two modes; the benches and
-/// the bench gate diff them byte for byte.
+/// Incrementality: the graph probes only dirty/stale edges per round, the
+/// policy recomputes only entries whose inputs moved, and consumers
+/// recompose only pairs whose destination version moved. Every
+/// RouteConfig::full_refresh_rounds-th round recomputes everything anyway,
+/// and `full_refresh_rounds = 1` runs the full-recompute reference over
+/// the same probe schedule — tables, fingerprints, and decisions are
+/// bitwise identical at any value; the benches and the bench gate diff
+/// them byte for byte.
 ///
 /// Determinism: rounds run single-threaded on the event queue, agents
 /// update in node index order from round-start snapshots, and every edge
@@ -65,9 +42,6 @@ class RoutePlane {
 
   const RouteConfig& config() const { return cfg_; }
   const OverlayGraph& graph() const { return graph_; }
-  const RouteComposer& composer() const { return composer_; }
-  /// False for Policy::kOff: the plane never produces routes.
-  bool enabled() const { return policy_ != nullptr; }
 
   /// Schedule the first routing round at `start` on `queue`; subsequent
   /// rounds self-reschedule every cfg.round_interval. A plane attaches to
@@ -99,9 +73,9 @@ class RoutePlane {
   /// Per-pair staleness: the route() walk toward `exit_ep` reads only the
   /// table column of its exit node (plus liveness), so a consumer caching
   /// that pair's chain needs to recompose only when this moves. Identical
-  /// between incremental and full modes — both derive destination versions
-  /// from the same bitwise change trajectory. Falls back to the global
-  /// route_version() for non-DC endpoints.
+  /// at any full_refresh_rounds — full and incremental rounds derive
+  /// destination versions from the same bitwise change trajectory. Falls
+  /// back to the global route_version() for non-DC endpoints.
   std::uint64_t pair_route_version(int exit_ep) const {
     const int exit = graph_.node_of_ep(exit_ep);
     if (exit < 0) return route_version();
@@ -130,17 +104,16 @@ class RoutePlane {
   /// Incremental-work accounting across all rounds: table entries actually
   /// recomputed and entries that bitwise changed (the deltas that would go
   /// on the wire in a triggered-update protocol). `deltas_total` is
-  /// identical between modes; `entries_recomputed_total` is the work saved.
+  /// identical at any full_refresh_rounds; `entries_recomputed_total` is
+  /// the work saved.
   std::uint64_t entries_recomputed_total() const { return recomputed_total_; }
   std::uint64_t deltas_total() const { return deltas_total_; }
 
  private:
   void schedule_round(sim::Time t);
 
-  topo::Internet* topo_;
   RouteConfig cfg_;
   OverlayGraph graph_;
-  RouteComposer composer_;
   std::unique_ptr<RoutePolicy> policy_;
   std::vector<RoutingAgent> agents_;
   std::vector<std::uint64_t> dest_version_;  ///< per destination node

@@ -7,8 +7,6 @@ namespace cronets::route {
 
 const char* policy_name(Policy p) {
   switch (p) {
-    case Policy::kOff:
-      return "off";
     case Policy::kDelay:
       return "delay";
     case Policy::kBackpressure:
@@ -31,9 +29,9 @@ bool entry_equal(const RouteEntry& a, const RouteEntry& b) {
 
 /// Changed-entry bookkeeping shared by both policies: per-agent bitsets of
 /// destinations whose entry changed this round (reported to the plane via
-/// RoundContext) and last round (the delta-propagation frontier). Both
-/// modes run identical tracking — the bits are derived from bitwise entry
-/// comparisons, so full and incremental rounds record the same trajectory.
+/// RoundContext) and last round (the delta-propagation frontier). Full
+/// and incremental rounds run identical tracking — the bits are derived
+/// from bitwise entry comparisons, so both record the same trajectory.
 class DeltaTracker {
  public:
   void ensure(int n) {
@@ -127,7 +125,7 @@ class DelayPolicy final : public RoutePolicy {
     const int n = g.size();
     tracker_.ensure(n);
     tracker_.begin_round();
-    const bool inc = ctx->incremental && !ctx->full_refresh;
+    const bool inc = !ctx->full_refresh;
     // Round-start snapshot: every agent advertises the table it ended the
     // previous round with, so in-round updates cannot leak sideways. The
     // incremental path keeps the snapshot warm by re-copying only the
@@ -244,7 +242,7 @@ class DelayPolicy final : public RoutePolicy {
 };
 
 /// Backpressure routing on per-destination virtual queues (Rai, Singh,
-/// Modiano, arXiv:1612.05537): each round injects `bp_arrival` units of
+/// Modiano, arXiv:1612.05537): each round injects kArrival units of
 /// virtual work per commodity, then every node forwards to the neighbour
 /// maximizing (queue differential) x (edge rate). The next-hop choice IS
 /// the routing table; throughput-optimal under stability, at the cost of
@@ -260,11 +258,6 @@ class DelayPolicy final : public RoutePolicy {
 /// skip it until a rate latch or a liveness epoch move perturbs it.
 class BackpressurePolicy final : public RoutePolicy {
  public:
-  explicit BackpressurePolicy(const RouteConfig& cfg)
-      : arrival_(cfg.bp_arrival),
-        drain_(cfg.bp_drain),
-        rate_ref_bps_(cfg.bp_rate_ref_bps) {}
-
   const char* name() const override { return "backpressure"; }
 
   void round(const OverlayGraph& g, std::vector<RoutingAgent>* agents,
@@ -272,7 +265,7 @@ class BackpressurePolicy final : public RoutePolicy {
     const int n = g.size();
     tracker_.ensure(n);
     tracker_.begin_round();
-    const bool inc = ctx->incremental && !ctx->full_refresh;
+    const bool inc = !ctx->full_refresh;
     const std::size_t nn =
         static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
     if (qprev_.size() != nn) {
@@ -297,7 +290,7 @@ class BackpressurePolicy final : public RoutePolicy {
           a.queue[static_cast<std::size_t>(d)] = 0.0;
           if (d != i) tracker_.commit(&a, i, d, RouteEntry{}, ctx);
         } else if (d != i && g.node_up(d)) {
-          a.queue[static_cast<std::size_t>(d)] += arrival_;
+          a.queue[static_cast<std::size_t>(d)] += kArrival;
         }
       }
       // Round-start snapshot of this column.
@@ -335,7 +328,7 @@ class BackpressurePolicy final : public RoutePolicy {
           // congested edge backs its commodity up until the differential
           // steers it around.
           const double service =
-              drain_ * std::min(1.0, g.metric_bps(i, best_j) / rate_ref_bps_);
+              kDrain * std::min(1.0, g.metric_bps(i, best_j) / kRateRefBps);
           const double amount =
               std::min(a.queue[static_cast<std::size_t>(d)], service);
           a.queue[static_cast<std::size_t>(d)] -= amount;
@@ -368,9 +361,16 @@ class BackpressurePolicy final : public RoutePolicy {
   }
 
  private:
-  double arrival_;
-  double drain_;
-  double rate_ref_bps_;
+  /// Virtual work injected per (up src, up dst) per round, and the
+  /// per-destination amount one node may hand downstream per round over
+  /// an edge running at kRateRefBps (the Softlayer VM NIC). Slower edges
+  /// drain proportionally less, so severe congestion on an edge backs work
+  /// up behind it and the differential steers around it — queues stay
+  /// bounded while drain capacity exceeds arrivals.
+  static constexpr double kArrival = 1.0;
+  static constexpr double kDrain = 4.0;
+  static constexpr double kRateRefBps = 100e6;
+
   std::vector<double> qprev_;     ///< n*n end-of-previous-round queues
   std::vector<char> col_stable_;  ///< per destination: column at fixed point
   std::vector<double> qsnap_;     ///< scratch: this column's snapshot
@@ -380,15 +380,10 @@ class BackpressurePolicy final : public RoutePolicy {
 }  // namespace
 
 std::unique_ptr<RoutePolicy> make_policy(const RouteConfig& cfg) {
-  switch (cfg.policy) {
-    case Policy::kDelay:
-      return std::make_unique<DelayPolicy>(cfg);
-    case Policy::kBackpressure:
-      return std::make_unique<BackpressurePolicy>(cfg);
-    case Policy::kOff:
-      break;
+  if (cfg.policy == Policy::kBackpressure) {
+    return std::make_unique<BackpressurePolicy>();
   }
-  return nullptr;
+  return std::make_unique<DelayPolicy>(cfg);
 }
 
 }  // namespace cronets::route

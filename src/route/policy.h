@@ -12,7 +12,6 @@ namespace cronets::route {
 
 /// Which metric drives the distance-vector exchange.
 enum class Policy {
-  kOff,           ///< plane disabled: no multi-hop candidates anywhere
   kDelay,         ///< EWMA backbone delay + hysteresis (Jonglez-style DV)
   kBackpressure,  ///< per-destination virtual-queue differentials
 };
@@ -20,56 +19,27 @@ enum class Policy {
 const char* policy_name(Policy p);
 
 /// Knobs of the routing plane. Benches and tests set them in code; the
-/// library reads none of them from the environment.
+/// library reads none of them from the environment. A broker without
+/// multi-hop candidates has no plane at all (RankerConfig::route_plane is
+/// null).
 struct RouteConfig {
-  Policy policy = Policy::kOff;
+  Policy policy = Policy::kDelay;
   /// Maximum overlay hops (backbone edges) a composed route may take.
   /// 1 = plain one-hop relays only; the paper's 2-hop detours need >= 2.
   int max_hops = 3;
-  double ewma_alpha = 0.3;  ///< edge-estimate smoothing (matches the ranker)
   /// Delay policy: a challenger next-hop must beat the incumbent's fresh
   /// metric by this relative margin to displace it (route-flap damping).
   double hysteresis = 0.10;
   sim::Time round_interval = sim::Time::seconds(1);
-  /// Backpressure: virtual work injected per (up src, up dst) per round,
-  /// and the per-destination amount one node may hand downstream per round
-  /// over an edge running at `bp_rate_ref_bps` (the Softlayer VM NIC).
-  /// Slower edges drain proportionally less, so severe congestion on an
-  /// edge backs work up behind it and the differential steers around it —
-  /// queues stay bounded while drain capacity exceeds arrivals.
-  double bp_arrival = 1.0;
-  double bp_drain = 4.0;
-  double bp_rate_ref_bps = 100e6;
-
-  /// Incremental plane (default on): due-set probe selection, delta
-  /// exchange rounds, per-destination route versions. Off runs the
-  /// full-recompute reference — same probe schedule, same latched metrics,
-  /// bitwise-identical tables and decisions; only the amount of work per
-  /// round differs. bench_multihop_routing runs both modes in one process
-  /// and checks that every reported field matches.
-  bool incremental = true;
-  /// Probing cadence (see route::MeasureConfig): re-probe an edge every
-  /// `probe_interval_rounds` rounds, at most `probe_budget` staleness
-  /// probes per round (0 = one interval's worth of the mesh), and re-latch
-  /// a policy-facing metric only when the EWMA moved by
-  /// `metric_threshold` relative.
+  /// Probing cadence: re-probe an edge once it has gone this many rounds
+  /// without a probe (1 = probe everything every round). See OverlayGraph.
   int probe_interval_rounds = 8;
-  int probe_budget = 0;
-  double metric_threshold = 0.10;
-  /// Every this-many rounds the incremental path recomputes everything
-  /// anyway — a cheap standing audit that pins inc == full equivalence
-  /// (and the bench fingerprints cross both kinds of rounds).
+  /// Every this-many rounds the plane recomputes every table entry, not
+  /// only those whose inputs moved: a standing audit of the delta path.
+  /// 1 makes every round a full refresh — the full-recompute reference,
+  /// bitwise identical at any other value (bench_multihop_routing and the
+  /// route tests run it in lockstep with the default).
   int full_refresh_rounds = 64;
-
-  MeasureConfig measure_config() const {
-    MeasureConfig m;
-    m.ewma_alpha = ewma_alpha;
-    m.probe_interval_rounds = probe_interval_rounds;
-    m.probe_budget = probe_budget;
-    m.metric_threshold = metric_threshold;
-    m.incremental = incremental;
-    return m;
-  }
 };
 
 /// Per-round exchange context: the plane tells the policy which delta
@@ -79,8 +49,6 @@ struct RouteConfig {
 /// entries.
 struct RoundContext {
   // -- inputs (plane -> policy) --
-  /// Delta exchange enabled. False = recompute everything, every round.
-  bool incremental = false;
   /// Recompute everything this round regardless of dirtiness: first
   /// round, liveness epoch moved, or the periodic refresh came due.
   bool full_refresh = true;
@@ -114,13 +82,12 @@ struct RoundContext {
 /// order — deterministic by construction, no tie ever resolved by arrival
 /// order or wall clock.
 ///
-/// Incremental contract: when `ctx->incremental` and not
-/// `ctx->full_refresh`, the policy may skip any (agent, destination)
-/// entry whose inputs provably did not move — skipped entries keep their
-/// previous value, which is bitwise what a full recompute would have
-/// produced. The policies derive the skip set from the graph's latched
-/// metrics (frozen between threshold crossings) plus their own
-/// changed-entry bitsets from the previous round.
+/// Incremental contract: unless `ctx->full_refresh`, the policy may skip
+/// any (agent, destination) entry whose inputs provably did not move —
+/// skipped entries keep their previous value, which is bitwise what a full
+/// recompute would have produced. The policies derive the skip set from
+/// the graph's latched metrics (frozen between threshold crossings) plus
+/// their own changed-entry bitsets from the previous round.
 class RoutePolicy {
  public:
   virtual ~RoutePolicy() = default;
@@ -129,7 +96,7 @@ class RoutePolicy {
                      RoundContext* ctx) = 0;
 };
 
-/// Policy factory; returns null for Policy::kOff.
+/// Policy factory.
 std::unique_ptr<RoutePolicy> make_policy(const RouteConfig& cfg);
 
 }  // namespace cronets::route

@@ -49,7 +49,7 @@ void PathRanker::build_candidates(PairState* p) const {
   // the same one-hop probe's per-leg rates, so the feature adds no
   // measurement draws — rankings with the plane off are bitwise unchanged.
   const route::RoutePlane* plane = cfg_.route_plane;
-  if (plane != nullptr && plane->enabled()) {
+  if (plane != nullptr) {
     for (int oa : overlay_eps_) {
       if (oa == p->src || oa == p->dst) continue;
       if (plane->graph().node_of_ep(oa) < 0) continue;
@@ -78,7 +78,9 @@ void PathRanker::refresh_multihop(const PairState& p, Candidate* c) const {
   c->leg2 = topo_->cached_path(c->exit_ep, p.dst);
   if (plane == nullptr) return;
   if (plane->route(c->overlay_ep, c->exit_ep, &c->via)) {
-    plane->composer().mid_segments(c->via, &c->mids);
+    for (std::size_t k = 1; k < c->via.size(); ++k) {
+      c->mids.push_back(topo_->cached_backbone_path(c->via[k - 1], c->via[k]));
+    }
   }
   c->route_ver = plane->pair_route_version(c->exit_ep);
   // The chain moved, so what it costs moved with it.
@@ -198,7 +200,6 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
   const int prev_best = p.best;
   double pinned_raw = -1.0;
   double oracle_raw = 0.0;
-  double direct_raw = 0.0;
   for (std::size_t ci = 0; ci < p.candidates.size(); ++ci) {
     Candidate& c = p.candidates[ci];
     double raw = -1.0;
@@ -251,7 +252,6 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
     // adjacency): the flow model samples such paths as if they were empty
     // and returns a meaningless huge number, so clamp to zero here.
     if ((c.path && !c.path->valid) || (c.leg2 && !c.leg2->valid)) raw = 0.0;
-    if (c.kind == core::PathKind::kDirect) direct_raw = raw;
     c.last_bps = raw;
     c.score_bps = c.measured
                       ? cfg_.ewma_alpha * raw + (1.0 - cfg_.ewma_alpha) * c.score_bps
@@ -262,22 +262,14 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
     if (static_cast<int>(ci) == prev_best) pinned_raw = raw;
   }
   p.last_probe = t;
-  ++p.probes;
   p.last_oracle_bps = oracle_raw;
   p.last_pinned_bps = pinned_raw >= 0.0 ? pinned_raw : 0.0;
   if (p.last_oracle_bps > 0.0) {
     p.regret_sum += (p.last_oracle_bps - p.last_pinned_bps) / p.last_oracle_bps;
     ++p.regret_samples;
   }
-
-  p.history.direct.push_back(direct_raw);
-  std::vector<double> row;
-  row.reserve(p.candidates.size() - 1);
-  for (std::size_t ci = 1; ci < p.candidates.size(); ++ci) {
-    row.push_back(p.candidates[ci].last_bps);
-  }
-  p.history.overlay.push_back(std::move(row));
-  p.achieved_bps.push_back(p.last_pinned_bps);
+  p.oracle_bps_sum += p.last_oracle_bps;
+  p.pinned_bps_sum += p.last_pinned_bps;
 
   // Re-rank: the challenger must clear the hysteresis margin over the
   // incumbent's objective (unless the incumbent is down/unreachable).

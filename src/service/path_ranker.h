@@ -6,7 +6,6 @@
 
 #include "core/measure_model.h"
 #include "core/overlay.h"
-#include "core/selection.h"
 #include "econ/billing_ledger.h"
 #include "econ/pricing_book.h"
 #include "route/plane.h"
@@ -26,14 +25,14 @@ struct RankerConfig {
   /// this relative margin before the pair switches (and sessions migrate).
   double hysteresis = 0.10;
   /// Multi-hop routing plane (not owned; null = feature off, zero new
-  /// candidates, all fingerprints unchanged). When set AND the plane's
-  /// policy is enabled, every pair also ranks kMultiHop candidates: enter
-  /// the cloud at one VM, ride the plane's current backbone route, exit at
-  /// another. The plane must outlive the ranker and run on the same event
-  /// queue as the owning broker so that route reads are deterministic
-  /// (the broker attaches an un-attached plane to its own queue at
-  /// construction). One plane instance per broker — never share one
-  /// across brokers being compared against each other.
+  /// candidates, all fingerprints unchanged). When set, every pair also
+  /// ranks kMultiHop candidates: enter the cloud at one VM, ride the
+  /// plane's current backbone route, exit at another. The plane must
+  /// outlive the ranker and run on the same event queue as the owning
+  /// broker so that route reads are deterministic (the broker attaches an
+  /// un-attached plane to its own queue at construction). One plane
+  /// instance per broker — never share one across brokers being compared
+  /// against each other.
   route::RoutePlane* route_plane = nullptr;
   /// The economics plane (econ::EconConfig). With `econ.pricing` null the
   /// plane is off: no candidate is priced, the ranking objective is raw
@@ -93,31 +92,30 @@ struct ChargePlan {
 };
 
 /// Ranked path table of one (src, dst) pair, plus the broker bookkeeping
-/// that rides along with it (pinned sessions, probe staleness, history).
+/// that rides along with it (pinned sessions, probe staleness, regret).
 struct PairState {
   int src = -1;
   int dst = -1;
   std::vector<Candidate> candidates;  ///< [0] = direct, then overlays
   int best = 0;                       ///< hysteresis-stable current choice
   sim::Time last_probe{-1};           ///< negative: never probed
-  std::uint64_t probes = 0;
   std::uint64_t route_epoch = 0;      ///< broker: epoch candidates were built at
   /// Session slots currently pinned to this pair (owned by SessionManager;
   /// order = admission order, with swap-removal on release).
   std::vector<std::uint32_t> sessions;
-  /// Probe log: every probe's direct and per-overlay raw samples, so
-  /// regret and the core/selection baselines can be computed offline.
-  core::PairHistory history;
-  std::vector<double> achieved_bps;  ///< pinned path's raw sample per probe
   /// Regret inputs of the latest applied sample, both clamped to 0 on
   /// unreachable candidates: the best raw value any candidate scored, and
   /// what the path pinned *before* the sample was applied scored.
   double last_oracle_bps = 0.0;
   double last_pinned_bps = 0.0;
-  /// Per-pair goodput regret, accumulated by apply_sample in probe-time
-  /// order; the broker folds it over pairs in pair-id order.
+  /// Per-pair goodput regret and the two sums behind the aggregate regret
+  /// (last_oracle_bps and last_pinned_bps over every probe), accumulated
+  /// by apply_sample in probe-time order; callers fold them over pairs in
+  /// pair-id order.
   double regret_sum = 0.0;
   std::uint64_t regret_samples = 0;
+  double oracle_bps_sum = 0.0;
+  double pinned_bps_sum = 0.0;
   /// Order-sensitive hash chain over this pair's own control-plane
   /// decisions (admissions and repins, stamped via stamp_pair_admit /
   /// stamp_pair_repin) in simulated-time order.
@@ -188,7 +186,7 @@ class PathRanker {
 
   /// Fold a fresh measurement into the pair's smoothed scores and re-rank
   /// with hysteresis. Returns true when the best candidate changed (the
-  /// caller migrates sessions). Also logs regret inputs when recording.
+  /// caller migrates sessions). Also accumulates the regret inputs.
   bool apply_sample(int idx, const core::PairSample& s, sim::Time t);
 
   /// Re-intern every candidate path of the pair (after a route-changing

@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
-#include <utility>
 #include <vector>
 
+#include "sim/due_set.h"
 #include "sim/time.h"
 
 namespace cronets::service {
@@ -22,18 +21,15 @@ struct ProbeConfig {
   /// probe-overhead lever: tightening it trades ranking freshness (and
   /// goodput regret) for measurement traffic.
   int budget_per_tick = 256;
-  /// Incremental due-tracking: the broker notifies the scheduler per probe
-  /// (track_pair / on_probed / age_all) and each tick walks only the due
-  /// prefix of an ordered staleness set — O(churn), not O(pairs). Selection
-  /// is provably identical to the stateless full scan (same due predicate,
-  /// same (staleness, index) order), so fingerprints cannot move; the flag
-  /// exists to run both modes against each other in tests.
-  bool incremental = true;
 };
 
 /// Decides which pairs to probe at each tick: pairs whose ranking is stale
 /// (older than `interval`, or never measured) are selected most-stale
-/// first until the budget is spent. Selection is a pure function of the
+/// first until the budget is spent. The broker keeps a sim::DueSet keyed
+/// (last probe ns, pair id) in sync — track_pair at registration,
+/// on_probed per applied probe, age_all when a mutation resets every pair
+/// to never-probed — and each tick walks only its due prefix, so a tick
+/// costs O(churn), not O(pairs). Selection is a pure function of the
 /// pairs' probe timestamps, so it is deterministic at any thread count.
 class ProbeScheduler {
  public:
@@ -41,47 +37,30 @@ class ProbeScheduler {
 
   const ProbeConfig& config() const { return cfg_; }
 
-  /// Append up to budget due pair indices to `out`, most-stale first (ties
-  /// broken by pair index), scanning a flat staleness table indexed by
-  /// pair id (`last_probe[i]`, negative = never probed).
-  void select(const std::vector<sim::Time>& last_probe, sim::Time now,
-              std::vector<int>* out);
-
-  // --- incremental due-tracking (ProbeConfig::incremental) ---
-  // An ordered set keyed (last_probe ns, pair idx) mirrors the staleness
-  // table; each tick walks only its due prefix. The broker keeps it in
-  // sync: track_pair at registration, on_probed per applied probe,
-  // age_all when a mutation resets every pair to never-probed.
-
   /// Start tracking pair `idx` (must be the next dense index) as
   /// never-probed.
   void track_pair(int idx);
   /// Re-key pair `idx` after a probe was applied at time `t`.
   void on_probed(int idx, sim::Time t);
   /// Reset every tracked pair to never-probed (adjacency-restore sweeps).
-  void age_all();
-  /// Incremental equivalent of select(): walks the due prefix of the
-  /// ordered set — identical output to the stateless scan given the same
-  /// staleness values.
-  void select_incremental(sim::Time now, std::vector<int>* out);
-  /// Pairs examined by the last select_incremental (its due-prefix length):
-  /// zero on a clean steady-state tick, ~churn otherwise.
+  void age_all() { due_.reset_all(); }
+  /// Append up to budget due pair indices to `out`, most-stale first (ties
+  /// broken by pair index; never-probed pairs are the most stale and count
+  /// against the budget like any other).
+  void select(sim::Time now, std::vector<int>* out);
+  /// Pairs examined by the last select (its due-prefix length): zero on a
+  /// clean steady-state tick, ~churn otherwise.
   std::uint64_t last_scan() const { return last_scan_; }
-  std::size_t tracked() const { return key_of_.size(); }
 
   /// Pairs currently overdue (due but beyond this tick's budget) — the
   /// scheduler's staleness backlog, reported by the bench.
   std::uint64_t backlog() const { return backlog_; }
-  std::uint64_t selected() const { return selected_; }
 
  private:
   ProbeConfig cfg_;
   std::uint64_t backlog_ = 0;
-  std::uint64_t selected_ = 0;
   std::uint64_t last_scan_ = 0;
-  std::vector<std::pair<std::int64_t, int>> due_;  // (last_probe ns, idx)
-  std::set<std::pair<std::int64_t, int>> due_set_;  // incremental mirror
-  std::vector<std::int64_t> key_of_;  // pair idx -> key in due_set_
+  sim::DueSet due_;  ///< (last probe ns, pair idx); kDueNow = never probed
 };
 
 }  // namespace cronets::service

@@ -43,7 +43,7 @@ ShardedBroker::ShardedBroker(topo::Internet* topo,
   // The routing plane runs its rounds on the broker's own queue, so route
   // rounds interleave with probe ticks at fixed simulated times.
   route::RoutePlane* plane = cfg_.ranking.route_plane;
-  if (plane != nullptr && plane->enabled() && !plane->attached()) {
+  if (plane != nullptr && !plane->attached()) {
     plane->attach(&queue_, now_);
   }
   queue_.schedule(now_ + cfg_.probe.tick, [this] { probe_tick(); });
@@ -69,7 +69,6 @@ int ShardedBroker::register_pair(int src, int dst) {
   if (!fresh) return it->second;
   const int idx = ranker_.add_pair(src, dst);
   ranker_.pair(idx).route_epoch = route_epoch_;
-  last_probe_.push_back(sim::Time{-1});
   scheduler_.track_pair(idx);
   // Registration is the only place the sweep scratch may grow: any sweep
   // measures at most every registered pair, so steady-state probe ticks
@@ -130,15 +129,9 @@ void ShardedBroker::run_until(sim::Time t) {
 
 void ShardedBroker::probe_tick() {
   sel_scratch_.clear();
-  if (cfg_.probe.incremental) {
-    scheduler_.select_incremental(now_, &sel_scratch_);
-  } else {
-    scheduler_.select(last_probe_, now_, &sel_scratch_);
-  }
-  last_sweep_touched_ =
-      cfg_.probe.incremental ? scheduler_.last_scan() : pair_count();
+  scheduler_.select(now_, &sel_scratch_);
   ++counters_.probe_ticks;
-  counters_.sweep_pairs_touched += last_sweep_touched_;
+  counters_.sweep_pairs_touched += scheduler_.last_scan();
   if (!sel_scratch_.empty()) {
     measure_selection(sel_scratch_, now_);
     apply_selection(sel_scratch_, now_, /*force_repin=*/false);
@@ -207,7 +200,6 @@ int ShardedBroker::apply_probe(int pair_idx, const core::PairSample& s,
     stamp_pair_repin(p, moved);
   }
   ++counters_.probes;
-  last_probe_[static_cast<std::size_t>(pair_idx)] = p.last_probe;
   scheduler_.on_probed(pair_idx, p.last_probe);
   if (monitor_) {
     monitor_->on_probe_applied(pair_idx, t, changed || force_repin, moved);
@@ -226,7 +218,6 @@ void ShardedBroker::on_mutation(const topo::Mutation& m) {
     for (int i = 0; i < static_cast<int>(ranker_.size()); ++i) {
       ranker_.pair(i).last_probe = sim::Time{-1};
     }
-    std::fill(last_probe_.begin(), last_probe_.end(), sim::Time{-1});
     scheduler_.age_all();
     return;
   }

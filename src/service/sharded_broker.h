@@ -77,10 +77,10 @@ struct ShardedBrokerStats {
   std::uint64_t migrations = 0;
   std::uint64_t probes = 0;
   std::uint64_t probe_ticks = 0;
-  /// Pairs the probe sweeps examined, summed over ticks: the incremental
-  /// scheduler walks only each tick's due prefix (zero on a clean
-  /// steady-state tick), the stateless scan always walks every pair —
-  /// dividing by probe_ticks gives the dirty-set size the bench reports.
+  /// Pairs the probe sweeps examined, summed over ticks: the scheduler
+  /// walks only each tick's due prefix (zero on a clean steady-state
+  /// tick) — dividing by probe_ticks gives the dirty-set size the bench
+  /// reports.
   std::uint64_t sweep_pairs_touched = 0;
   std::uint64_t ranking_flips = 0;
   std::uint64_t failover_events = 0;
@@ -165,7 +165,7 @@ class ShardedBroker final {
   /// When the pair's ranking was last refreshed (negative: never probed) —
   /// the staleness behind the next admission decision.
   sim::Time pair_last_probe(int pair_idx) const {
-    return last_probe_[static_cast<std::size_t>(pair_idx)];
+    return ranker_.pair(pair_idx).last_probe;
   }
 
   /// Attach (or detach with nullptr) a decision observer. Observation
@@ -201,7 +201,7 @@ class ShardedBroker final {
 
   /// Pairs examined by the most recent probe tick's sweep (0 when every
   /// ranking is fresh).
-  std::uint64_t last_sweep_touched() const { return last_sweep_touched_; }
+  std::uint64_t last_sweep_touched() const { return scheduler_.last_scan(); }
 
   /// Counters plus the fingerprint and regret folds, computed on demand.
   ShardedBrokerStats stats() const;
@@ -245,11 +245,9 @@ class ShardedBroker final {
   std::uint64_t route_epoch_ = 0;
 
   std::unordered_map<std::uint64_t, int> pair_index_;  // (src,dst) -> id
-  std::vector<sim::Time> last_probe_;                  // id -> staleness
 
   /// The event-driven counters; stats() adds the on-demand folds.
   ShardedBrokerStats counters_;
-  std::uint64_t last_sweep_touched_ = 0;
   std::vector<int> pending_failover_pairs_;
   sim::Time pending_failover_since_{-1};
   bool failover_scheduled_ = false;

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "econ/pricing_book.h"
 #include "route/plane.h"
 #include "service/sharded_broker.h"
+#include "sim/rng.h"
 #include "sim/thread_pool.h"
 #include "topo/internet.h"
 #include "wkld/session_churn.h"
@@ -38,12 +41,11 @@ BrokerConfig scenario_config() {
 
 /// One broker run: churn workload + a transit-adjacency failure halfway
 /// through. Every field of the result must be a pure function of the
-/// seeds and config — never of `threads` (nor of `incremental`, the
-/// dirty-set scheduler being a pure performance knob). `probe_all` makes
-/// every pair due on every tick, so each sweep spans several
-/// core::kProbeBatchSize batches and fans out over the pool.
+/// seeds and config — never of `threads`. `probe_all` makes every pair due
+/// on every tick, so each sweep spans several core::kProbeBatchSize
+/// batches and fans out over the pool.
 ScenarioResult run_scenario(int threads, double nic_cap_bps = 0.0,
-                            bool incremental = true, bool probe_all = false) {
+                            bool probe_all = false) {
   wkld::World world(kWorldSeed);
   const auto clients = world.make_web_clients(12);
   const auto servers = world.make_servers();
@@ -51,7 +53,6 @@ ScenarioResult run_scenario(int threads, double nic_cap_bps = 0.0,
 
   BrokerConfig cfg = scenario_config();
   cfg.nic_capacity_bps = nic_cap_bps;
-  cfg.probe.incremental = incremental;
   if (probe_all) {
     cfg.probe.interval = cfg.probe.tick;
     cfg.probe.budget_per_tick =
@@ -126,10 +127,9 @@ TEST(ServiceDeterminism, BitwiseIdenticalAcrossThreadCounts) {
 
   // Full sweeps: more than one batch per tick, so the 4-thread run
   // measures on its pool.
-  const ScenarioResult sweep_serial =
-      run_scenario(1, 0.0, /*incremental=*/true, /*probe_all=*/true);
+  const ScenarioResult sweep_serial = run_scenario(1, 0.0, /*probe_all=*/true);
   const ScenarioResult sweep_parallel =
-      run_scenario(4, 0.0, /*incremental=*/true, /*probe_all=*/true);
+      run_scenario(4, 0.0, /*probe_all=*/true);
   expect_same_decisions(sweep_serial, sweep_parallel);
   EXPECT_GT(sweep_serial.stats.probes,
             sweep_serial.stats.probe_ticks * core::kProbeBatchSize);
@@ -408,7 +408,7 @@ TEST(PathRanker, EwmaSmoothsAndHysteresisDamsFlapping) {
 TEST(PathRanker, RegretInputsClampUnreachableCandidates) {
   // An unreachable direct path samples as a huge bogus number (the flow
   // model evaluates an empty path); the ranker must clamp it out of the
-  // score, the history, and the oracle/pinned regret inputs.
+  // score and out of the oracle/pinned regret inputs and their sums.
   wkld::World world(kWorldSeed);
   const auto clients = world.make_web_clients(2);
   const auto servers = world.make_servers();
@@ -433,52 +433,18 @@ TEST(PathRanker, RegretInputsClampUnreachableCandidates) {
 
   const PairState& p = ranker.pair(idx);
   EXPECT_EQ(p.candidates[0].last_bps, 0.0);
-  EXPECT_EQ(p.history.direct.back(), 0.0);
   EXPECT_EQ(p.best, 1);
   EXPECT_DOUBLE_EQ(p.last_oracle_bps, 5e6);
   // The pin was the (unreachable) direct path at sample time: zero goodput.
   EXPECT_EQ(p.last_pinned_bps, 0.0);
-}
+  EXPECT_EQ(p.oracle_bps_sum, 5e6);
+  EXPECT_EQ(p.pinned_bps_sum, 0.0);
 
-TEST(ProbeScheduler, BudgetSelectsMostStaleFirst) {
-  ProbeConfig cfg;
-  cfg.interval = sim::Time::seconds(10);
-  cfg.budget_per_tick = 2;
-  ProbeScheduler sched(cfg);
-
-  // Staleness table of pairs a..d: b and d never probed; a stale; c fresh.
-  const int a = 0, b = 1, d = 3;
-  std::vector<sim::Time> last_probe = {sim::Time::seconds(5), sim::Time{-1},
-                                       sim::Time::seconds(19), sim::Time{-1}};
-  std::vector<int> out;
-  sched.select(last_probe, sim::Time::seconds(20), &out);
-  // Never-probed pairs are the most stale, in index order; budget cuts
-  // the also-due `a`.
-  EXPECT_EQ(out, (std::vector<int>{b, d}));
-  EXPECT_EQ(sched.backlog(), 1u);
-
-  // Once those two are probed (the broker stamps the table when applying
-  // the sample), the backlog drains on the next tick.
-  last_probe[b] = sim::Time::seconds(20);
-  last_probe[d] = sim::Time::seconds(20);
-  out.clear();
-  sched.select(last_probe, sim::Time::seconds(21), &out);
-  EXPECT_EQ(out, std::vector<int>{a});
-  EXPECT_EQ(sched.backlog(), 0u);
-}
-
-TEST(IncrementalReRank, DirtySetSweepsMatchFullScanBitwise) {
-  // The dirty-set machinery (incremental probe scheduling + cached
-  // admission orders) is a pure performance knob: the full-scan reference
-  // run must agree decision for decision, bit for bit.
-  const ScenarioResult inc = run_scenario(1, 0.0, /*incremental=*/true);
-  const ScenarioResult full = run_scenario(1, 0.0, /*incremental=*/false);
-  expect_same_decisions(inc, full);
-  EXPECT_EQ(inc.stats.probe_ticks, full.stats.probe_ticks);
-  // Same decisions, far less work: the stateless scan examines every pair
-  // on every tick, the incremental sweep only the due prefix.
-  EXPECT_GT(inc.stats.probe_ticks, 0u);
-  EXPECT_LT(inc.stats.sweep_pairs_touched, full.stats.sweep_pairs_touched);
+  // The next probe finds the relay pinned: both sums grow by its rate,
+  // and the bogus direct sample still adds nothing.
+  ranker.apply_sample(idx, s, sim::Time::seconds(2));
+  EXPECT_EQ(p.oracle_bps_sum, 1e7);
+  EXPECT_EQ(p.pinned_bps_sum, 5e6);
 }
 
 TEST(IncrementalReRank, CleanSteadyStateSweepTouchesZeroPairs) {
@@ -506,9 +472,10 @@ TEST(IncrementalReRank, CleanSteadyStateSweepTouchesZeroPairs) {
 }
 
 TEST(IncrementalReRank, IncrementalSelectionMatchesStatelessScan) {
-  // Same staleness state as the BudgetSelectsMostStaleFirst scenario, fed
-  // through the ordered due set: identical selection, but last_scan()
-  // counts only the due prefix.
+  // Four pairs a..d: b and d never probed, a stale, c fresh. A stateless
+  // scan would select the never-probed pairs first, in index order, and
+  // the budget would cut the also-due `a`; the ordered due set selects the
+  // same, but last_scan() counts only the due prefix.
   ProbeConfig cfg;
   cfg.interval = sim::Time::seconds(10);
   cfg.budget_per_tick = 2;
@@ -518,7 +485,7 @@ TEST(IncrementalReRank, IncrementalSelectionMatchesStatelessScan) {
   sched.on_probed(0, sim::Time::seconds(5));
   sched.on_probed(2, sim::Time::seconds(19));
   std::vector<int> out;
-  sched.select_incremental(sim::Time::seconds(20), &out);
+  sched.select(sim::Time::seconds(20), &out);
   EXPECT_EQ(out, (std::vector<int>{1, 3}));
   EXPECT_EQ(sched.backlog(), 1u);
   EXPECT_EQ(sched.last_scan(), 3u);  // the three due pairs, not all four
@@ -526,7 +493,7 @@ TEST(IncrementalReRank, IncrementalSelectionMatchesStatelessScan) {
   sched.on_probed(1, sim::Time::seconds(20));
   sched.on_probed(3, sim::Time::seconds(20));
   out.clear();
-  sched.select_incremental(sim::Time::seconds(21), &out);
+  sched.select(sim::Time::seconds(21), &out);
   EXPECT_EQ(out, std::vector<int>{0});
   EXPECT_EQ(sched.backlog(), 0u);
   EXPECT_EQ(sched.last_scan(), 1u);
@@ -534,16 +501,105 @@ TEST(IncrementalReRank, IncrementalSelectionMatchesStatelessScan) {
   // Fresh fleet: the due prefix is empty.
   sched.on_probed(0, sim::Time::seconds(21));
   out.clear();
-  sched.select_incremental(sim::Time::seconds(22), &out);
+  sched.select(sim::Time::seconds(22), &out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(sched.last_scan(), 0u);
 
   // age_all resets every pair to never-probed (adjacency restore).
   sched.age_all();
   out.clear();
-  sched.select_incremental(sim::Time::seconds(22), &out);
+  sched.select(sim::Time::seconds(22), &out);
   EXPECT_EQ(out, (std::vector<int>{0, 1}));  // index order, budget 2
   EXPECT_EQ(sched.last_scan(), 4u);
+}
+
+/// Reference for ProbeScheduler::select, a stateless full scan: every pair
+/// never probed (negative time) or probed at least `interval` ago, sorted
+/// by (staleness, index), cut at the budget.
+struct ScanOracle {
+  std::vector<int> selected;
+  std::uint64_t due = 0;
+};
+
+ScanOracle stateless_scan(const std::vector<sim::Time>& last_probe,
+                          sim::Time now, const ProbeConfig& cfg) {
+  std::vector<std::pair<std::int64_t, int>> due;
+  for (int i = 0; i < static_cast<int>(last_probe.size()); ++i) {
+    const sim::Time t = last_probe[static_cast<std::size_t>(i)];
+    if (t.ns() < 0) {
+      due.emplace_back(-1, i);
+    } else if (now - t >= cfg.interval) {
+      due.emplace_back(t.ns(), i);
+    }
+  }
+  std::sort(due.begin(), due.end());
+  std::size_t take = due.size();
+  if (cfg.budget_per_tick > 0) {
+    take = std::min(take, static_cast<std::size_t>(cfg.budget_per_tick));
+  }
+  ScanOracle out;
+  out.due = due.size();
+  for (std::size_t k = 0; k < take; ++k) out.selected.push_back(due[k].second);
+  return out;
+}
+
+TEST(ProbeScheduler, DueSetMatchesStatelessScanOracle) {
+  // Random broker-shaped traffic against the scheduler: pairs register
+  // over time, every selected pair is probed at its tick, failover-style
+  // out-of-band probes land between ticks, and adjacency restores age the
+  // whole fleet. Every tick must select exactly what the stateless scan
+  // selects, and report its due count and backlog.
+  for (const int budget : {0, 1, 3, 7}) {
+    ProbeConfig cfg;
+    cfg.interval = sim::Time::seconds(10);
+    cfg.budget_per_tick = budget;
+    ProbeScheduler sched(cfg);
+    std::vector<sim::Time> last_probe;
+    sim::Rng rng(0xD0E5 + static_cast<std::uint64_t>(budget));
+    const auto probe = [&](int i, sim::Time t) {
+      sched.on_probed(i, t);
+      last_probe[static_cast<std::size_t>(i)] = t;
+    };
+    std::uint64_t selected_total = 0, backlogged_ticks = 0;
+    for (int tick = 1; tick <= 200; ++tick) {
+      const sim::Time now = sim::Time::seconds(tick);
+      if (last_probe.size() < 40 && rng.bernoulli(0.3)) {
+        for (int k = 1 + static_cast<int>(rng.index(3)); k > 0; --k) {
+          sched.track_pair(static_cast<int>(last_probe.size()));
+          last_probe.push_back(sim::Time{-1});
+        }
+      }
+      if (!last_probe.empty() && rng.bernoulli(0.3)) {
+        // A failover batch re-probes a few pairs at one instant between
+        // ticks (shared timestamps exercise the index tie-break).
+        const sim::Time t = now - sim::Time::milliseconds(
+                                      1 + static_cast<int>(rng.index(999)));
+        for (int k = 1 + static_cast<int>(rng.index(4)); k > 0; --k) {
+          probe(static_cast<int>(rng.index(last_probe.size())), t);
+        }
+      }
+      if (rng.bernoulli(0.02)) {
+        sched.age_all();
+        std::fill(last_probe.begin(), last_probe.end(), sim::Time{-1});
+      }
+
+      const ScanOracle want = stateless_scan(last_probe, now, cfg);
+      std::vector<int> got;
+      sched.select(now, &got);
+      ASSERT_EQ(got, want.selected) << "budget " << budget << " tick " << tick;
+      ASSERT_EQ(sched.last_scan(), want.due);
+      ASSERT_EQ(sched.backlog(), want.due - want.selected.size());
+      for (const int i : got) probe(i, now);
+      selected_total += got.size();
+      if (sched.backlog() > 0) ++backlogged_ticks;
+    }
+    // The traffic actually exercised selection, and tight budgets
+    // actually cut the due set.
+    EXPECT_GT(selected_total, 100u) << "budget " << budget;
+    if (budget > 0 && budget < 7) {
+      EXPECT_GT(backlogged_ticks, 0u) << "budget " << budget;
+    }
+  }
 }
 
 TEST(IncrementalReRank, FailoverMarksExactlyTheAdjacentPairsDirty) {

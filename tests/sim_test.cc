@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "sim/due_set.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -155,6 +160,65 @@ TEST(RngTest, WeightedIndex) {
 TEST(RngTest, ParetoTail) {
   Rng r(5);
   for (int i = 0; i < 1000; ++i) EXPECT_GE(r.pareto(2.0, 1.5), 2.0);
+}
+
+/// The routing plane's selection rule (OverlayGraph::select_due) over a
+/// DueSet: due-now ids are budget-exempt, stale ids are taken up to
+/// `budget`, most stale first.
+std::vector<int> graph_rule(const DueSet& due, std::int64_t threshold,
+                            int budget) {
+  std::vector<int> out;
+  int taken = 0;
+  due.walk(threshold, [&](std::int64_t key, int id) {
+    if (key != DueSet::kDueNow) {
+      if (taken == budget) return false;
+      ++taken;
+    }
+    out.push_back(id);
+    return true;
+  });
+  return out;
+}
+
+TEST(DueSet, GraphRuleExemptsDirtyIdsAndBreaksTiesById) {
+  // The row-major edge ids of a 3-node graph; the diagonal (0, 4, 8) is
+  // never due.
+  DueSet due;
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_EQ(due.add(i == j ? DueSet::kNeverDue : DueSet::kDueNow),
+                i * 3 + j);
+    }
+  }
+  ASSERT_EQ(due.size(), 9u);
+  // Round 0 of an 8-round interval: the threshold 0 - 8 lies far below
+  // kDueNow, yet every dirty id is walked, budget or not.
+  EXPECT_EQ(graph_rule(due, -8, 1), (std::vector<int>{1, 2, 3, 5, 6, 7}));
+
+  // Probe five edges; 7 stays dirty.
+  due.set(1, 0);
+  due.set(2, 0);
+  due.set(3, 2);
+  due.set(5, 1);
+  due.set(6, 0);
+  // Dirty first and exempt; then the stale ids, most stale first, equal
+  // keys in id order, until the budget of 2 is spent.
+  EXPECT_EQ(graph_rule(due, 1, 2), (std::vector<int>{7, 1, 2}));
+  EXPECT_EQ(graph_rule(due, 1, 3), (std::vector<int>{7, 1, 2, 6}));
+  // Below kDueNow only the dirty ids are due.
+  EXPECT_EQ(graph_rule(due, -5, 2), (std::vector<int>{7}));
+  // Never-due ids are never visited, whatever the threshold and budget.
+  const std::int64_t far = std::numeric_limits<std::int64_t>::max() - 1;
+  EXPECT_EQ(graph_rule(due, far, 100), (std::vector<int>{7, 1, 2, 6, 5, 3}));
+
+  // A re-key moves the id to its new place; a tie on key 0 sorts by id.
+  due.set(7, 0);
+  EXPECT_EQ(graph_rule(due, 0, 100), (std::vector<int>{1, 2, 6, 7}));
+
+  // reset_all makes every id due now, the diagonal included.
+  due.reset_all();
+  EXPECT_EQ(graph_rule(due, -8, 0),
+            (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 }  // namespace
