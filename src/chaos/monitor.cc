@@ -25,20 +25,19 @@ bool ResilienceMonitor::touches(const ActiveFault& af,
   if (include_invalid && !af.adjs.empty()) {
     if ((c.path && !c.path->valid) || (c.leg2 && !c.leg2->valid)) return true;
   }
-  const auto path_hits = [&](const topo::RouterPath& p) {
-    for (const auto& [a, b] : af.adjs) {
-      if (service::path_uses_adjacency(p, a, b)) return true;
-    }
-    if (!af.links.empty()) {
-      for (const auto& trav : p.traversals) {
-        for (int link : af.links) {
-          if (trav.link_id == link) return true;
-        }
+  for (const auto& [a, b] : af.adjs) {
+    if (broker_->ranker().uses_adjacency(c, a, b)) return true;
+  }
+  if (af.links.empty()) return false;
+  const auto on_links = [&](const topo::RouterPath& p) {
+    for (const auto& trav : p.traversals) {
+      for (int link : af.links) {
+        if (trav.link_id == link) return true;
       }
     }
     return false;
   };
-  return (c.path && path_hits(*c.path)) || (c.leg2 && path_hits(*c.leg2));
+  return (c.path && on_links(*c.path)) || (c.leg2 && on_links(*c.leg2));
 }
 
 bool ResilienceMonitor::pair_in_active_fault(int pair_idx) const {
@@ -104,10 +103,10 @@ void ResilienceMonitor::on_fault_begin(const Fault& f, sim::Time t) {
 
   // Blast radius at begin: pairs with any candidate on the faulted
   // element, and — the degraded subset — sessions actually pinned to it.
-  // Strict matching (no invalid-path attribution) so the radius agrees
-  // with the broker's own mark_adjacency_down predicate: a hard fault
-  // counts as impacting exactly when the broker will schedule a failover
-  // for it.
+  // Strict matching (no invalid-path attribution) so the radius is the
+  // broker's own mark_adjacency_down predicate (PathRanker::uses_adjacency):
+  // a hard fault counts as impacting exactly when the broker will schedule
+  // a failover for it.
   FaultReport& r = report_.faults[static_cast<std::size_t>(af.slot)];
   for (int i = 0; i < static_cast<int>(broker_->pair_count()); ++i) {
     const service::PairState& p = broker_->pair(i);

@@ -21,16 +21,6 @@ const char* fault_kind_name(FaultKind k) {
 
 namespace {
 
-bool is_transit(const topo::AsNode& as) {
-  return as.tier == topo::Tier::kTier1 || as.tier == topo::Tier::kTier2;
-}
-
-std::uint64_t adjacency_key(int a, int b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-         static_cast<std::uint32_t>(b);
-}
-
 /// Transit-transit adjacencies whose endpoints are both multi-connected
 /// (>= 3 adjacencies each), so routing reconverges around a cut instead of
 /// partitioning a single-homed subtree. Deterministic order: AS index,
@@ -38,11 +28,11 @@ std::uint64_t adjacency_key(int a, int b) {
 std::vector<std::pair<int, int>> flap_candidates(const topo::Internet& topo) {
   std::vector<std::pair<int, int>> out;
   for (const auto& as : topo.ases()) {
-    if (!is_transit(as) || as.adj.size() < 3) continue;
+    if (!as.transit() || as.adj.size() < 3) continue;
     for (const auto& adj : as.adj) {
       if (adj.nbr_as <= as.id) continue;  // dedupe (a < b)
       const auto& nbr = topo.ases()[static_cast<std::size_t>(adj.nbr_as)];
-      if (!is_transit(nbr) || nbr.adj.size() < 3) continue;
+      if (!nbr.transit() || nbr.adj.size() < 3) continue;
       out.emplace_back(as.id, adj.nbr_as);
     }
   }
@@ -102,7 +92,7 @@ Scenario Scenario::generate(const topo::Internet& topo,
     draw_window(rng, params, &f);
     for (int attempt = 0; attempt < 32; ++attempt) {
       const auto& [a, b] = flaps[rng.index(flaps.size())];
-      if (used_adjacencies.insert(adjacency_key(a, b)).second) {
+      if (used_adjacencies.insert(topo::adjacency_key(a, b)).second) {
         f.as_a = a;
         f.as_b = b;
         break;

@@ -13,17 +13,6 @@ namespace cronets::core {
 /// at two or more relay VMs with the middle legs on the cloud backbone.
 enum class PathKind { kDirect, kOverlay, kSplitOverlay, kDiscrete, kMultiHop };
 
-inline const char* path_kind_name(PathKind k) {
-  switch (k) {
-    case PathKind::kDirect: return "direct";
-    case PathKind::kOverlay: return "overlay";
-    case PathKind::kSplitOverlay: return "split-overlay";
-    case PathKind::kDiscrete: return "discrete";
-    case PathKind::kMultiHop: return "multi-hop";
-  }
-  return "?";
-}
-
 /// One rented overlay node: a cloud VM acting as tunnel endpoint + NAT
 /// (and optionally split-TCP proxy).
 struct OverlayNode {

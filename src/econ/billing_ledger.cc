@@ -1,23 +1,12 @@
 #include "econ/billing_ledger.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <cstring>
 
 #include "sim/hash_rng.h"
 
 namespace cronets::econ {
-
-namespace {
-
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
 
 BillingLedger::Cell& BillingLedger::cell_at(const BillCell& cell) {
   assert(cell.vm_ep >= -1);
@@ -98,10 +87,10 @@ std::uint64_t BillingLedger::fingerprint() const {
   std::uint64_t fp = sim::splitmix64(0xB111Dull);
   for_each_cell([&](std::uint64_t k, const Cell& c) {
     fp = sim::hash_combine(fp, k);
-    fp = sim::hash_combine(fp, double_bits(c.gb));
-    fp = sim::hash_combine(fp, double_bits(c.usd));
+    fp = sim::hash_combine(fp, std::bit_cast<std::uint64_t>(c.gb));
+    fp = sim::hash_combine(fp, std::bit_cast<std::uint64_t>(c.usd));
   });
-  fp = sim::hash_combine(fp, double_bits(delivered_gb_));
+  fp = sim::hash_combine(fp, std::bit_cast<std::uint64_t>(delivered_gb_));
   return fp;
 }
 

@@ -58,14 +58,6 @@ void pftk_throughput_batch(simd::Level level, std::size_t n,
                            const double* capacity_bps, const double* rwnd_bytes,
                            const TcpModelParams& p, double* out_bps);
 
-/// Analytic "measurement instrument": evaluates per-link utilizations as a
-/// stateless hash-indexed random field (stationary AR(1) statistics — the
-/// same process the packet-level BackgroundProcess integrates), derives
-/// path metrics, and predicts TCP / split-TCP / MPTCP throughput. Used for
-/// the paper's large-scale sweeps (6,600 paths) where packet-level
-/// simulation would be prohibitive; its agreement with the packet
-/// simulator is enforced by tests.
-///
 /// Static constants of one link direction's AR(1) utilization field: the
 /// coefficient, the truncation horizon of the weighted innovation sum, and
 /// the scale that restores the stationary variance. FlowModel::utilization

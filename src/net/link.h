@@ -82,7 +82,6 @@ class Link {
     qdisc_ = qd;
     red_ = red;
   }
-  QueueDiscipline queue_discipline() const { return qdisc_; }
 
  private:
   void start_transmission();

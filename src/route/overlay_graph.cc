@@ -136,7 +136,6 @@ void OverlayGraph::select_due(std::vector<int>* out) {
 
 void OverlayGraph::measure(sim::Time t) {
   std::fill(delay_dirty_rows_.begin(), delay_dirty_rows_.end(), 0);
-  rate_latch_moved_ = false;
   if (handles_.empty()) {
     ++rounds_measured_;
     return;
@@ -233,7 +232,6 @@ void OverlayGraph::measure(sim::Time t) {
       // fresh edge latches on first sight (|x - 0| > th*0 for any x > 0).
       if (std::abs(e.ewma_bps - e.metric_bps) > th * e.metric_bps) {
         e.metric_bps = e.ewma_bps;
-        rate_latch_moved_ = true;
       }
       if (std::abs(e.ewma_delay_ms - e.metric_delay_ms) >
           th * e.metric_delay_ms) {

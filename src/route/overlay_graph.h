@@ -61,7 +61,7 @@ class OverlayGraph {
   }
   bool node_up(int i) const { return up_[static_cast<std::size_t>(i)] != 0; }
   /// Bumped by every BGP adjacency change (the only mutation that can
-  /// change node liveness). Part of RoutePlane::route_version.
+  /// change node liveness). Part of RoutePlane::pair_route_version.
   std::uint64_t liveness_epoch() const { return liveness_epoch_; }
 
   /// One measurement round at time `t`: probe every dirty edge plus the
@@ -73,7 +73,8 @@ class OverlayGraph {
   double ewma_bps(int i, int j) const { return edge(i, j).ewma_bps; }
   /// Latched policy metrics: the EWMA as of its last threshold crossing.
   /// Both exchange policies read only these, so between latch moves their
-  /// inputs are frozen — the incremental skip set falls out of that.
+  /// inputs are frozen — the delay policy's incremental skip set falls out
+  /// of that.
   double metric_bps(int i, int j) const { return edge(i, j).metric_bps; }
   double metric_delay_ms(int i, int j) const {
     return edge(i, j).metric_delay_ms;
@@ -88,10 +89,6 @@ class OverlayGraph {
   const std::vector<char>& delay_dirty_rows() const {
     return delay_dirty_rows_;
   }
-  /// Any rate (bps) latch moved in the latest round. Backpressure weights
-  /// couple every commodity to every edge rate, so one rate move wakes
-  /// all virtual-queue columns for one round.
-  bool rate_latch_moved() const { return rate_latch_moved_; }
 
  private:
   struct EdgeState {
@@ -143,7 +140,6 @@ class OverlayGraph {
 
   std::uint64_t probed_total_ = 0;
   std::vector<char> delay_dirty_rows_;
-  bool rate_latch_moved_ = false;
 
   // Batched measurement machinery (scratch persists across rounds so a
   // warm round allocates nothing).

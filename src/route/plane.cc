@@ -1,7 +1,7 @@
 #include "route/plane.h"
 
+#include <bit>
 #include <cassert>
-#include <cstring>
 
 #include "sim/hash_rng.h"
 
@@ -46,7 +46,6 @@ void RoutePlane::step(sim::Time t) {
                      (cfg_.full_refresh_rounds > 0 &&
                       rounds_ % cfg_.full_refresh_rounds == 0);
   ctx.delay_dirty_rows = &graph_.delay_dirty_rows();
-  ctx.rate_latch_moved = graph_.rate_latch_moved();
   policy_->round(graph_, &agents_, &ctx);
   recomputed_total_ += static_cast<std::uint64_t>(ctx.entries_recomputed);
   deltas_total_ += static_cast<std::uint64_t>(ctx.entries_changed);
@@ -55,25 +54,22 @@ void RoutePlane::step(sim::Time t) {
   // moved somewhere => every cached route toward d may be stale. The bits
   // are bitwise change detections, identical in full and incremental
   // rounds.
-  if (ctx.changed_words != nullptr && ctx.words_per_agent > 0) {
-    const int n = graph_.size();
-    const int words = ctx.words_per_agent;
-    for (int w = 0; w < words; ++w) {
-      std::uint64_t word = 0;
-      for (int i = 0; i < n; ++i) {
-        word |= ctx.changed_words[static_cast<std::size_t>(i) *
-                                      static_cast<std::size_t>(words) +
-                                  static_cast<std::size_t>(w)];
-      }
-      while (word != 0) {
-        const int d = w * 64 + __builtin_ctzll(word);
-        word &= word - 1;
-        if (d < n) ++dest_version_[static_cast<std::size_t>(d)];
-      }
+  const int n = graph_.size();
+  const int words = ctx.words_per_agent;
+  for (int w = 0; w < words; ++w) {
+    std::uint64_t word = 0;
+    for (int i = 0; i < n; ++i) {
+      word |= ctx.changed_words[static_cast<std::size_t>(i) *
+                                    static_cast<std::size_t>(words) +
+                                static_cast<std::size_t>(w)];
+    }
+    while (word != 0) {
+      const int d = w * 64 + __builtin_ctzll(word);
+      word &= word - 1;
+      if (d < n) ++dest_version_[static_cast<std::size_t>(d)];
     }
   }
   if (ctx.next_changes > 0) {
-    ++table_version_;
     convergence_round_ = -1;
   } else if (convergence_round_ < 0) {
     convergence_round_ = rounds_;
@@ -138,9 +134,7 @@ double RoutePlane::route_bottleneck_bps(
 std::uint64_t RoutePlane::table_fingerprint() const {
   std::uint64_t h = 0x9e3779b97f4a7c15ull;
   const auto mix_double = [&h](double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    h = sim::hash_combine(h, bits);
+    h = sim::hash_combine(h, std::bit_cast<std::uint64_t>(v));
   };
   for (const RoutingAgent& a : agents_) {
     for (const RouteEntry& e : a.table) {

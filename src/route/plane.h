@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -22,13 +23,13 @@ namespace cronets::route {
 /// when the table column or DC liveness behind it actually moved.
 ///
 /// Incrementality: the graph probes only dirty/stale edges per round, the
-/// policy recomputes only entries whose inputs moved, and consumers
-/// recompose only pairs whose destination version moved. Every
-/// RouteConfig::full_refresh_rounds-th round recomputes everything anyway,
-/// and `full_refresh_rounds = 1` runs the full-recompute reference over
-/// the same probe schedule — tables, fingerprints, and decisions are
-/// bitwise identical at any value; the benches and the bench gate diff
-/// them byte for byte.
+/// delay policy recomputes only entries whose inputs moved (backpressure
+/// recomputes every entry), and consumers recompose only pairs whose
+/// destination version moved. Every RouteConfig::full_refresh_rounds-th
+/// round recomputes everything anyway, and `full_refresh_rounds = 1` runs
+/// the full-recompute reference over the same probe schedule — tables,
+/// fingerprints, and decisions are bitwise identical at any value; the
+/// benches and the bench gate diff them byte for byte.
 ///
 /// Determinism: rounds run single-threaded on the event queue, agents
 /// update in node index order from round-start snapshots, and every edge
@@ -64,21 +65,15 @@ class RoutePlane {
   /// any edge is unmeasured).
   double route_bottleneck_bps(const std::vector<int>& via_eps) const;
 
-  /// Changes whenever a consumer's composed routes may be stale: bumped by
-  /// table changes and by DC liveness flips.
-  std::uint64_t route_version() const {
-    return table_version_ + graph_.liveness_epoch();
-  }
-
   /// Per-pair staleness: the route() walk toward `exit_ep` reads only the
   /// table column of its exit node (plus liveness), so a consumer caching
   /// that pair's chain needs to recompose only when this moves. Identical
   /// at any full_refresh_rounds — full and incremental rounds derive
-  /// destination versions from the same bitwise change trajectory. Falls
-  /// back to the global route_version() for non-DC endpoints.
+  /// destination versions from the same bitwise change trajectory.
+  /// `exit_ep` must be a plane node (a DC VM endpoint).
   std::uint64_t pair_route_version(int exit_ep) const {
     const int exit = graph_.node_of_ep(exit_ep);
-    if (exit < 0) return route_version();
+    assert(exit >= 0 && "exit_ep is not a plane node");
     return dest_version_[static_cast<std::size_t>(exit)] +
            graph_.liveness_epoch();
   }
@@ -118,7 +113,6 @@ class RoutePlane {
   std::vector<RoutingAgent> agents_;
   std::vector<std::uint64_t> dest_version_;  ///< per destination node
   sim::EventQueue* queue_ = nullptr;
-  std::uint64_t table_version_ = 0;
   std::uint64_t seen_liveness_epoch_ = 0;
   std::uint64_t recomputed_total_ = 0;
   std::uint64_t deltas_total_ = 0;

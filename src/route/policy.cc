@@ -1,7 +1,7 @@
 #include "route/policy.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 
 namespace cronets::route {
 
@@ -20,11 +20,9 @@ namespace {
 /// Bitwise entry comparison (metric by bit pattern): the incremental
 /// equivalence claim is bitwise, so the change detector must be too.
 bool entry_equal(const RouteEntry& a, const RouteEntry& b) {
-  std::uint64_t ma = 0;
-  std::uint64_t mb = 0;
-  std::memcpy(&ma, &a.metric, sizeof(ma));
-  std::memcpy(&mb, &b.metric, sizeof(mb));
-  return a.next == b.next && a.hops == b.hops && ma == mb;
+  return a.next == b.next && a.hops == b.hops &&
+         std::bit_cast<std::uint64_t>(a.metric) ==
+             std::bit_cast<std::uint64_t>(b.metric);
 }
 
 /// Changed-entry bookkeeping shared by both policies: per-agent bitsets of
@@ -118,8 +116,6 @@ class DelayPolicy final : public RoutePolicy {
   explicit DelayPolicy(const RouteConfig& cfg)
       : max_hops_(cfg.max_hops), hysteresis_(cfg.hysteresis) {}
 
-  const char* name() const override { return "delay"; }
-
   void round(const OverlayGraph& g, std::vector<RoutingAgent>* agents,
              RoundContext* ctx) override {
     const int n = g.size();
@@ -170,8 +166,7 @@ class DelayPolicy final : public RoutePolicy {
         }
         continue;
       }
-      const bool row_dirty = !inc || rows == nullptr ||
-                             (*rows)[static_cast<std::size_t>(i)] != 0;
+      const bool row_dirty = !inc || (*rows)[static_cast<std::size_t>(i)] != 0;
       if (row_dirty) {
         for (int d = 0; d < n; ++d) {
           if (d != i) compute_entry(g, &a, i, d, ctx);
@@ -252,35 +247,18 @@ class DelayPolicy final : public RoutePolicy {
 /// The round factorizes by destination: injection, snapshot, decisions and
 /// transfers for commodity d touch only column d of the queue matrix, in
 /// ascending node order either way — so processing column-by-column is
-/// bitwise the row-major computation. A column whose end-of-round queues
-/// bitwise repeated the previous round with no entry change is at a fixed
-/// point: replaying it reproduces itself exactly, so incremental rounds
-/// skip it until a rate latch or a liveness epoch move perturbs it.
+/// bitwise the row-major computation. Every round, full or incremental,
+/// recomputes every column: the virtual queues move each round, so nearly
+/// every entry changes anyway.
 class BackpressurePolicy final : public RoutePolicy {
  public:
-  const char* name() const override { return "backpressure"; }
-
   void round(const OverlayGraph& g, std::vector<RoutingAgent>* agents,
              RoundContext* ctx) override {
     const int n = g.size();
     tracker_.ensure(n);
     tracker_.begin_round();
-    const bool inc = !ctx->full_refresh;
-    const std::size_t nn =
-        static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-    if (qprev_.size() != nn) {
-      qprev_.assign(nn, 0.0);
-      col_stable_.assign(static_cast<std::size_t>(n), 0);
-      qsnap_.assign(static_cast<std::size_t>(n), 0.0);
-    }
+    qsnap_.resize(static_cast<std::size_t>(n));
     for (int d = 0; d < n; ++d) {
-      // Rate latches couple every commodity to every edge, so one latch
-      // move wakes all columns for one round.
-      if (inc && !ctx->rate_latch_moved &&
-          col_stable_[static_cast<std::size_t>(d)] != 0) {
-        continue;
-      }
-      const long changed_before = ctx->entries_changed;
       // Phase 1 (column d): a dark DC drops its buffered virtual work and
       // withdraws its route; live ones take this round's virtual arrival
       // for live destinations.
@@ -338,24 +316,6 @@ class BackpressurePolicy final : public RoutePolicy {
           }
         }
       }
-      // Column fixed-point check: bitwise-identical end queues and no
-      // entry change mean next round's replay reproduces itself exactly.
-      bool repeat = true;
-      for (int i = 0; i < n; ++i) {
-        const double q = (*agents)[static_cast<std::size_t>(i)]
-                             .queue[static_cast<std::size_t>(d)];
-        double& prev = qprev_[static_cast<std::size_t>(i) *
-                                  static_cast<std::size_t>(n) +
-                              static_cast<std::size_t>(d)];
-        std::uint64_t qa = 0;
-        std::uint64_t qb = 0;
-        std::memcpy(&qa, &q, sizeof(qa));
-        std::memcpy(&qb, &prev, sizeof(qb));
-        if (qa != qb) repeat = false;
-        prev = q;
-      }
-      col_stable_[static_cast<std::size_t>(d)] =
-          repeat && ctx->entries_changed == changed_before ? 1 : 0;
     }
     tracker_.end_round(ctx);
   }
@@ -371,9 +331,7 @@ class BackpressurePolicy final : public RoutePolicy {
   static constexpr double kDrain = 4.0;
   static constexpr double kRateRefBps = 100e6;
 
-  std::vector<double> qprev_;     ///< n*n end-of-previous-round queues
-  std::vector<char> col_stable_;  ///< per destination: column at fixed point
-  std::vector<double> qsnap_;     ///< scratch: this column's snapshot
+  std::vector<double> qsnap_;  ///< scratch: this column's snapshot
   DeltaTracker tracker_;
 };
 

@@ -53,10 +53,8 @@ struct RoundContext {
   /// round, liveness epoch moved, or the periodic refresh came due.
   bool full_refresh = true;
   /// Per-source-node flags: a delay latch in this row moved during this
-  /// round's measurement (owned by the graph; nullptr = treat all dirty).
+  /// round's measurement (owned by the graph).
   const std::vector<char>* delay_dirty_rows = nullptr;
-  /// Any rate (bps) latch moved during this round's measurement.
-  bool rate_latch_moved = true;
 
   // -- outputs (policy -> plane) --
   /// (agent, destination) entries actually recomputed / bitwise changed.
@@ -70,8 +68,7 @@ struct RoundContext {
   int flaps = 0;
   /// Per-agent changed-destination bitsets for this round: agent i's words
   /// at [i * words_per_agent, (i+1) * words_per_agent). Owned by the
-  /// policy, valid until its next round() call. nullptr when the policy
-  /// does not track deltas (never the case for the built-in policies).
+  /// policy, valid until its next round() call.
   const std::uint64_t* changed_words = nullptr;
   int words_per_agent = 0;
 };
@@ -85,13 +82,13 @@ struct RoundContext {
 /// Incremental contract: unless `ctx->full_refresh`, the policy may skip
 /// any (agent, destination) entry whose inputs provably did not move —
 /// skipped entries keep their previous value, which is bitwise what a full
-/// recompute would have produced. The policies derive the skip set from
-/// the graph's latched metrics (frozen between threshold crossings) plus
-/// their own changed-entry bitsets from the previous round.
+/// recompute would have produced. The delay policy derives its skip set
+/// from the graph's latched delays (frozen between threshold crossings)
+/// plus its own changed-entry bitsets from the previous round; the
+/// backpressure policy skips nothing.
 class RoutePolicy {
  public:
   virtual ~RoutePolicy() = default;
-  virtual const char* name() const = 0;
   virtual void round(const OverlayGraph& g, std::vector<RoutingAgent>* agents,
                      RoundContext* ctx) = 0;
 };

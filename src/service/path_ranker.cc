@@ -252,7 +252,6 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
     // adjacency): the flow model samples such paths as if they were empty
     // and returns a meaningless huge number, so clamp to zero here.
     if ((c.path && !c.path->valid) || (c.leg2 && !c.leg2->valid)) raw = 0.0;
-    c.last_bps = raw;
     c.score_bps = c.measured
                       ? cfg_.ewma_alpha * raw + (1.0 - cfg_.ewma_alpha) * c.score_bps
                       : raw;
@@ -313,31 +312,31 @@ void PathRanker::refresh_paths(int idx) {
   p.order_dirty = true;
 }
 
+bool PathRanker::uses_adjacency(const Candidate& c, int as_a,
+                                int as_b) const {
+  if (c.path && path_uses_adjacency(*c.path, as_a, as_b)) return true;
+  if (c.leg2 && path_uses_adjacency(*c.leg2, as_a, as_b)) return true;
+  for (const auto& mid : c.mids) {
+    if (mid && path_uses_adjacency(*mid, as_a, as_b)) return true;
+  }
+  // A DC outage downs every adjacency of the cloud AS; any multi-hop chain
+  // through a VM of that AS must drop immediately — its backbone mids stay
+  // "valid" (plain links, not adjacencies), so the AS match on the via
+  // chain is what catches it.
+  for (int ep : c.via) {
+    const int ep_as = topo_->endpoint(ep).as_id;
+    if (ep_as == as_a || ep_as == as_b) return true;
+  }
+  return false;
+}
+
 void PathRanker::mark_adjacency_down(int as_a, int as_b,
                                      std::vector<int>* affected) {
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     PairState& p = pairs_[i];
     bool hit = false;
     for (Candidate& c : p.candidates) {
-      bool uses = (c.path && path_uses_adjacency(*c.path, as_a, as_b)) ||
-                  (c.leg2 && path_uses_adjacency(*c.leg2, as_a, as_b));
-      for (const auto& mid : c.mids) {
-        if (!uses && mid && path_uses_adjacency(*mid, as_a, as_b)) uses = true;
-      }
-      // A DC outage downs every adjacency of the cloud AS; any multi-hop
-      // chain through a VM of that AS must drop immediately — its backbone
-      // mids stay "valid" (plain links, not adjacencies), so the AS match
-      // on the via chain is what catches it.
-      if (!uses && c.kind == core::PathKind::kMultiHop) {
-        for (int ep : c.via) {
-          const int ep_as = topo_->endpoint(ep).as_id;
-          if (ep_as == as_a || ep_as == as_b) {
-            uses = true;
-            break;
-          }
-        }
-      }
-      if (uses) {
+      if (uses_adjacency(c, as_a, as_b)) {
         c.down = true;
         hit = true;
       }

@@ -53,7 +53,6 @@ struct Candidate {
   int overlay_ep = -1;        ///< kSplitOverlay/kMultiHop: entry VM
   int exit_ep = -1;           ///< kMultiHop only: exit VM
   double score_bps = 0.0;     ///< EWMA-smoothed predicted throughput
-  double last_bps = 0.0;      ///< most recent raw probe sample
   bool measured = false;      ///< at least one probe applied
   bool down = false;          ///< traverses a failed adjacency (await repin)
   topo::PathRef path;         ///< direct path, or leg src -> entry VM
@@ -195,9 +194,15 @@ class PathRanker {
   /// corrects them.
   void refresh_paths(int idx);
 
-  /// Append the indices of pairs with any candidate whose current interned
-  /// path crosses the AS adjacency (as_a, as_b); marks those candidates
-  /// `down` so no new session pins to them before the failover repin.
+  /// Does the candidate ride the AS adjacency (as_a, as_b)? Its access
+  /// legs or backbone segments cross it, or a VM of its via chain sits in
+  /// as_a or as_b. The one predicate behind mark_adjacency_down, the
+  /// broker's sessions_traversing and the chaos monitor's blast radius.
+  bool uses_adjacency(const Candidate& c, int as_a, int as_b) const;
+
+  /// Append the indices of pairs with any candidate that uses_adjacency
+  /// (as_a, as_b); marks those candidates `down` so no new session pins to
+  /// them before the failover repin.
   void mark_adjacency_down(int as_a, int as_b, std::vector<int>* affected);
 
   /// Candidate order for admission: current best first, then the remaining

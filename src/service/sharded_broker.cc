@@ -7,19 +7,6 @@
 
 namespace cronets::service {
 
-namespace {
-std::uint64_t adjacency_key(int a, int b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-         static_cast<std::uint32_t>(b);
-}
-
-bool is_transit(const topo::Internet& topo, int as_id) {
-  const topo::Tier t = topo.ases()[static_cast<std::size_t>(as_id)].tier;
-  return t == topo::Tier::kTier1 || t == topo::Tier::kTier2;
-}
-}  // namespace
-
 ShardedBroker::ShardedBroker(topo::Internet* topo,
                              const core::ModelMeasurement* meter,
                              sim::ThreadPool* pool,
@@ -283,12 +270,7 @@ int ShardedBroker::sessions_traversing(int as_a, int as_b) const {
   sessions_.for_each_live([&](std::uint64_t, const Session& s) {
     const Candidate& c = ranker_.pair(s.pair)
                              .candidates[static_cast<std::size_t>(s.candidate)];
-    bool uses = (c.path && path_uses_adjacency(*c.path, as_a, as_b)) ||
-                (c.leg2 && path_uses_adjacency(*c.leg2, as_a, as_b));
-    for (const auto& mid : c.mids) {
-      if (!uses && mid && path_uses_adjacency(*mid, as_a, as_b)) uses = true;
-    }
-    if (uses) ++count;
+    if (ranker_.uses_adjacency(c, as_a, as_b)) ++count;
   });
   return count;
 }
@@ -297,11 +279,13 @@ bool ShardedBroker::busiest_transit_adjacency(int* as_a, int* as_b) const {
   // Live sessions per transit-to-transit adjacency (key = packed sorted AS
   // pair).
   std::unordered_map<std::uint64_t, int> load;
+  const auto& ases = topo_->ases();
   const auto count_path = [&](const topo::RouterPath& path) {
     for (std::size_t i = 1; i < path.as_seq.size(); ++i) {
       const int u = path.as_seq[i - 1], v = path.as_seq[i];
-      if (is_transit(*topo_, u) && is_transit(*topo_, v)) {
-        ++load[adjacency_key(u, v)];
+      if (ases[static_cast<std::size_t>(u)].transit() &&
+          ases[static_cast<std::size_t>(v)].transit()) {
+        ++load[topo::adjacency_key(u, v)];
       }
     }
   };

@@ -206,8 +206,8 @@ class ShardedBroker final {
   /// Counters plus the fingerprint and regret folds, computed on demand.
   ShardedBrokerStats stats() const;
 
-  /// Live sessions whose pinned path crosses (as_a, as_b) — 0 after a
-  /// completed failover.
+  /// Live sessions whose pinned candidate uses the adjacency (as_a, as_b)
+  /// (PathRanker::uses_adjacency) — 0 after a completed failover.
   int sessions_traversing(int as_a, int as_b) const;
   /// The transit-to-transit adjacency carrying the most sessions fleet-
   /// wide (failure-injection helper: both ASes are tier-1/2, so routing

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 namespace cronets::sim {
@@ -34,14 +33,6 @@ inline double hash_u01(std::uint64_t key) {
 /// cheap flat innovation is statistically equivalent to N(0,1) there.
 inline double hash_centered(std::uint64_t key) {
   return (hash_u01(key) - 0.5) * 3.4641016151377544;  // 2*sqrt(3)
-}
-
-/// Standard normal from a key (Box-Muller; two decorrelated sub-draws).
-inline double hash_normal(std::uint64_t key) {
-  const double u1 = hash_u01(key);
-  const double u2 = hash_u01(key ^ 0x5851f42d4c957f2dull);
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(6.28318530717958647692 * u2);
 }
 
 /// Canonical packed (src, dst) endpoint-pair key: the 64-bit id every

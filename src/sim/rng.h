@@ -49,13 +49,15 @@ class Rng {
     return std::exponential_distribution<double>{1.0 / mean}(engine_);
   }
 
+  /// Normal draw; stdev 0 returns `mean`. std::normal_distribution
+  /// requires stdev > 0, so that case draws one standard normal and
+  /// discards it: the engine advances exactly as for any other stdev.
   double normal(double mean, double stdev) {
+    if (stdev == 0.0) {
+      std::normal_distribution<double>{}(engine_);
+      return mean;
+    }
     return std::normal_distribution<double>{mean, stdev}(engine_);
-  }
-
-  /// Normal clipped to [lo, hi].
-  double clipped_normal(double mean, double stdev, double lo, double hi) {
-    return std::clamp(normal(mean, stdev), lo, hi);
   }
 
   double lognormal(double mu, double sigma) {
@@ -76,12 +78,6 @@ class Rng {
   }
 
   template <typename T>
-  const T& pick(const std::vector<T>& v) {
-    assert(!v.empty());
-    return v[index(v.size())];
-  }
-
-  template <typename T>
   void shuffle(std::vector<T>& v) {
     std::shuffle(v.begin(), v.end(), engine_);
   }
@@ -99,8 +95,6 @@ class Rng {
     }
     return weights.size() - 1;
   }
-
-  std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;

@@ -79,8 +79,7 @@ int Internet::new_as(Tier tier, Region region, GeoPoint pos, const std::string& 
   }
   // Transit ASes get an aggregation router per border PoP (real crossings
   // are several IP hops); edge ASes use a plain star.
-  const bool transit = tier == Tier::kTier1 || tier == Tier::kTier2;
-  if (transit) {
+  if (as.transit()) {
     for (int i = 1; i < num_routers; ++i) {
       RouterInfo r;
       r.id = static_cast<int>(routers_.size());
@@ -98,7 +97,7 @@ int Internet::new_as(Tier tier, Region region, GeoPoint pos, const std::string& 
   for (int i = 1; i < num_routers; ++i) {
     const double delay =
         tier == Tier::kTier1 ? rng_.uniform(1.0, 6.0) : rng_.uniform(0.2, 1.5);
-    if (transit) {
+    if (as.transit()) {
       // hub <-> agg_i <-> border_i
       const int agg = stored.agg_routers[static_cast<std::size_t>(i) - 1];
       stored.intra_links.push_back(new_link(stored.routers[0], agg, 40e9, delay / 2,

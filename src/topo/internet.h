@@ -211,7 +211,6 @@ class Internet {
   const std::vector<TopoLink>& links() const { return links_; }
   const std::vector<RouterInfo>& routers() const { return routers_; }
   const Endpoint& endpoint(int id) const { return endpoints_[id]; }
-  std::size_t endpoint_count() const { return endpoints_.size(); }
   Routing& routing() { return routing_; }
 
   /// Policy-routed router-level path between two endpoints.

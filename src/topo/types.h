@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/background.h"
@@ -108,7 +109,17 @@ struct AsNode {
   /// Transit AS: intra_links[2(i-1)] = hub<->agg_i, [2(i-1)+1] = agg_i<->routers[i].
   std::vector<int> intra_links;
   std::vector<AsAdjacency> adj;
+
+  /// Tier-1 or tier-2: an AS that carries transit traffic.
+  bool transit() const { return tier == Tier::kTier1 || tier == Tier::kTier2; }
 };
+
+/// Order-free key of the AS adjacency (a, b): the sorted pair, packed.
+inline std::uint64_t adjacency_key(int a, int b) {
+  if (a > b) std::swap(a, b);
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
+         static_cast<std::uint32_t>(b);
+}
 
 /// A host attachment point (client, server, or cloud VM).
 struct Endpoint {

@@ -24,7 +24,6 @@ class CongestionControl {
   virtual ~CongestionControl() = default;
 
   double cwnd() const { return cwnd_; }
-  double ssthresh() const { return ssthresh_; }
   bool in_slow_start() const { return cwnd_ < ssthresh_; }
 
   virtual void on_ack(std::int64_t acked_bytes, sim::Time srtt, sim::Time now) = 0;

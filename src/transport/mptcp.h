@@ -108,8 +108,6 @@ class MptcpListener {
   /// Total contiguous bytes delivered across all MPTCP connections.
   std::uint64_t bytes_delivered() const { return total_delivered_; }
 
-  TcpListener& tcp_listener() { return listener_; }
-
  private:
   struct ConnState {
     std::map<std::uint64_t, std::uint64_t> received;  // dseq -> end (merged)

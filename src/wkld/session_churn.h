@@ -72,7 +72,6 @@ class SessionChurn {
 
   const SessionChurnStats& stats() const { return stats_; }
   double arrival_rate_per_s() const { return rate_per_s_; }
-  const std::vector<int>& pair_indices() const { return pair_idx_; }
 
  private:
   void schedule_next_arrival();

@@ -4,8 +4,10 @@
 // is purely observational (identical decision fingerprints with and
 // without it) and its SLO report is bitwise identical across thread
 // counts; hard faults repin within failover_delay + one probe interval;
-// and the batch sampler stays bitwise identical to the reference sampler
-// while storm and gray-failure overlays are active.
+// a DC outage's blast radius is exactly the candidates the broker marks
+// down, multi-hop chains through the dark DC included; and the batch
+// sampler stays bitwise identical to the reference sampler while storm and
+// gray-failure overlays are active.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "chaos/monitor.h"
 #include "chaos/scenario.h"
 #include "model/batch_sampler.h"
+#include "route/plane.h"
 #include "service/sharded_broker.h"
 #include "sim/thread_pool.h"
 #include "wkld/session_churn.h"
@@ -302,6 +305,103 @@ TEST(ChaosResilience, MonitorIsPurelyObservational) {
   EXPECT_EQ(observed.stats.sessions_admitted, bare.stats.sessions_admitted);
   EXPECT_EQ(observed.stats.migrations, bare.stats.migrations);
   EXPECT_EQ(observed.stats.regret_sum, bare.stats.regret_sum);
+}
+
+// A DC that is only a middle hop of a multi-hop chain sits on neither
+// access leg of the candidate, yet its outage downs the chain. The
+// monitor's blast radius must still be the broker's own: every session
+// pinned to a `down` candidate is degraded, and every pair holding a
+// `down` candidate is impacted.
+TEST(ChaosResilience, DcOutageBlastRadiusCoversMultiHopMiddleHops) {
+  topo::CloudParams cloud;  // detours past the triangle inequality
+  cloud.backbone_detour_lo = 1.0;
+  cloud.backbone_detour_hi = 3.0;
+  wkld::World world(kWorldSeed, topo::TopologyParams{}, cloud);
+  topo::Internet& net = world.internet();
+  const auto clients = world.make_web_clients(12);
+  const auto servers = world.make_servers();
+  const auto overlays = world.rent_all_overlays();
+
+  route::RoutePlane plane(&net, &world.flow(), world.seed(),
+                          route::RouteConfig{});
+  service::BrokerConfig cfg;
+  cfg.probe.interval = sim::Time::seconds(10);
+  cfg.probe.tick = sim::Time::seconds(1);
+  cfg.probe.budget_per_tick = 16;
+  cfg.failover_delay = sim::Time::seconds(1);
+  cfg.ranking.route_plane = &plane;
+  service::ShardedBroker broker(&net, &world.meter(), &world.pool(), overlays,
+                                cfg);
+  ResilienceMonitor monitor(&broker);
+
+  wkld::SessionChurnParams churn_params;
+  churn_params.seed = kWorldSeed ^ 0x5e55;
+  churn_params.target_concurrent = 2000;
+  churn_params.mean_duration_s = 20.0;
+  churn_params.horizon = sim::Time::seconds(120);
+  wkld::SessionChurn churn(&broker, clients, servers, churn_params);
+  churn.start();
+  broker.warm_up();
+  const sim::Time t = sim::Time::seconds(60);
+  broker.run_until(t);
+
+  // The DC that is a middle hop of the most live sessions' chains.
+  const std::vector<int>& dcs = net.dc_endpoints();
+  std::vector<int> middle_of(dcs.size(), 0);
+  const service::SessionManager& sessions = broker.sessions();
+  sessions.for_each_live([&](std::uint64_t, const service::Session& s) {
+    const service::Candidate& c =
+        broker.pair(s.pair).candidates[static_cast<std::size_t>(s.candidate)];
+    for (std::size_t k = 1; k + 1 < c.via.size(); ++k) {
+      const auto it = std::find(dcs.begin(), dcs.end(), c.via[k]);
+      ++middle_of[static_cast<std::size_t>(it - dcs.begin())];
+    }
+  });
+  const auto busiest = std::max_element(middle_of.begin(), middle_of.end());
+  ASSERT_GT(*busiest, 0) << "no live session rides a multi-hop chain";
+
+  // Take the DC dark the way Injector::begin_fault does, then report the
+  // fault begin to the monitor.
+  Fault f;
+  f.kind = FaultKind::kDcOutage;
+  f.dc = static_cast<int>(busiest - middle_of.begin());
+  f.begin = t;
+  const int dark_ep = dcs[static_cast<std::size_t>(f.dc)];
+  const int dc_as = net.endpoint(dark_ep).as_id;
+  for (const auto& adj : net.ases()[static_cast<std::size_t>(dc_as)].adj) {
+    if (adj.up) f.downed.emplace_back(dc_as, adj.nbr_as);
+  }
+  for (const auto& [a, b] : f.downed) net.set_adjacency_up(a, b, false);
+  monitor.on_fault_begin(f, t);
+
+  int down_sessions = 0;
+  int down_via_middle = 0;  // down, with the dark DC as a middle hop
+  sessions.for_each_live([&](std::uint64_t, const service::Session& s) {
+    const service::Candidate& c =
+        broker.pair(s.pair).candidates[static_cast<std::size_t>(s.candidate)];
+    if (!c.down) return;
+    ++down_sessions;
+    if (c.via.size() > 2 &&
+        std::find(c.via.begin() + 1, c.via.end() - 1, dark_ep) !=
+            c.via.end() - 1) {
+      ++down_via_middle;
+    }
+  });
+  int down_pairs = 0;
+  for (int i = 0; i < static_cast<int>(broker.pair_count()); ++i) {
+    const auto& cands = broker.pair(i).candidates;
+    if (std::any_of(cands.begin(), cands.end(),
+                    [](const service::Candidate& c) { return c.down; })) {
+      ++down_pairs;
+    }
+  }
+  ASSERT_EQ(monitor.report().faults.size(), 1u);
+  const FaultReport& r = monitor.report().faults[0];
+  // The broker downs every chain through the dark DC, middle hops
+  // included, and the monitor counts exactly the sessions it downed.
+  EXPECT_EQ(down_via_middle, *busiest);
+  EXPECT_EQ(r.sessions_degraded, down_sessions);
+  EXPECT_EQ(r.pairs_impacted, down_pairs);
 }
 
 void expect_same_metrics(const model::PathMetrics& a, const model::PathMetrics& b) {

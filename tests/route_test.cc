@@ -201,7 +201,7 @@ TEST(RoutePlane, DcOutageWithdrawsAndRestoresRoutes) {
   // adjacency of its cloud AS goes down through the production mutation
   // path, which must reach the graph via its listener — no polling.
   const std::uint64_t epoch_before = g.liveness_epoch();
-  const std::uint64_t version_before = plane.route_version();
+  const std::uint64_t version_before = plane.pair_route_version(tok);
   const int dc_as = net.endpoint(tok).as_id;
   std::vector<std::pair<int, int>> downed;
   for (const auto& adj : net.ases()[static_cast<std::size_t>(dc_as)].adj) {
@@ -211,7 +211,7 @@ TEST(RoutePlane, DcOutageWithdrawsAndRestoresRoutes) {
   for (const auto& [a, b] : downed) net.set_adjacency_up(a, b, false);
 
   EXPECT_GT(g.liveness_epoch(), epoch_before);
-  EXPECT_GT(plane.route_version(), version_before);
+  EXPECT_GT(plane.pair_route_version(tok), version_before);
   EXPECT_FALSE(g.node_up(down));
   EXPECT_FALSE(plane.route(net.dc_endpoint("wdc"), tok, &via));
 
@@ -290,9 +290,16 @@ TEST(RoutePlane, IncrementalMatchesFullUnderChaos) {
     EXPECT_EQ(inc.graph().edges_probed_total(),
               full.graph().edges_probed_total())
         << policy_name(policy);
-    // ...for strictly less exchange work.
-    EXPECT_LT(inc.entries_recomputed_total(), full.entries_recomputed_total())
-        << policy_name(policy);
+    // ...for strictly less exchange work under the delay policy. Every
+    // backpressure round recomputes every entry, so both planes do the
+    // same work there.
+    if (policy == Policy::kDelay) {
+      EXPECT_LT(inc.entries_recomputed_total(), full.entries_recomputed_total())
+          << policy_name(policy);
+    } else {
+      EXPECT_EQ(inc.entries_recomputed_total(), full.entries_recomputed_total())
+          << policy_name(policy);
+    }
     // The probe budget must have bitten: far fewer probes than rounds * E.
     const int n = inc.graph().size();
     EXPECT_LT(inc.graph().edges_probed_total(),

@@ -432,7 +432,8 @@ TEST(PathRanker, RegretInputsClampUnreachableCandidates) {
   ranker.apply_sample(idx, s, sim::Time::seconds(1));
 
   const PairState& p = ranker.pair(idx);
-  EXPECT_EQ(p.candidates[0].last_bps, 0.0);
+  // First sample: the smoothed score is the (clamped) raw value.
+  EXPECT_EQ(p.candidates[0].score_bps, 0.0);
   EXPECT_EQ(p.best, 1);
   EXPECT_DOUBLE_EQ(p.last_oracle_bps, 5e6);
   // The pin was the (unreachable) direct path at sample time: zero goodput.

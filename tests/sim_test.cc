@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "sim/due_set.h"
@@ -160,6 +161,27 @@ TEST(RngTest, WeightedIndex) {
 TEST(RngTest, ParetoTail) {
   Rng r(5);
   for (int i = 0; i < 1000; ++i) EXPECT_GE(r.pareto(2.0, 1.5), 2.0);
+}
+
+TEST(RngTest, NormalZeroStdevReturnsMeanAndAdvancesLikeAnyDraw) {
+  // Quiet links and a zero noise sigma reach stdev 0, which
+  // std::normal_distribution does not accept: it must return the mean and
+  // leave the engine where a stdev > 0 draw leaves it.
+  Rng flat(17), noisy(17);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(flat.normal(2.5, 0.0), 2.5);
+    noisy.normal(2.5, 1.0);
+  }
+  EXPECT_EQ(flat.next_u64(), noisy.next_u64());
+
+  // stdev > 0 is exactly the standard distribution on a same-seeded engine.
+  Rng r(23);
+  std::mt19937_64 engine(23);
+  for (int i = 0; i < 1000; ++i) {
+    const double stdev = 0.1 + 0.01 * i;
+    EXPECT_EQ(r.normal(-1.0, stdev),
+              (std::normal_distribution<double>{-1.0, stdev}(engine)));
+  }
 }
 
 /// The routing plane's selection rule (OverlayGraph::select_due) over a
