@@ -186,7 +186,7 @@ RunResult run_one(route::Policy policy, bool smoke, int full_refresh_rounds) {
     if (best.kind == core::PathKind::kMultiHop && best.measured &&
         best.score_bps > 0.0) {
       ++r.multihop_pairs;
-      if (best.via.size() > 2) ++r.detour_best;
+      if (broker.ranker().route(best.route).via.size() > 2) ++r.detour_best;
     }
   }
   r.table_fp = plane.table_fingerprint();

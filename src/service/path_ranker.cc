@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 namespace cronets::service {
 
@@ -15,7 +16,19 @@ bool path_uses_adjacency(const topo::RouterPath& path, int as_a, int as_b) {
 
 PathRanker::PathRanker(topo::Internet* topo, RankerConfig cfg,
                        std::vector<int> overlay_eps)
-    : topo_(topo), cfg_(cfg), overlay_eps_(std::move(overlay_eps)) {}
+    : topo_(topo), cfg_(cfg), overlay_eps_(std::move(overlay_eps)) {
+  for (std::size_t k = 0; k < overlay_eps_.size(); ++k) {
+    const auto ep = static_cast<std::size_t>(overlay_eps_[k]);
+    if (ep >= vm_index_.size()) vm_index_.resize(ep + 1, -1);
+    if (vm_index_[ep] < 0) vm_index_[ep] = static_cast<int>(k);
+  }
+  probe_rates_.resize(overlay_eps_.size());
+  routes_.emplace_back();  // record 0: the empty route
+  if (cfg_.route_plane != nullptr) {
+    const auto n = static_cast<std::size_t>(cfg_.route_plane->graph().size());
+    route_memo_.resize(n * n);
+  }
+}
 
 int PathRanker::add_pair(int src, int dst) {
   PairState p;
@@ -26,12 +39,13 @@ int PathRanker::add_pair(int src, int dst) {
   return static_cast<int>(pairs_.size()) - 1;
 }
 
-void PathRanker::build_candidates(PairState* p) const {
+void PathRanker::build_candidates(PairState* p) {
   p->candidates.clear();
   Candidate direct;
   direct.kind = core::PathKind::kDirect;
   direct.path = topo_->cached_path(p->src, p->dst);
   direct.usd_per_gb = price(*p, direct, nullptr);
+  direct.key = candidate_objective(direct);
   p->candidates.push_back(std::move(direct));
   for (int o : overlay_eps_) {
     if (o == p->src || o == p->dst) continue;
@@ -41,6 +55,7 @@ void PathRanker::build_candidates(PairState* p) const {
     c.path = topo_->cached_path(p->src, o);
     c.leg2 = topo_->cached_path(o, p->dst);
     c.usd_per_gb = price(*p, c, nullptr);
+    c.key = candidate_objective(c);
     p->candidates.push_back(std::move(c));
   }
   // Multi-hop candidates: every ordered (entry VM, exit VM) pair of plane
@@ -66,25 +81,65 @@ void PathRanker::build_candidates(PairState* p) const {
     }
   }
   p->best = 0;
-  p->order_dirty = true;
+  p->order_cache.resize(p->candidates.size());
+  std::iota(p->order_cache.begin(), p->order_cache.end(), 0);
+  repair_order(p);
 }
 
-void PathRanker::refresh_multihop(const PairState& p, Candidate* c) const {
-  const route::RoutePlane* plane = cfg_.route_plane;
-  c->via.clear();
-  c->mids.clear();
+std::uint32_t PathRanker::intern_route(int entry_ep, int exit_ep) {
+  const route::RoutePlane& plane = *cfg_.route_plane;
+  const route::OverlayGraph& graph = plane.graph();
+  const int a = graph.node_of_ep(entry_ep);
+  const int b = graph.node_of_ep(exit_ep);
+  assert(a >= 0 && b >= 0 && "multi-hop ends must be plane nodes");
+  RouteMemo& m = route_memo_[static_cast<std::size_t>(a) *
+                                 static_cast<std::size_t>(graph.size()) +
+                             static_cast<std::size_t>(b)];
+  // route() reads the agents' tables and edge_measured (written only by a
+  // round), and node liveness; the segments change with the topology.
+  const int round = plane.rounds();
+  const std::uint64_t liveness = graph.liveness_epoch();
+  const std::uint64_t mutation = topo_->mutation_epoch();
+  if (m.round == round && m.liveness == liveness && m.mutation == mutation) {
+    return m.record;
+  }
+  m.round = round;
+  m.liveness = liveness;
+  m.mutation = mutation;
+  RouteRecord fresh;
+  fresh.usable = plane.route(entry_ep, exit_ep, &fresh.via);
+  for (std::size_t k = 1; k < fresh.via.size(); ++k) {
+    const topo::PathRef& mid = fresh.mids.emplace_back(
+        topo_->cached_backbone_path(fresh.via[k - 1], fresh.via[k]));
+    if (mid && !mid->valid) fresh.usable = false;
+  }
+  // A middle hop may be any DC of the plane; a session can only relay
+  // through VMs the broker rents (and whose NICs it books).
+  for (int ep : fresh.via) {
+    const int node = graph.node_of_ep(ep);
+    if (node < 0 || !graph.node_up(node) || vm_index(ep) < 0) {
+      fresh.usable = false;
+    }
+  }
+  const RouteRecord& prev = routes_[m.record];
+  if (prev.via == fresh.via && prev.mids == fresh.mids &&
+      prev.usable == fresh.usable) {
+    return m.record;
+  }
+  m.record = static_cast<std::uint32_t>(routes_.size());
+  routes_.push_back(std::move(fresh));
+  return m.record;
+}
+
+void PathRanker::refresh_multihop(const PairState& p, Candidate* c) {
   c->plan = Candidate::kNoPlan;
   c->path = topo_->cached_path(p.src, c->overlay_ep);
   c->leg2 = topo_->cached_path(c->exit_ep, p.dst);
-  if (plane == nullptr) return;
-  if (plane->route(c->overlay_ep, c->exit_ep, &c->via)) {
-    for (std::size_t k = 1; k < c->via.size(); ++k) {
-      c->mids.push_back(topo_->cached_backbone_path(c->via[k - 1], c->via[k]));
-    }
-  }
-  c->route_ver = plane->pair_route_version(c->exit_ep);
+  c->route = intern_route(c->overlay_ep, c->exit_ep);
+  c->route_ver = cfg_.route_plane->pair_route_version(c->exit_ep);
   // The chain moved, so what it costs moved with it.
   c->usd_per_gb = price(p, *c, nullptr);
+  c->key = candidate_objective(*c);
 }
 
 double PathRanker::price(const PairState& p, const Candidate& c,
@@ -109,22 +164,24 @@ double PathRanker::price(const PairState& p, const Candidate& c,
     return rate;
   }
   if (c.kind != core::PathKind::kMultiHop) return 0.0;
-  if (c.via.empty()) return 0.0;  // no usable route: nothing to price
+  const RouteRecord& r = routes_[c.route];
+  if (!r.usable) return 0.0;  // no usable route: nothing to price
   // The chain pays egress at every hop: backbone rate between consecutive
   // VMs, transit rate leaving the exit VM toward dst.
+  const std::vector<int>& via = r.via;
   double usd_per_gb = 0.0;
-  for (std::size_t i = 0; i + 1 < c.via.size(); ++i) {
-    const topo::Region from = topo_->endpoint(c.via[i]).region;
-    const topo::Region to = topo_->endpoint(c.via[i + 1]).region;
+  for (std::size_t i = 0; i + 1 < via.size(); ++i) {
+    const topo::Region from = topo_->endpoint(via[i]).region;
+    const topo::Region to = topo_->endpoint(via[i + 1]).region;
     const double rate =
         econ::egress_usd_per_gb(*book, from, to, /*backbone=*/true);
-    bill(c.via[i], to, rate);
+    bill(via[i], to, rate);
     usd_per_gb += rate;
   }
-  const topo::Region exit = topo_->endpoint(c.via.back()).region;
+  const topo::Region exit = topo_->endpoint(via.back()).region;
   const double rate = econ::egress_usd_per_gb(*book, exit, dst_region,
                                               /*backbone=*/false);
-  bill(c.via.back(), dst_region, rate);
+  bill(via.back(), dst_region, rate);
   return usd_per_gb + rate;
 }
 
@@ -139,7 +196,7 @@ std::uint32_t PathRanker::charge_plan(int idx, int ci) {
     // A multi-hop session relays through every VM on its chain; each one's
     // NIC carries the session's traffic once in and once out, same as a
     // one-hop relay, so each reserves the full demand.
-    plan.vms = c.via;
+    plan.vms = routes_[c.route].via;
   }
   std::vector<int> key = {static_cast<int>(c.kind),
                           static_cast<int>(topo_->endpoint(p.dst).region)};
@@ -194,9 +251,22 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
   PairState& p = pairs_[static_cast<std::size_t>(idx)];
   assert(s.src == p.src && s.dst == p.dst);
 
+  // This probe's rates per rented VM. A VM the probe skipped (src/dst
+  // collision) keeps -1, so its candidates keep their old scores.
+  for (VmRates& r : probe_rates_) r = VmRates{};
+  for (const auto& o : s.overlays) {
+    const int k = vm_index(o.overlay_ep);
+    if (k >= 0) {
+      probe_rates_[static_cast<std::size_t>(k)] = {o.split_bps, o.leg1_bps,
+                                                    o.leg2_bps};
+    }
+  }
+  const auto rates = [&](int ep) -> const VmRates& {
+    return probe_rates_[static_cast<std::size_t>(vm_index(ep))];
+  };
+
   // Raw per-candidate values of this probe ([0] = direct, then overlays in
-  // candidate order; overlays matched by endpoint id, so a skipped overlay
-  // — src/dst collision — simply keeps its old score).
+  // candidate order).
   const int prev_best = p.best;
   double pinned_raw = -1.0;
   double oracle_raw = 0.0;
@@ -207,7 +277,6 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
       raw = s.direct_bps;
     } else if (c.kind == core::PathKind::kMultiHop) {
       const route::RoutePlane* plane = cfg_.route_plane;
-      if (plane == nullptr) continue;
       // The table column or liveness behind this candidate's route moved
       // since it was read: re-read before scoring so the score matches the
       // route sessions would actually ride. Per-destination versions keep
@@ -219,33 +288,23 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
       // VM's split sample, leg 2 of the exit VM's, and the plane's EWMA
       // bottleneck across the backbone hops. One 0.97 split-proxy haircut
       // per VM in the chain (the one-hop relay pays exactly one).
-      double leg1 = -1.0, leg2 = -1.0;
-      for (const auto& o : s.overlays) {
-        if (o.overlay_ep == c.overlay_ep) leg1 = o.leg1_bps;
-        if (o.overlay_ep == c.exit_ep) leg2 = o.leg2_bps;
-      }
+      const double leg1 = rates(c.overlay_ep).leg1;
+      const double leg2 = rates(c.exit_ep).leg2;
       if (leg1 < 0.0 || leg2 < 0.0) continue;  // an end VM skipped this probe
-      if (c.via.empty()) {
+      RouteRecord& r = routes_[c.route];
+      if (!r.usable) {
         raw = 0.0;  // no usable plane route right now
       } else {
+        if (r.bottleneck_round != plane->rounds()) {
+          r.bottleneck_bps = plane->route_bottleneck_bps(r.via);
+          r.bottleneck_round = plane->rounds();
+        }
         raw = std::min(leg1, leg2);
-        raw = std::min(raw, plane->route_bottleneck_bps(c.via));
-        for (std::size_t v = 0; v < c.via.size(); ++v) raw *= 0.97;
-        for (int ep : c.via) {
-          const int node = plane->graph().node_of_ep(ep);
-          if (node < 0 || !plane->graph().node_up(node)) raw = 0.0;
-        }
-        for (const auto& mid : c.mids) {
-          if (mid && !mid->valid) raw = 0.0;
-        }
+        raw = std::min(raw, r.bottleneck_bps);
+        for (std::size_t v = 0; v < r.via.size(); ++v) raw *= 0.97;
       }
     } else {
-      for (const auto& o : s.overlays) {
-        if (o.overlay_ep == c.overlay_ep) {
-          raw = o.split_bps;
-          break;
-        }
-      }
+      raw = rates(c.overlay_ep).split;
     }
     if (raw < 0.0) continue;  // not measured this probe
     // Unreachable candidate (no policy route, or a leg crosses a failed
@@ -255,6 +314,7 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
     c.score_bps = c.measured
                       ? cfg_.ewma_alpha * raw + (1.0 - cfg_.ewma_alpha) * c.score_bps
                       : raw;
+    c.key = candidate_objective(c);
     c.measured = true;
     c.down = false;  // freshly measured on the current route
     oracle_raw = std::max(oracle_raw, raw);
@@ -279,20 +339,19 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
   for (std::size_t ci = 0; ci < p.candidates.size(); ++ci) {
     const Candidate& c = p.candidates[ci];
     if (c.down || !c.measured) continue;
-    const double obj = candidate_objective(c);
-    if (obj > best_obj) {
-      best_obj = obj;
+    if (c.key > best_obj) {
+      best_obj = c.key;
       challenger = static_cast<int>(ci);
     }
   }
   const Candidate& inc = p.candidates[static_cast<std::size_t>(p.best)];
   const bool incumbent_usable = !inc.down && inc.measured;
   if (challenger != p.best &&
-      (!incumbent_usable ||
-       best_obj > candidate_objective(inc) * (1.0 + cfg_.hysteresis))) {
+      (!incumbent_usable || best_obj > inc.key * (1.0 + cfg_.hysteresis))) {
     p.best = challenger;
   }
-  p.order_dirty = true;  // scores moved; cached admission order is stale
+  // Scores moved: repair the order now, while the candidates are in cache.
+  repair_order(&p);
   return p.best != prev_best;
 }
 
@@ -316,14 +375,15 @@ bool PathRanker::uses_adjacency(const Candidate& c, int as_a,
                                 int as_b) const {
   if (c.path && path_uses_adjacency(*c.path, as_a, as_b)) return true;
   if (c.leg2 && path_uses_adjacency(*c.leg2, as_a, as_b)) return true;
-  for (const auto& mid : c.mids) {
+  const RouteRecord& r = routes_[c.route];
+  for (const auto& mid : r.mids) {
     if (mid && path_uses_adjacency(*mid, as_a, as_b)) return true;
   }
   // A DC outage downs every adjacency of the cloud AS; any multi-hop chain
   // through a VM of that AS must drop immediately — its backbone mids stay
   // "valid" (plain links, not adjacencies), so the AS match on the via
   // chain is what catches it.
-  for (int ep : c.via) {
+  for (int ep : r.via) {
     const int ep_as = topo_->endpoint(ep).as_id;
     if (ep_as == as_a || ep_as == as_b) return true;
   }
@@ -374,15 +434,32 @@ void PathRanker::ranked_order(int idx, std::vector<int>* out) const {
   out->insert(out->begin(), p.best);
 }
 
+void PathRanker::repair_order(PairState* p) const {
+  std::vector<int>& order = p->order_cache;
+  const std::vector<Candidate>& cands = p->candidates;
+  // Best first; the others keep their previous relative order.
+  const auto best = std::find(order.begin(), order.end(), p->best);
+  std::rotate(order.begin(), best, best + 1);
+  // ranked_order's comparator over the stored keys.
+  const auto before = [&](int a, int b) {
+    const Candidate& ca = cands[static_cast<std::size_t>(a)];
+    const Candidate& cb = cands[static_cast<std::size_t>(b)];
+    if (ca.down != cb.down) return !ca.down;  // down candidates last
+    if (ca.key != cb.key) return ca.key > cb.key;
+    return a < b;
+  };
+  for (std::size_t i = 2; i < order.size(); ++i) {
+    const int x = order[i];
+    std::size_t j = i;
+    for (; j > 1 && before(x, order[j - 1]); --j) order[j] = order[j - 1];
+    order[j] = x;
+  }
+  p->order_dirty = false;
+}
+
 const std::vector<int>& PathRanker::admission_order(int idx) {
   PairState& p = pairs_[static_cast<std::size_t>(idx)];
-  if (p.order_dirty) {
-    ranked_order(idx, &p.order_cache);
-    p.order_dirty = false;
-    ++order_rebuilds_;
-  } else {
-    ++order_hits_;
-  }
+  if (p.order_dirty) repair_order(&p);
   return p.order_cache;
 }
 

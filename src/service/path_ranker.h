@@ -44,6 +44,24 @@ struct RankerConfig {
   econ::EconConfig econ;
 };
 
+/// One multi-hop chain as the routing plane handed it out: the DC endpoint
+/// chain (entry..exit, >= 2 entries; empty = no route) and its interned
+/// backbone segments. Records live in PathRanker's append-only route table
+/// and their chains never change once appended, so every pair's candidate
+/// that read the same chain shares one record; record 0 is the empty route.
+struct RouteRecord {
+  std::vector<int> via;
+  std::vector<topo::PathRef> mids;
+  /// Sessions may ride it: non-empty, every DC up and rented by the broker,
+  /// every segment valid. An unusable chain scores 0, prices 0 and is
+  /// skipped at admission.
+  bool usable = false;
+  /// RoutePlane::route_bottleneck_bps(via) as of plane round
+  /// `bottleneck_round` (only a round moves the EWMA rates it reads).
+  int bottleneck_round = -1;
+  double bottleneck_bps = 0.0;
+};
+
 /// One candidate route of a (src, dst) pair: the direct policy path, a
 /// split-TCP relay through one overlay VM, or a multi-hop chain entering
 /// the cloud at `overlay_ep` and exiting at `exit_ep` along the routing
@@ -52,18 +70,18 @@ struct Candidate {
   core::PathKind kind = core::PathKind::kDirect;
   int overlay_ep = -1;        ///< kSplitOverlay/kMultiHop: entry VM
   int exit_ep = -1;           ///< kMultiHop only: exit VM
+  /// kMultiHop: the plane route the score was composed against (an id for
+  /// PathRanker::route), and the per-destination plane version it was
+  /// read at (stale version => re-read on the next probe). Record 0, the
+  /// empty route, for every other kind.
+  std::uint32_t route = 0;
+  std::uint64_t route_ver = 0;
   double score_bps = 0.0;     ///< EWMA-smoothed predicted throughput
-  bool measured = false;      ///< at least one probe applied
-  bool down = false;          ///< traverses a failed adjacency (await repin)
+  /// PathRanker::candidate_objective of this candidate, stored whenever its
+  /// score or price moves: the key the admission order is sorted by.
+  double key = 0.0;
   topo::PathRef path;         ///< direct path, or leg src -> entry VM
   topo::PathRef leg2;         ///< overlay kinds: exit VM -> dst
-  /// kMultiHop: the plane route the score was composed against — the DC
-  /// endpoint chain (entry..exit, >= 2 entries; empty = no usable route),
-  /// its interned backbone segments, and the per-destination plane version
-  /// it was read at (stale version => re-read on the next probe).
-  std::vector<int> via;
-  std::vector<topo::PathRef> mids;
-  std::uint64_t route_ver = 0;
   /// Economics plane (RankerConfig::econ.pricing set): what one GB of this
   /// candidate's traffic costs — direct pays nothing, a one-hop relay pays
   /// transit egress at its VM, a multi-hop chain pays backbone egress at
@@ -75,7 +93,11 @@ struct Candidate {
   /// first reservation after the candidate was (re)built; kNoPlan until then.
   static constexpr std::uint32_t kNoPlan = 0xffffffffu;
   std::uint32_t plan = kNoPlan;
+  bool measured = false;      ///< at least one probe applied
+  bool down = false;          ///< traverses a failed adjacency (await repin)
 };
+static_assert(sizeof(Candidate) <= 88,
+              "a candidate holds no heap block of its own and fits 88 bytes");
 
 /// What a session pinned to a candidate holds and pays, fixed when it
 /// reserves: the overlay VMs whose NICs carry its demand (none for direct,
@@ -121,10 +143,10 @@ struct PairState {
   std::uint64_t decision_fp = 0;
   std::uint64_t admit_seq = 0;  ///< admissions stamped into the chain
   /// Cached admission order (see PathRanker::admission_order) plus its
-  /// dirty bit — the heart of dirty-set incremental re-ranking. Set by
-  /// every mutation that can change the ranking (apply_sample,
-  /// refresh_paths, mark_adjacency_down, candidate rebuilds); admissions
-  /// on a clean pair reuse the cached order with no sort.
+  /// dirty bit. apply_sample and registration repair the order in place
+  /// and leave it clean; refresh_paths and mark_adjacency_down only set
+  /// the bit, and the next admission repairs. Admissions on a clean pair
+  /// reuse the cached order with no sort.
   std::vector<int> order_cache;
   bool order_dirty = true;
 };
@@ -184,8 +206,9 @@ class PathRanker {
   const RankerConfig& config() const { return cfg_; }
 
   /// Fold a fresh measurement into the pair's smoothed scores and re-rank
-  /// with hysteresis. Returns true when the best candidate changed (the
-  /// caller migrates sessions). Also accumulates the regret inputs.
+  /// with hysteresis, then repair the pair's admission order in place
+  /// (it is clean on return). Returns true when the best candidate changed
+  /// (the caller migrates sessions). Also accumulates the regret inputs.
   bool apply_sample(int idx, const core::PairSample& s, sim::Time t);
 
   /// Re-intern every candidate path of the pair (after a route-changing
@@ -206,16 +229,18 @@ class PathRanker {
   void mark_adjacency_down(int as_a, int as_b, std::vector<int>* affected);
 
   /// Candidate order for admission: current best first, then the remaining
-  /// candidates by descending smoothed score (down candidates last).
-  /// Writes indices into `out` (sized to candidates.size()). This is the
-  /// full-recompute reference; admissions use admission_order below.
+  /// candidates by descending objective (down candidates last, ties by
+  /// index). Writes indices into `out` (sized to candidates.size()). This
+  /// is the full-recompute reference (a comparator sort that re-evaluates
+  /// candidate_objective); admissions use admission_order below.
   void ranked_order(int idx, std::vector<int>* out) const;
 
-  /// The pair's cached admission order — identical content to ranked_order,
-  /// but only recomputed when the pair's dirty bit is set (a probe was
-  /// applied, paths refreshed, or an adjacency failed since the last call).
-  /// Steady-state admissions on a clean pair are sort-free, so admission
-  /// cost scales with probe/mutation churn instead of session count.
+  /// The pair's cached admission order — identical content to
+  /// ranked_order. apply_sample repairs it in place; a pair left dirty by
+  /// refresh_paths or mark_adjacency_down is repaired here. The comparator
+  /// is a strict total order over the stored keys (no key is NaN), so an
+  /// insertion sort from any previous order yields exactly the reference
+  /// permutation, in near linear time when a probe moved only a few places.
   const std::vector<int>& admission_order(int idx);
 
   /// The scalar the current cost policy ranks candidates by. Under
@@ -228,6 +253,16 @@ class PathRanker {
   /// Hysteresis applies to this objective, whatever the policy.
   double candidate_objective(const Candidate& c) const;
 
+  /// A route record by id (Candidate::route, intern_route).
+  const RouteRecord& route(std::uint32_t id) const { return routes_[id]; }
+  /// The route record for entry VM -> exit VM (both plane nodes) at the
+  /// plane's current state. Memoized per (entry, exit) on the plane's
+  /// round, its liveness epoch and the topology's mutation epoch — every
+  /// input of a RoutePlane::route read and of the interned segments — and
+  /// shared by every pair. A re-read appends a record only when the chain,
+  /// its segments or its usability differ from the memo's previous one.
+  std::uint32_t intern_route(int entry_ep, int exit_ep);
+
   /// The plan a session reserving on candidate `ci` of the pair holds and
   /// pays by. Interned on first use after the candidate was (re)built, and
   /// shared by every candidate with the same kind, egress region and VMs.
@@ -238,19 +273,24 @@ class PathRanker {
   bool order_dirty(int idx) const {
     return pairs_[static_cast<std::size_t>(idx)].order_dirty;
   }
-  /// Cached-order rebuilds / clean reuses since construction.
-  std::uint64_t order_rebuilds() const { return order_rebuilds_; }
-  std::uint64_t order_hits() const { return order_hits_; }
 
   /// Wrapping sum of every pair's pair_decision_term, keyed by ranker
   /// index — the broker's decision fingerprint.
   std::uint64_t decision_fingerprint() const;
 
  private:
-  void build_candidates(PairState* p) const;
-  /// Re-read the plane's current route for a kMultiHop candidate and
-  /// re-intern its segments (entry/exit access legs + backbone mids).
-  void refresh_multihop(const PairState& p, Candidate* c) const;
+  void build_candidates(PairState* p);
+  /// Re-read the plane's current route for a kMultiHop candidate (through
+  /// the memo) and re-intern its access legs; re-prices it.
+  void refresh_multihop(const PairState& p, Candidate* c);
+  /// Insertion-sort the pair's cached order into ranked_order's
+  /// permutation (best first) and clear its dirty bit.
+  void repair_order(PairState* p) const;
+  /// Dense index of a rented VM endpoint (-1 for any other endpoint).
+  int vm_index(int ep) const {
+    const auto k = static_cast<std::size_t>(ep);
+    return k < vm_index_.size() ? vm_index_[k] : -1;
+  }
   /// The candidate's $/GB under the pricing book, appending the billing
   /// cells behind it to `bills` when given (0 and no cells with the
   /// economics plane off).
@@ -260,13 +300,29 @@ class PathRanker {
   topo::Internet* topo_;
   RankerConfig cfg_;
   std::vector<int> overlay_eps_;
+  std::vector<int> vm_index_;  // endpoint id -> index into overlay_eps_
   std::vector<PairState> pairs_;
+  std::vector<RouteRecord> routes_;  // append-only; [0] = the empty route
+  /// Per (entry node, exit node) of the plane, row-major: the record the
+  /// last read produced and the plane/topology state it was read at.
+  struct RouteMemo {
+    int round = -1;  // no read yet
+    std::uint64_t liveness = 0;
+    std::uint64_t mutation = 0;
+    std::uint32_t record = 0;
+  };
+  std::vector<RouteMemo> route_memo_;
+  /// One probe's rates per rented VM (dense index), filled by apply_sample.
+  struct VmRates {
+    double split = -1.0;
+    double leg1 = -1.0;
+    double leg2 = -1.0;
+  };
+  std::vector<VmRates> probe_rates_;
   std::vector<ChargePlan> plans_;  // append-only; ids are indices
   /// (kind, egress region, VMs...) -> plan id. With the pricing book fixed,
   /// that key determines every cell and rate of the plan.
   std::map<std::vector<int>, std::uint32_t> plan_index_;
-  std::uint64_t order_rebuilds_ = 0;
-  std::uint64_t order_hits_ = 0;
 };
 
 }  // namespace cronets::service

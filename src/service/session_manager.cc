@@ -91,8 +91,8 @@ void SessionManager::accrue(const ChargePlan& plan, Session* s,
 
 int SessionManager::pick_candidate(PathRanker& ranker, int pair_idx,
                                    double demand_bps) {
-  // Cached dirty-set order: sort-free on clean pairs (the common
-  // steady-state admission), recomputed only after a probe/mutation.
+  // Cached order: probes repair it in place, so admissions on a clean pair
+  // (the common steady state) sort nothing.
   const std::vector<int>& order = ranker.admission_order(pair_idx);
   const PairState& p = ranker.pair(pair_idx);
   const econ::EconConfig& econ = ranker.config().econ;
@@ -129,9 +129,10 @@ int SessionManager::pick_candidate(PathRanker& ranker, int pair_idx,
     // Capacity check: a multi-hop candidate needs headroom on every VM of
     // its chain.
     if (c.kind == core::PathKind::kMultiHop) {
-      if (c.via.empty()) continue;  // no usable plane route right now
+      const RouteRecord& r = ranker.route(c.route);
+      if (!r.usable) continue;  // no usable plane route right now
       bool fits = true;
-      for (int ep : c.via) {
+      for (int ep : r.via) {
         if (nic.used_bps(ep) + demand_bps > cfg_.nic_capacity_bps) {
           fits = false;
           break;

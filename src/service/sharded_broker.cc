@@ -293,7 +293,7 @@ bool ShardedBroker::busiest_transit_adjacency(int* as_a, int* as_b) const {
     const Candidate& c = ranker_.pair(s.pair)
                              .candidates[static_cast<std::size_t>(s.candidate)];
     if (c.path) count_path(*c.path);
-    for (const auto& mid : c.mids) {
+    for (const auto& mid : ranker_.route(c.route).mids) {
       if (mid) count_path(*mid);
     }
     if (c.leg2) count_path(*c.leg2);

@@ -352,8 +352,9 @@ TEST(ChaosResilience, DcOutageBlastRadiusCoversMultiHopMiddleHops) {
   sessions.for_each_live([&](std::uint64_t, const service::Session& s) {
     const service::Candidate& c =
         broker.pair(s.pair).candidates[static_cast<std::size_t>(s.candidate)];
-    for (std::size_t k = 1; k + 1 < c.via.size(); ++k) {
-      const auto it = std::find(dcs.begin(), dcs.end(), c.via[k]);
+    const std::vector<int>& via = broker.ranker().route(c.route).via;
+    for (std::size_t k = 1; k + 1 < via.size(); ++k) {
+      const auto it = std::find(dcs.begin(), dcs.end(), via[k]);
       ++middle_of[static_cast<std::size_t>(it - dcs.begin())];
     }
   });
@@ -381,9 +382,9 @@ TEST(ChaosResilience, DcOutageBlastRadiusCoversMultiHopMiddleHops) {
         broker.pair(s.pair).candidates[static_cast<std::size_t>(s.candidate)];
     if (!c.down) return;
     ++down_sessions;
-    if (c.via.size() > 2 &&
-        std::find(c.via.begin() + 1, c.via.end() - 1, dark_ep) !=
-            c.via.end() - 1) {
+    const std::vector<int>& via = broker.ranker().route(c.route).via;
+    if (via.size() > 2 &&
+        std::find(via.begin() + 1, via.end() - 1, dark_ep) != via.end() - 1) {
       ++down_via_middle;
     }
   });

@@ -22,7 +22,9 @@ class PlacementTest : public ::testing::Test {
     const int hq = net.add_server(topo::Region::kNaEast, "hq");
     for (int i = 0; i < 8; ++i) {
       const topo::Region r = i % 2 ? topo::Region::kEurope : topo::Region::kAsia;
-      pairs_.push_back({hq, net.add_client(r, "c" + std::to_string(i))});
+      std::string name = "c";
+      name += std::to_string(i);
+      pairs_.push_back({hq, net.add_client(r, name)});
     }
     opt_.measure(pairs_, net.dc_endpoints(), sim::Time::hours(1));
   }

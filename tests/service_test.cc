@@ -277,7 +277,9 @@ TEST(ReservationContract, RerouteKeepsWhatAPinnedSessionHoldsAndPays) {
     }
   }
   ASSERT_GE(ci, 0);
-  ASSERT_EQ(ranker.pair(idx).candidates[static_cast<std::size_t>(ci)].via, chain);
+  const Candidate& cand =
+      ranker.pair(idx).candidates[static_cast<std::size_t>(ci)];
+  ASSERT_EQ(ranker.route(cand.route).via, chain);
 
   // Only that chain's entry and exit legs measure above zero, so it ranks
   // first and the session pins to it.
@@ -315,8 +317,7 @@ TEST(ReservationContract, RerouteKeepsWhatAPinnedSessionHoldsAndPays) {
   for (const auto& [a, b] : downed) net.set_adjacency_up(a, b, false);
   for (int k = 17; k <= 20; ++k) plane.step(sim::Time::seconds(k));
   ranker.apply_sample(idx, sample, sim::Time::seconds(20));
-  const std::vector<int> rerouted =
-      ranker.pair(idx).candidates[static_cast<std::size_t>(ci)].via;
+  const std::vector<int> rerouted = ranker.route(cand.route).via;
   ASSERT_FALSE(rerouted.empty());
   ASSERT_NE(rerouted, chain);
   ASSERT_EQ(sessions.session(id).candidate, ci);
@@ -663,15 +664,15 @@ TEST(PathRanker, AdmissionOrderMatchesRankedOrderAndCaches) {
   for (int probe = 0; probe < 3; ++probe) {
     s.direct_bps += 7e6;  // moves the ranking around
     ranker.apply_sample(idx, s, sim::Time::seconds(probe + 1));
-    EXPECT_TRUE(ranker.order_dirty(idx));
-    const std::uint64_t rebuilds = ranker.order_rebuilds();
+    // apply_sample repairs the cached order itself: it is clean and equal
+    // to the full-recompute reference before any admission reads it.
+    EXPECT_FALSE(ranker.order_dirty(idx));
     ranker.ranked_order(idx, &reference);
-    EXPECT_EQ(ranker.admission_order(idx), reference);  // rebuilt
+    EXPECT_EQ(ranker.pair(idx).order_cache, reference);
+    EXPECT_EQ(ranker.admission_order(idx), reference);
     EXPECT_EQ(ranker.admission_order(idx), reference);  // cached
-    EXPECT_EQ(ranker.order_rebuilds(), rebuilds + 1);
     EXPECT_FALSE(ranker.order_dirty(idx));
   }
-  EXPECT_GT(ranker.order_hits(), 0u);
 }
 
 TEST(InternetMutation, ListenersObserveEventsAndUnsubscribe) {
