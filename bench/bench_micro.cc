@@ -300,17 +300,30 @@ namespace {
 
 // Deterministic event-queue exercise: interleaved schedule/cancel with slot
 // reuse across rounds; returns 1 iff exactly the non-cancelled callbacks
-// fired, in timestamp-then-FIFO order.
+// fired, in timestamp-then-FIFO order. Each round's 64 events come in
+// equal-time pairs. Rounds 0-7 stay within 512 us (the near heap), rounds
+// 8-15 straddle a far-tier bucket edge, and rounds 16-19 spread over four
+// ring horizons, so they pass through the overflow.
 int event_queue_ok() {
+  constexpr std::int64_t kUs = 1'000;
+  constexpr std::int64_t kBucket = sim::EventQueue::kBucketNs;
+  constexpr std::int64_t kHorizon = kBucket * sim::EventQueue::kRingBuckets;
   sim::EventQueue q;
   long fired = 0, expected = 0;
   long order_violations = 0;
   long last_key = -1;
-  for (int round = 0; round < 8; ++round) {
+  for (int round = 0; round < 20; ++round) {
+    std::int64_t start = round * 64 * kUs, pair_step = kUs;
+    if (round >= 16) {
+      start = (round - 15) * 8 * kHorizon;
+      pair_step = kHorizon / 8;
+    } else if (round >= 8) {
+      start = (round - 7) * 3 * kBucket - 16 * kUs;
+    }
     std::vector<sim::EventHandle> hs;
     for (int i = 0; i < 64; ++i) {
       const long key = round * 64 + i;
-      hs.push_back(q.schedule(sim::Time::microseconds(round * 64 + i / 2), [&, key] {
+      hs.push_back(q.schedule(sim::Time{start + (i / 2) * pair_step}, [&, key] {
         ++fired;
         if (key < last_key) ++order_violations;
         last_key = key;

@@ -41,22 +41,15 @@ class Simulator {
   }
 
   /// Run every event with time <= deadline. Clock ends at the deadline.
+  /// run_next() sets the clock before the callback runs.
   void run_until(Time deadline) {
-    while (!queue_.empty() && queue_.next_time() <= deadline) {
-      now_ = queue_.next_time();  // advance the clock BEFORE the callback runs
-      queue_.run_next();
-      ++events_run_;
-    }
+    while (queue_.next_time() <= deadline && queue_.run_next(&now_)) ++events_run_;
     if (deadline > now_) now_ = deadline;
   }
 
   /// Run until the event queue drains completely.
   void run() {
-    while (!queue_.empty()) {
-      now_ = queue_.next_time();
-      queue_.run_next();
-      ++events_run_;
-    }
+    while (queue_.run_next(&now_)) ++events_run_;
   }
 
   std::uint64_t events_run() const { return events_run_; }

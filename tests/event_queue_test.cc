@@ -3,8 +3,9 @@
 // handle inertness across slot recycling, FIFO order at equal timestamps
 // with cancels punched into the run, heap fallback for oversized callbacks,
 // reentrant cancel/schedule from inside a firing callback, exact fire order
-// with >= 10^5 events pending, and exactly-once lifetimes of callables on
-// both sides of the inline-storage boundary.
+// with >= 10^5 events pending and across the near heap, the far bucket
+// ring and its overflow, and exactly-once lifetimes of callables on both
+// sides of the inline-storage boundary.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <utility>
 #include <vector>
@@ -196,18 +198,23 @@ TEST(EventQueueArena, ReentrantCancelAndScheduleFromCallback) {
   EXPECT_TRUE(q.empty());
 }
 
-/// Drives the queue with >= 10^5 events pending, so every sift walks >= 8
-/// levels of the 4-ary heap, and checks each fire against a reference
-/// ordered by (time, schedule sequence). Fired callbacks schedule
-/// follow-ups of their own.
+/// Drives the queue with many events pending and checks each fire against
+/// a reference ordered by (time, schedule sequence). Fired callbacks
+/// schedule follow-ups of their own, up to `span_ns` later: a span inside
+/// one far-tier bucket keeps nearly every event in the near heap, longer
+/// ones spread events over the bucket ring and, past its horizon, the
+/// overflow.
 class DeepHeapHarness {
  public:
   using Key = std::pair<std::int64_t, std::uint64_t>;  // (time ns, sequence)
-  static constexpr std::int64_t kSpanNs = 1'000'000;
 
-  explicit DeepHeapHarness(std::uint64_t seed) : rng_(seed) {}
+  DeepHeapHarness(std::uint64_t seed, std::int64_t span_ns)
+      : rng_(seed), span_ns_(span_ns) {}
 
   std::uint64_t draw(std::uint64_t n) { return rng_() % n; }
+  std::int64_t draw_span() {
+    return static_cast<std::int64_t>(draw(static_cast<std::uint64_t>(span_ns_)));
+  }
   std::size_t pending() const { return ref_.size(); }
   std::size_t scheduled() const { return handles_.size(); }
   std::int64_t last_fired_ns() const { return last_fired_ns_; }
@@ -227,6 +234,20 @@ class DeepHeapHarness {
     const bool agreed = handles_[id].pending() == was_live;
     handles_[id].cancel();
     return agreed && !handles_[id].pending();
+  }
+
+  /// Time of the earliest pending event, by the reference; std::nullopt
+  /// when none is pending.
+  std::optional<std::int64_t> earliest_ns() const {
+    if (ref_.empty()) return std::nullopt;
+    return ref_.begin()->first.first;
+  }
+
+  /// Peeks at the queue without firing. True iff next_time() is the
+  /// reference's earliest time (Time::max() when none is pending).
+  bool peek_agrees() {
+    const std::optional<std::int64_t> want = earliest_ns();
+    return q_.next_time() == (want ? Time{*want} : Time::max());
   }
 
   /// Fires one event. True iff it is the reference's (time, sequence)
@@ -251,11 +272,12 @@ class DeepHeapHarness {
     // instant (behind every equal-time event) or later.
     const std::uint64_t r = draw(16);
     if (r == 0) schedule(keys_[id].first);
-    if (r == 1) schedule(keys_[id].first + static_cast<std::int64_t>(draw(kSpanNs)));
+    if (r == 1) schedule(keys_[id].first + draw_span());
   }
 
   EventQueue q_;
   std::mt19937_64 rng_;
+  std::int64_t span_ns_;
   std::map<Key, std::size_t> ref_;  // live events: (time, sequence) -> id
   std::vector<Key> keys_;           // by event id
   std::vector<EventHandle> handles_;
@@ -264,13 +286,12 @@ class DeepHeapHarness {
   std::size_t fired_ = kNone;
 };
 
+// >= 10^5 events pending within 1 ms: every sift walks >= 8 levels of the
+// near tier's 4-ary heap.
 TEST(EventQueueArena, DeepHeapFiresInExactReferenceOrder) {
   constexpr std::size_t kPending = 100'000;
-  constexpr std::int64_t kSpan = DeepHeapHarness::kSpanNs;
-  DeepHeapHarness h(0x5eed);
-  for (std::size_t i = 0; i < kPending; ++i) {
-    h.schedule(static_cast<std::int64_t>(h.draw(kSpan)));
-  }
+  DeepHeapHarness h(0x5eed, 1'000'000);
+  for (std::size_t i = 0; i < kPending; ++i) h.schedule(h.draw_span());
   for (int step = 0; step < 100'000; ++step) {
     const std::uint64_t op = h.draw(100);
     const std::int64_t last = h.last_fired_ns();
@@ -278,14 +299,14 @@ TEST(EventQueueArena, DeepHeapFiresInExactReferenceOrder) {
       const std::uint64_t kind = h.draw(16);
       if (kind == 0) {
         // A burst at one timestamp: FIFO among 32 equal times.
-        const std::int64_t at = last + static_cast<std::int64_t>(h.draw(kSpan));
+        const std::int64_t at = last + h.draw_span();
         for (int b = 0; b < 32; ++b) h.schedule(at);
       } else if (kind == 1) {
         // Earlier than the last fired event.
         h.schedule(std::max<std::int64_t>(
             0, last - 1 - static_cast<std::int64_t>(h.draw(1000))));
       } else {
-        h.schedule(last + static_cast<std::int64_t>(h.draw(kSpan)));
+        h.schedule(last + h.draw_span());
       }
     } else if (op < 60) {
       ASSERT_TRUE(h.cancel(h.draw(h.scheduled()))) << "cancel at step " << step;
@@ -296,6 +317,66 @@ TEST(EventQueueArena, DeepHeapFiresInExactReferenceOrder) {
   }
   while (h.pending() > 0) ASSERT_TRUE(h.fire_next());
   EXPECT_TRUE(h.queue_empty());
+}
+
+// The same reference check with spans from 1 us to four ring horizons, so
+// events cross from the far tier's buckets into the near heap and from the
+// overflow into the ring. Besides plain schedules, cancels and fires it
+// adds equal-time bursts on a bucket edge; a next_time() peek (which loads
+// the next bucket when both tiers' fronts are spent) followed at once by
+// schedules at or before the peeked time, the way run_until(deadline)
+// peeks and then its caller schedules; and cancels followed by a schedule
+// that reuses the freed slot, leaving a stale entry beside a live one.
+TEST(EventQueueArena, TiersFireInExactReferenceOrder) {
+  constexpr std::int64_t kBucket = EventQueue::kBucketNs;
+  constexpr std::int64_t kHorizon = EventQueue::kBucketNs * EventQueue::kRingBuckets;
+  constexpr std::size_t kPending = 20'000;
+  for (const std::int64_t span :
+       {std::int64_t{1'000}, kBucket / 3, kBucket * 5, kHorizon / 7, kHorizon + kBucket,
+        kHorizon * 4}) {
+    SCOPED_TRACE(testing::Message() << "span " << span << " ns");
+    DeepHeapHarness h(0x71e5 ^ static_cast<std::uint64_t>(span), span);
+    for (std::size_t i = 0; i < kPending; ++i) h.schedule(h.draw_span());
+    for (int step = 0; step < 60'000; ++step) {
+      const std::uint64_t op = h.draw(100);
+      const std::int64_t last = h.last_fired_ns();
+      if (h.pending() <= kPending || op < 40) {
+        const std::uint64_t kind = h.draw(16);
+        if (kind == 0) {
+          // 32 equal times on the first bucket edge past a random point,
+          // or one tick before it.
+          const std::int64_t edge = ((last + h.draw_span()) / kBucket + 1) * kBucket;
+          const std::int64_t at = edge - static_cast<std::int64_t>(h.draw(2));
+          for (int b = 0; b < 32; ++b) h.schedule(at);
+        } else if (kind == 1) {
+          // Earlier than the last fired event.
+          h.schedule(std::max<std::int64_t>(
+              0, last - 1 - static_cast<std::int64_t>(h.draw(1000))));
+        } else if (kind == 2) {
+          ASSERT_TRUE(h.peek_agrees()) << "peek at step " << step;
+          const std::optional<std::int64_t> next = h.earliest_ns();
+          if (next) {
+            h.schedule(*next);  // ties with the front, behind it
+            const std::int64_t lo = std::min(last, *next);
+            h.schedule(lo + static_cast<std::int64_t>(
+                                h.draw(static_cast<std::uint64_t>(*next - lo) + 1)));
+          }
+        } else {
+          h.schedule(last + h.draw_span());
+        }
+      } else if (op < 60) {
+        const std::size_t id = h.draw(h.scheduled());
+        ASSERT_TRUE(h.cancel(id)) << "cancel at step " << step;
+        if (op < 50) h.schedule(last + h.draw_span());  // reuses the freed slot
+      } else {
+        ASSERT_TRUE(h.fire_next()) << "fire at step " << step;
+      }
+      ASSERT_GE(h.pending(), kPending);
+    }
+    while (h.pending() > 0) ASSERT_TRUE(h.fire_next());
+    EXPECT_TRUE(h.queue_empty());
+    EXPECT_GT(h.last_fired_ns(), 2 * span) << "the run must outlast its span";
+  }
 }
 
 /// A callable of exactly N bytes (alignment 1) that counts its live
