@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <numeric>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/due_set.h"
@@ -183,6 +187,197 @@ TEST(RngTest, NormalZeroStdevReturnsMeanAndAdvancesLikeAnyDraw) {
               (std::normal_distribution<double>{-1.0, stdev}(engine)));
   }
 }
+
+/// Seeds spread over all 64 bits, the extremes included.
+std::uint64_t spread_seed(std::uint64_t i) {
+  return i == 0 ? 0 : i == 1 ? ~std::uint64_t{0} : i * 0x9e3779b97f4a7c15ull;
+}
+
+/// Checks `n` more outputs of `r` against `e`; returns the mismatches.
+int mismatches(Rng& r, std::mt19937_64& e, int n) {
+  int bad = 0;
+  for (int i = 0; i < n; ++i) bad += r.next_u64() != e();
+  return bad;
+}
+
+TEST(RngEngine, MatchesStdMt19937_64AtEveryLength) {
+  // Rng seeds and twists lazily: the first block in chunks of 8, 16, 32,
+  // ... words, later blocks whole. Stop at each chunk and block edge, then
+  // copy, assign and fork there; every stream must continue as the
+  // standard engine does, across the next twist.
+  const int kLengths[] = {1, 3, 8, 9, 155, 156, 157, 311, 312, 313, 624, 1500};
+  constexpr int kAfter = 320;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const std::uint64_t seed = spread_seed(i);
+    for (int len : kLengths) {
+      Rng r(seed);
+      std::mt19937_64 e(seed);
+      ASSERT_EQ(mismatches(r, e, len), 0) << "seed " << seed << " len " << len;
+
+      Rng copy = r;
+      std::mt19937_64 copy_e = e;
+      Rng assigned(seed + 1);
+      assigned.next_u64();
+      assigned = r;
+      std::mt19937_64 assigned_e = e;
+      Rng child = r.fork();
+      std::mt19937_64 child_e(e());
+
+      EXPECT_EQ(mismatches(r, e, kAfter), 0) << "seed " << seed << " at "
+                                             << len;
+      EXPECT_EQ(mismatches(copy, copy_e, kAfter), 0) << "copy at " << len;
+      EXPECT_EQ(mismatches(assigned, assigned_e, kAfter), 0)
+          << "assigned at " << len;
+      EXPECT_EQ(mismatches(child, child_e, kAfter), 0) << "fork at " << len;
+    }
+  }
+}
+
+TEST(RngEngine, KnownAnswers) {
+  // The standard fixes the engine's 10000th output from its default seed.
+  Rng standard(5489);
+  for (int i = 0; i < 9999; ++i) standard.next_u64();
+  EXPECT_EQ(standard.next_u64(), 9981545732273789042ull);
+
+  Rng r(42);
+  EXPECT_EQ(r.next_u64(), 13930160852258120406ull);
+  EXPECT_EQ(r.next_u64(), 11788048577503494824ull);
+}
+
+TEST(RngDistributions, KnownAnswers) {
+  // The distributions are the repo's own, so these hold on any standard
+  // library; only the last bits of log/exp may differ with the libm.
+  {
+    Rng r(42);
+    EXPECT_EQ(r.uniform(), 0x1.82a3befaddcbcp-1);
+    EXPECT_EQ(r.uniform(2.0, 3.0), 0x1.51cbc7dcdc928p+1);
+  }
+  {
+    Rng r(42);
+    EXPECT_DOUBLE_EQ(r.normal(1.0, 2.0), 0x1.347a1c6c57614p+1);
+    EXPECT_EQ(r.next_u64(), 13874630024467741450ull);  // one pair drawn
+  }
+  {
+    Rng r(42);
+    EXPECT_DOUBLE_EQ(r.exponential(4.0), 0x1.6839cf27d4febp+2);
+  }
+  {
+    Rng r(42);
+    EXPECT_DOUBLE_EQ(r.lognormal(0.5, 0.25), 0x1.f76b7b335046cp+0);
+  }
+  {
+    Rng r(42);
+    EXPECT_EQ(r.uniform_int(-5, 5), 3);
+    EXPECT_EQ(r.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                            std::numeric_limits<std::int64_t>::max()),
+              2564676540648719016);
+    EXPECT_EQ(r.index(7), 5u);
+  }
+  {
+    Rng r(42);
+    std::vector<int> even(10), odd(11);
+    std::iota(even.begin(), even.end(), 0);
+    std::iota(odd.begin(), odd.end(), 0);
+    r.shuffle(even);
+    r.shuffle(odd);
+    EXPECT_EQ(even, (std::vector<int>{6, 9, 1, 4, 5, 3, 0, 7, 8, 2}));
+    EXPECT_EQ(odd, (std::vector<int>{2, 8, 7, 9, 0, 3, 4, 5, 6, 10, 1}));
+  }
+}
+
+#ifdef __GLIBCXX__
+// Rng's distributions are written to compute what libstdc++ 12 computes
+// from the same engine: every value equal, and the engine in step after
+// every draw.
+TEST(RngDistributions, DrawForDrawLibstdcxx) {
+  using Int = std::int64_t;
+  constexpr Int kMin = std::numeric_limits<Int>::min();
+  constexpr Int kMax = std::numeric_limits<Int>::max();
+  // (lo, hi): single values, small spans, spans whose rejection threshold
+  // is large, and the full range, which takes a raw draw.
+  constexpr Int kQuarter = Int{1} << 62;
+  const std::pair<Int, Int> kIntRanges[] = {
+      {0, 0},     {-7, -7},   {kMin, kMin},          {kMax, kMax},
+      {0, 1},     {-2, 2},    {1, 168},              {0, 3599},
+      {0, kMax},  {kMin, -1}, {kMin, 0},             {-kQuarter, kQuarter},
+      {kMin + 1, kMax},       {kMin, kMax - 1},      {kMin, kMax}};
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const std::uint64_t seed = spread_seed(i);
+    Rng r(seed);
+    std::mt19937_64 e(seed);
+    for (int k = 0; k < 300; ++k) {
+      const int kind = static_cast<int>((i + k) % 9);
+      const double a = 0.25 * (k % 7) - 0.5;  // parameters vary per draw
+      const double b = 0.05 + 0.5 * (k % 5);
+      switch (kind) {
+        case 0:
+          ASSERT_EQ(r.uniform(),
+                    (std::uniform_real_distribution<double>{0.0, 1.0}(e)));
+          break;
+        case 1: {
+          const double hi = a + (k % 3) * b;  // hi == lo every third draw
+          ASSERT_EQ(r.uniform(a, hi),
+                    (std::uniform_real_distribution<double>{a, hi}(e)));
+          break;
+        }
+        case 2:
+          ASSERT_EQ(r.normal(a, b),
+                    (std::normal_distribution<double>{a, b}(e)));
+          break;
+        case 3:
+          ASSERT_EQ(r.normal(a, 0.0), a);
+          std::normal_distribution<double>{}(e);
+          break;
+        case 4:
+          ASSERT_EQ(r.exponential(b),
+                    (std::exponential_distribution<double>{1.0 / b}(e)));
+          break;
+        case 5:
+          ASSERT_EQ(r.lognormal(a, b),
+                    (std::lognormal_distribution<double>{a, b}(e)));
+          break;
+        case 6: {
+          const auto& [lo, hi] = kIntRanges[k % std::size(kIntRanges)];
+          ASSERT_EQ(r.uniform_int(lo, hi),
+                    (std::uniform_int_distribution<Int>{lo, hi}(e)))
+              << lo << ".." << hi;
+          break;
+        }
+        case 7: {
+          const std::size_t size = 1 + (k * 7919u) % 1000;
+          ASSERT_EQ(r.index(size),
+                    static_cast<std::size_t>(std::uniform_int_distribution<Int>{
+                        0, static_cast<Int>(size) - 1}(e)));
+          break;
+        }
+        case 8: {
+          std::vector<int> v(k % 12);
+          std::iota(v.begin(), v.end(), 0);
+          std::vector<int> w = v;
+          r.shuffle(v);
+          std::shuffle(w.begin(), w.end(), e);
+          ASSERT_EQ(v, w);
+          break;
+        }
+      }
+      ASSERT_EQ(r.next_u64(), e()) << "out of step after kind " << kind;
+    }
+  }
+
+  // Every shuffle size from 0 to 300, odd and even.
+  for (int n = 0; n <= 300; ++n) {
+    Rng r(spread_seed(n));
+    std::mt19937_64 e(spread_seed(n));
+    std::vector<int> v(n);
+    std::iota(v.begin(), v.end(), 0);
+    std::vector<int> w = v;
+    r.shuffle(v);
+    std::shuffle(w.begin(), w.end(), e);
+    ASSERT_EQ(v, w) << "size " << n;
+    ASSERT_EQ(r.next_u64(), e()) << "size " << n;
+  }
+}
+#endif  // __GLIBCXX__
 
 /// The routing plane's selection rule (OverlayGraph::select_due) over a
 /// DueSet: due-now ids are budget-exempt, stale ids are taken up to

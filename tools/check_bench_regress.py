@@ -11,8 +11,10 @@ caller's environment minus all CRONETS_* variables, plus
 CRONETS_QUICK=1, and a fresh working directory under
 bench_results/gate/. Each bench's first reference run is then compared
 with its bench/baselines/ file (compare), and must fail against that
-baseline with its fingerprints perturbed (perturb_errors).
-EXPERIMENTS.md ("CI gates") lists every rule.
+baseline with its fingerprints perturbed (perturb_errors). A lint
+(lint_errors) first fails on a standard-library random engine or
+distribution anywhere under src/. EXPERIMENTS.md ("CI gates") lists every
+rule.
 """
 
 import copy
@@ -79,6 +81,13 @@ THROUGHPUT_DROP_WARN = 0.20
 BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                          "bench", "baselines")
 RESULTS = os.path.join("bench_results", "gate")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+# Every draw under src/ comes from sim::Rng's own engine and distributions.
+# The standard fixes an engine's output but not the algorithms of its
+# distributions or shuffle, so these would make a seed's world depend on
+# the standard library.
+STD_RANDOM = re.compile(
+    r"mt19937|std::\w+_distribution|std::shuffle|generate_canonical")
 
 
 def load(path):
@@ -88,6 +97,22 @@ def load(path):
 
 def check_rows(doc):
     return {c["metric"]: c["measured"] for c in doc["checks"]}
+
+
+def lint_errors():
+    """Lines under src/ that name a standard-library random engine,
+    distribution or shuffle."""
+    errors = []
+    for root, dirs, files in os.walk(SRC):
+        dirs.sort()
+        for name in sorted(files):
+            path = os.path.join(root, name)
+            with open(path, errors="replace") as f:
+                for n, line in enumerate(f, 1):
+                    if STD_RANDOM.search(line):
+                        errors.append(f"{os.path.relpath(path, SRC)}:{n}: "
+                                      f"{line.strip()}")
+    return errors
 
 
 def run(build, bench, settings, workdir):
@@ -204,6 +229,11 @@ def main():
         sys.exit(f"{__doc__}\nno bench binaries under {build}/bench")
     shutil.rmtree(RESULTS, ignore_errors=True)
     errors, warnings, first, runs = [], [], {}, 0
+    lint = lint_errors()
+    print(f"FAIL lint src/ ({len(lint)} line(s))" if lint else
+          "ok   lint src/ (no standard-library random engine or distribution)",
+          flush=True)
+    errors += [f"src/{e}: use sim::Rng" for e in lint]
     for bench, fixed, axes in MATRIX:
         ref = None
         for combo in itertools.product(
