@@ -68,6 +68,7 @@ int main() {
   const int kFail = 10, kHeal = 55, kEnd = 120;
   double bgp_up_seconds = 0, mptcp_up_seconds = 0;
   double bgp_bytes = 0, mptcp_bytes = 0;
+  sim::Rng rng(world.flow().seed());  // one noise stream for the whole run
 
   std::printf("%6s %18s %18s\n", "t (s)", "BGP-only (Mbps)", "CRONets+MPTCP");
   for (int t = 0; t <= kEnd; ++t) {
@@ -84,7 +85,7 @@ int main() {
       if (p.valid) {
         auto m = world.flow().sample(p, at);
         m.rwnd_bytes = static_cast<double>(net.endpoint(client).rcv_buf);
-        bgp_bps = world.flow().tcp_throughput(m);
+        bgp_bps = world.flow().tcp_throughput(m, rng);
       }
     }
     // MPTCP across direct + overlays: during the outage the direct subflow
@@ -97,9 +98,9 @@ int main() {
       auto m2 = world.flow().sample(net.path(o, client), at);
       m2.rwnd_bytes = static_cast<double>(net.endpoint(client).rcv_buf);
       per_path.push_back(
-          world.flow().tcp_throughput(model::FlowModel::concat(m1, m2)));
+          world.flow().tcp_throughput(model::FlowModel::concat(m1, m2), rng));
     }
-    mptcp_bps = world.flow().mptcp_coupled(per_path);
+    mptcp_bps = world.flow().mptcp_coupled(per_path, rng);
 
     bgp_up_seconds += bgp_bps > 1e5;
     mptcp_up_seconds += mptcp_bps > 1e5;

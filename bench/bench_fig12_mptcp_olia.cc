@@ -39,11 +39,12 @@ int run_fig(transport::Coupling coupling, const char* figname, double paper_mptc
     double direct_est;
   };
   std::vector<Pair> pairs;
+  sim::Rng rng(world.flow().seed());
   for (int a : dcs) {
     for (int b : dcs) {
       if (a == b) continue;
       auto m = world.flow().sample(net.path(a, b), at);
-      pairs.push_back({a, b, world.flow().tcp_throughput(m)});
+      pairs.push_back({a, b, world.flow().tcp_throughput(m, rng)});
     }
   }
   std::sort(pairs.begin(), pairs.end(),

@@ -26,11 +26,12 @@ int main() {
     double direct_est;
   };
   std::vector<Pair> pairs;
+  sim::Rng rng(world.flow().seed());
   for (int a : dcs) {
     for (int b : dcs) {
       if (a == b) continue;
       auto m = world.flow().sample(net.path(a, b), at);
-      pairs.push_back({a, b, world.flow().tcp_throughput(m)});
+      pairs.push_back({a, b, world.flow().tcp_throughput(m, rng)});
     }
   }
   std::sort(pairs.begin(), pairs.end(),

@@ -276,7 +276,6 @@ static void BM_BatchSample(benchmark::State& state) {
   const auto paths = sweep_paths(world, servers, clients, overlays);
 
   model::BatchSampler sampler(&world.flow());
-  sampler.begin_batch();
   std::vector<int> handles;
   for (const auto& p : paths) handles.push_back(sampler.intern(p));
   std::vector<model::PathMetrics> out(handles.size());
@@ -426,7 +425,6 @@ int main(int argc, char** argv) {
   // Scalar-ISA batched sampler: isolates the SoA batching win so the
   // batch_* extras keep their pre-vectorization meaning.
   model::BatchSampler ksampler(&world.flow(), model::simd::Level::kScalar);
-  ksampler.begin_batch();
   std::vector<int> khandles;
   for (const auto& p : kpaths) khandles.push_back(ksampler.intern(p));
   std::vector<model::PathMetrics> kout(khandles.size());
@@ -442,7 +440,6 @@ int main(int argc, char** argv) {
   // The dispatched sampler (CRONETS_SIMD: AVX2 where available):
   // batching + vectorized AR(1) innovations + vectorized PFTK.
   model::BatchSampler vsampler(&world.flow());
-  vsampler.begin_batch();
   std::vector<int> vhandles;
   for (const auto& p : kpaths) vhandles.push_back(vsampler.intern(p));
   std::vector<model::PathMetrics> vout(vhandles.size());

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/stats.h"
+#include "model/simd/dispatch.h"
 #include "sim/env.h"
 #include "wkld/world.h"
 
@@ -131,6 +132,8 @@ class BenchRun {
     std::fprintf(f, "  \"seed\": %llu,\n",
                  static_cast<unsigned long long>(world_seed()));
     std::fprintf(f, "  \"threads\": %d,\n", threads());
+    std::fprintf(f, "  \"simd\": \"%s\",\n",
+                 model::simd::level_name(model::simd::active_level()));
     std::fprintf(f, "  \"smoke\": %s,\n", smoke_ ? "true" : "false");
     std::fprintf(f, "  \"quick\": %s,\n", quick_mode() ? "true" : "false");
     std::fprintf(f, "  \"wall_s\": %.6f,\n", wall_s_);

@@ -68,10 +68,6 @@ void Traceroute::on_icmp(const net::IcmpMessage& msg, net::IpAddr from) {
   send_probe();
 }
 
-std::vector<int> map_traceroute(topo::Internet& internet, int ep_src, int ep_dst) {
-  return internet.path(ep_src, ep_dst).routers;
-}
-
 std::vector<long long> interface_hops(const topo::RouterPath& path) {
   std::vector<long long> out;
   // routers[i] is entered over traversals[i] (traversal 0 is the source

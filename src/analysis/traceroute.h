@@ -48,11 +48,6 @@ class Traceroute {
   sim::EventHandle timeout_;
 };
 
-/// Map-based traceroute: reads the router-level policy path straight off
-/// the topology (what the packet traceroute converges to, used for the
-/// 1,250-path diversity analysis at scale).
-std::vector<int> map_traceroute(topo::Internet& internet, int ep_src, int ep_dst);
-
 /// Interface-level hop identities, as an IP traceroute reports them: each
 /// hop is the (router, ingress link) pair, i.e. the interface address the
 /// probe's TTL expired on. Two paths crossing the same router through

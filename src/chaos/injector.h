@@ -24,8 +24,9 @@ class FaultObserver {
 /// Replays a Scenario against the live world: schedules every fault's
 /// begin/end on the control plane's sim::EventQueue and applies them
 /// through the production mutation machinery (Internet::set_adjacency_up,
-/// Internet::add_event) — so PathCache invalidation, BatchSampler
-/// re-interning, and the broker's failover all fire exactly as they would
+/// Internet::add_event) — so PathCache invalidation, the meter's
+/// per-thread sampler rebuild, the routing plane's samplers picking up the
+/// new events, and the broker's failover all fire exactly as they would
 /// for a real mid-run failure.
 class Injector {
  public:

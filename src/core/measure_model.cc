@@ -27,9 +27,12 @@ struct PairPlan {
 // Per-thread batched-measurement state: the SoA sampler plus every scratch
 // array a batch needs, reused across calls so warm batches allocate
 // nothing. Keyed by the flow model's process-unique instance tag — a
-// different model (even one reallocated at the same address) rebuilds.
+// different model (even one reallocated at the same address) rebuilds —
+// and by the topology's mutation epoch: the plans name the routes the
+// path cache handed out, so a mutation replaces the sampler and plans.
 struct BatchScratch {
   std::uint64_t flow_tag = 0;
+  std::uint64_t epoch = 0;
   std::unique_ptr<model::BatchSampler> sampler;
   std::unordered_map<std::uint64_t, PairPlan> plans;  ///< key: (src, dst)
   std::vector<const PairPlan*> batch_plans;           ///< per request
@@ -140,13 +143,12 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
                                      sim::Time t, PairSample* out) const {
   if (n == 0) return;
   BatchScratch& S = batch_scratch();
-  if (!S.sampler || S.flow_tag != flow_->instance_tag()) {
+  const std::uint64_t epoch = flow_->topo()->mutation_epoch();
+  if (!S.sampler || S.flow_tag != flow_->instance_tag() || S.epoch != epoch) {
     S.sampler = std::make_unique<model::BatchSampler>(flow_);
     S.flow_tag = flow_->instance_tag();
+    S.epoch = epoch;
     S.plans.clear();
-  }
-  if (S.sampler->begin_batch()) {
-    S.plans.clear();  // topology mutated: every interned handle is invalid
   }
 
   // Pass 1: resolve each request to its cached PairPlan (path handles +

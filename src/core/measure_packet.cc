@@ -143,16 +143,6 @@ PacketRunResult PacketLab::run_split(int src_ep, int dst_ep, int via_ep,
   return r;
 }
 
-PacketRunResult PacketLab::run_discrete(int src_ep, int dst_ep, int via_ep,
-                                        Time duration, Time start_at,
-                                        TcpConfig cfg) {
-  PacketRunResult leg1 = run_direct(src_ep, via_ep, duration, start_at, cfg);
-  PacketRunResult leg2 = run_direct(via_ep, dst_ep, duration, start_at, cfg);
-  PacketRunResult r = leg1.goodput_bps < leg2.goodput_bps ? leg1 : leg2;
-  r.connected = leg1.connected && leg2.connected;
-  return r;
-}
-
 PacketRunResult PacketLab::run_mptcp(int src_ep, int dst_ep,
                                      const std::vector<int>& via_eps,
                                      transport::Coupling coupling, Time duration,

@@ -50,13 +50,6 @@ class PacketLab {
                             sim::Time start_at = sim::Time::zero(),
                             transport::TcpConfig cfg = {});
 
-  /// Two independent leg measurements (§II-A "Discrete overlay"): returns
-  /// min of the legs' goodputs.
-  PacketRunResult run_discrete(int src_ep, int dst_ep, int via_ep,
-                               sim::Time duration,
-                               sim::Time start_at = sim::Time::zero(),
-                               transport::TcpConfig cfg = {});
-
   /// MPTCP across the direct path plus one subflow per overlay node
   /// (§VI): path steering via per-subflow alias addresses tunnelled
   /// through the corresponding overlay node.

@@ -13,8 +13,10 @@ void PlacementOptimizer::measure(const std::vector<std::pair<int, int>>& pairs,
   candidates_ = candidates;
   direct_.clear();
   split_.clear();
-  for (const auto& [src, dst] : pairs) {
-    const PairSample s = meter_->measure(src, dst, candidates, at);
+  std::vector<PairSample> samples(pairs.size());
+  meter_->measure_batch(pairs.data(), pairs.size(), candidates, at,
+                        samples.data());
+  for (const PairSample& s : samples) {
     direct_.push_back(s.direct_bps);
     std::vector<double> row(candidates.size(), 0.0);
     for (const auto& o : s.overlays) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "model/simd/dispatch.h"
 
@@ -12,51 +13,6 @@ namespace {
 // weight rows below rely on that bound.
 constexpr int kMaxHorizon = 64;
 }  // namespace
-
-void BatchSampler::reset() {
-  path_index_.clear();
-  path_ref_.clear();
-  path_min_capacity_bps_.clear();
-  path_hops_.clear();
-  path_slot_begin_.clear();
-  path_slot_begin_.push_back(0);
-  slot_field_.clear();
-  field_index_.clear();
-  f_stream_.clear();
-  f_epoch_ns_.clear();
-  f_horizon_.clear();
-  f_stationary_sd_.clear();
-  f_sqrt_w2_.clear();
-  f_delay_ms_.clear();
-  f_pkt_ms_.clear();
-  f_capacity_bps_.clear();
-  f_bg_.clear();
-  f_has_diurnal_.clear();
-  f_event_begin_.clear();
-  events_.clear();
-  f_weight_begin_.clear();
-  f_weights_.clear();
-  used_.clear();
-  mark_.clear();
-  stamp_ = 0;
-  f_eval_.clear();
-  plan_handles_.clear();
-  plan_traversals_ = 0;
-  plan_valid_ = false;
-  plan_groups_.clear();
-  plan_wt_.clear();
-  plan_uniq_.clear();
-  plan_out_of_.clear();
-  uniq_out_.clear();
-}
-
-bool BatchSampler::begin_batch() {
-  const std::uint64_t epoch = topo_->mutation_epoch();
-  if (epoch == epoch_) return false;
-  reset();
-  epoch_ = epoch;
-  return true;
-}
 
 std::uint32_t BatchSampler::intern_field(const topo::Traversal& trav) {
   const std::uint64_t stream =
@@ -101,6 +57,31 @@ std::uint32_t BatchSampler::intern_field(const topo::Traversal& trav) {
   return it->second;
 }
 
+void BatchSampler::bucket_events() {
+  // Stable counting sort of the event list by field: each bucket keeps
+  // topology order, so the boosts add up in the scalar sampler's order.
+  const std::vector<topo::LinkEvent>& all = topo_->events();
+  const auto field_of = [&](const topo::LinkEvent& ev) {
+    return field_index_.find(
+        field_stream(flow_->seed(), ev.link_id, ev.forward));
+  };
+  f_event_begin_.assign(f_stream_.size() + 1, 0);
+  for (const topo::LinkEvent& ev : all) {
+    const auto it = field_of(ev);
+    if (it != field_index_.end()) ++f_event_begin_[it->second + 1];
+  }
+  std::partial_sum(f_event_begin_.begin(), f_event_begin_.end(),
+                   f_event_begin_.begin());
+  events_.resize(f_event_begin_.back());
+  std::vector<std::uint32_t> next(f_event_begin_.begin(),
+                                  f_event_begin_.end() - 1);
+  for (const topo::LinkEvent& ev : all) {
+    const auto it = field_of(ev);
+    if (it != field_index_.end()) events_[next[it->second]++] = ev;
+  }
+  events_seen_ = all.size();
+}
+
 int BatchSampler::intern(const topo::PathRef& path) {
   const auto it = path_index_.find(path.get());
   if (it != path_index_.end()) return it->second;
@@ -121,6 +102,7 @@ int BatchSampler::intern(const topo::PathRef& path) {
 
 void BatchSampler::sample_batch(const int* handles, std::size_t n, sim::Time t,
                                 PathMetrics* out) {
+  if (topo_->events().size() != events_seen_) bucket_events();
   // Pass 1: the unique link fields this batch touches, in first-touch
   // order. A field crossed by many paths is collected (and later
   // evaluated) exactly once. The scan depends only on the handle set (not

@@ -14,9 +14,10 @@ namespace cronets::model {
 /// Batch-oriented, SIMD-friendly path sampler: the structure-of-arrays
 /// batch copy of the reference FlowModel::sample. Interned paths become
 /// dense handles whose link-field constants (AR(1) parameters, delays,
-/// capacities, transient events), derived straight from the topology's
-/// links once per (link, direction), live in contiguous arrays, and
-/// `sample_batch` evaluates a whole batch of paths at one timestamp with
+/// capacities), derived straight from the topology's links once per
+/// (link, direction), live in contiguous arrays beside each field's
+/// transient events, and `sample_batch` evaluates a whole batch of paths
+/// at one timestamp with
 ///
 ///  1. *deduplicated* link-field evaluation — each (link direction, t) is
 ///     computed exactly once per batch no matter how many paths cross it
@@ -31,12 +32,19 @@ namespace cronets::model {
 /// is pure arithmetic over dense arrays.
 ///
 /// Thread-safety: none — a BatchSampler is a per-thread object (the batched
-/// measurement consumers keep one per worker thread). Interning pins the
-/// underlying RouterPath via the stored PathRef; `begin_batch` revalidates
-/// against the topology mutation epoch and resets the store (invalidating
-/// all handles) when the world has mutated, so callers re-intern their
-/// paths at the start of every batch. That reset is the store's only
-/// invalidation.
+/// measurement consumers keep one per worker thread).
+///
+/// Lifetime: a handle stays valid for the sampler's whole life. The store
+/// pins every interned RouterPath through its PathRef, so the
+/// pointer-keyed index can never alias a freed path, and an interned path
+/// is sampled as the route it names. A route-changing mutation makes the
+/// PathCache hand out new paths, which intern as new handles; the old
+/// handles keep sampling the old routes. The only topology state a field
+/// reads after interning is the transient-event list, which is
+/// append-only: when `sample_batch` sees it has grown, it re-buckets every
+/// event under the interned fields, in topology order, before sampling.
+/// It polls the list instead of registering a mutation listener, so
+/// per-thread samplers never touch shared state while a mutation runs.
 class BatchSampler {
  public:
   /// `level` selects the innovation-kernel ISA (default: the process-wide
@@ -47,25 +55,26 @@ class BatchSampler {
                         simd::Level level = simd::active_level())
       : flow_(flow),
         topo_(flow->topo()),
-        epoch_(flow->topo()->mutation_epoch()),
-        level_(level) {
+        level_(level),
+        events_seen_(flow->topo()->events().size()) {
     path_slot_begin_.push_back(0);
   }
 
-  /// Revalidate against the topology mutation epoch. Returns true if the
-  /// store was reset (every previously returned handle is now invalid).
-  bool begin_batch();
-
   /// Dense handle of `path`, interning its link fields into the SoA store
-  /// on first use. Valid until the next store reset (see begin_batch).
+  /// on first use. Valid for the sampler's lifetime.
   int intern(const topo::PathRef& path);
 
   /// Metrics of handles[i] at time `t` into out[i]. Bitwise identical to
-  /// FlowModel::sample(handle's path, t) for every element.
+  /// FlowModel::sample(handle's path, t) for every element, under the
+  /// topology's current event list.
   void sample_batch(const int* handles, std::size_t n, sim::Time t,
                     PathMetrics* out);
 
   std::size_t paths() const { return path_ref_.size(); }
+  /// The path `handle` was interned from.
+  const topo::RouterPath& path(int handle) const {
+    return *path_ref_[static_cast<std::size_t>(handle)];
+  }
   std::size_t unique_fields() const { return f_stream_.size(); }
   simd::Level simd_level() const { return level_; }
   /// Link-field evaluations saved by within-batch dedup since construction:
@@ -76,12 +85,13 @@ class BatchSampler {
   /// Field index of one traversal's (link, direction), filling the SoA
   /// field arrays from the topology on first sight of its stream id.
   std::uint32_t intern_field(const topo::Traversal& trav);
-  void reset();
+  /// Rebuild every field's event bucket from the topology's event list.
+  void bucket_events();
 
   const FlowModel* flow_;
   const topo::Internet* topo_;
-  std::uint64_t epoch_;
   simd::Level level_;
+  std::size_t events_seen_;  ///< topology events the buckets hold
 
   // --- interned paths (SoA; the PathRef pins the keying pointer alive) ---
   std::unordered_map<const topo::RouterPath*, int> path_index_;
@@ -133,7 +143,7 @@ class BatchSampler {
   /// Dedup-plan cache: pass 1 (the unique-field scan) depends only on the
   /// handle set, not on t, so a sweep re-sampling the same handles — every
   /// probe tick, every bench rep — reuses `used_` after one memcmp-cheap
-  /// content compare. Invalidated on store reset.
+  /// content compare.
   std::vector<int> plan_handles_;
   std::uint64_t plan_traversals_ = 0;
   bool plan_valid_ = false;

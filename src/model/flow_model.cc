@@ -233,11 +233,6 @@ double FlowModel::overlay_plain(const PathMetrics& leg1, const PathMetrics& leg2
 }
 
 double FlowModel::overlay_split(const PathMetrics& leg1, const PathMetrics& leg2,
-                                sim::Rng& rng) const {
-  return overlay_split(leg1, leg2, rng, nullptr, nullptr);
-}
-
-double FlowModel::overlay_split(const PathMetrics& leg1, const PathMetrics& leg2,
                                 sim::Rng& rng, double* leg1_bps,
                                 double* leg2_bps) const {
   // Each leg runs its own TCP; the proxy relays with ample buffer. A small

@@ -86,14 +86,12 @@ std::uint64_t field_stream(std::uint64_t seed, int link_id, bool forward);
 /// `sample` is the reference sampler; model::BatchSampler is its
 /// structure-of-arrays batch copy, pinned to it bit for bit by tests.
 ///
-/// Thread-safety: `utilization` and `sample` are const and touch no shared
-/// mutable state (only a per-thread memo) — the utilization at (link,
-/// direction, t) is a pure function of the model seed, so concurrent
-/// measurements see one consistent world regardless of query order or
-/// thread count. The throughput predictors draw measurement noise: pass an
-/// explicit `Rng` (e.g. a per-pair stream) from parallel code; the
-/// overloads without one use the model's own serial stream and are NOT
-/// thread-safe.
+/// Thread-safety: `utilization`, `sample` and every throughput predictor
+/// are const and touch no shared mutable state (only a per-thread memo) —
+/// the utilization at (link, direction, t) is a pure function of the model
+/// seed, so concurrent measurements see one consistent world regardless of
+/// query order or thread count. The predictors draw their measurement
+/// noise from the `Rng` the caller passes (e.g. a per-pair stream).
 namespace detail {
 /// Process-unique tag per FlowModel instance; keys the per-thread
 /// field-value memo so models over different topologies never alias.
@@ -103,7 +101,7 @@ std::uint64_t next_flow_model_tag();
 class FlowModel {
  public:
   FlowModel(topo::Internet* topo, std::uint64_t seed)
-      : topo_(topo), seed_(seed), rng_(seed) {}
+      : topo_(topo), seed_(seed) {}
 
   /// Utilization of one link direction at time `t` (stationary AR(1)
   /// random field, with diurnal component and scheduled transient events
@@ -127,14 +125,12 @@ class FlowModel {
   double overlay_plain(const PathMetrics& leg1, const PathMetrics& leg2,
                        sim::Rng& rng) const;
   /// Split-TCP at the overlay node: min of the two legs' own TCP rates.
+  /// The per-leg rates go to the out pointers when given: the multi-hop
+  /// ranker reuses a one-hop probe's leg rates to score k-hop compositions
+  /// without any extra measurement draws.
   double overlay_split(const PathMetrics& leg1, const PathMetrics& leg2,
-                       sim::Rng& rng) const;
-  /// Same draws, same result, but also exposes the two per-leg TCP rates
-  /// (either out pointer may be null). The multi-hop ranker reuses a
-  /// one-hop probe's leg rates to score k-hop compositions without any
-  /// extra measurement draws.
-  double overlay_split(const PathMetrics& leg1, const PathMetrics& leg2,
-                       sim::Rng& rng, double* leg1_bps, double* leg2_bps) const;
+                       sim::Rng& rng, double* leg1_bps = nullptr,
+                       double* leg2_bps = nullptr) const;
   /// Discrete bound: min of independently measured legs (no tunnel cost).
   double discrete(const PathMetrics& leg1, const PathMetrics& leg2,
                   sim::Rng& rng) const;
@@ -143,22 +139,6 @@ class FlowModel {
   /// Uncoupled MPTCP: ~ sum of subflows, capped by the NIC.
   double mptcp_uncoupled(const std::vector<double>& per_path_tput, double nic_bps,
                          sim::Rng& rng) const;
-
-  // Serial conveniences drawing from the model's own stream (single-thread).
-  double tcp_throughput(const PathMetrics& m) { return tcp_throughput(m, rng_); }
-  double overlay_plain(const PathMetrics& l1, const PathMetrics& l2) {
-    return overlay_plain(l1, l2, rng_);
-  }
-  double overlay_split(const PathMetrics& l1, const PathMetrics& l2) {
-    return overlay_split(l1, l2, rng_);
-  }
-  double discrete(const PathMetrics& l1, const PathMetrics& l2) {
-    return discrete(l1, l2, rng_);
-  }
-  double mptcp_coupled(const std::vector<double>& t) { return mptcp_coupled(t, rng_); }
-  double mptcp_uncoupled(const std::vector<double>& t, double nic_bps) {
-    return mptcp_uncoupled(t, nic_bps, rng_);
-  }
 
   std::uint64_t seed() const { return seed_; }
   topo::Internet* topo() const { return topo_; }
@@ -173,7 +153,6 @@ class FlowModel {
   topo::Internet* topo_;
   std::uint64_t seed_;
   std::uint64_t model_tag_ = detail::next_flow_model_tag();
-  sim::Rng rng_;  ///< serial stream backing the legacy overloads only
   TcpModelParams params_;
 };
 

@@ -68,7 +68,6 @@ class Link {
   sim::Time prop_delay() const { return prop_delay_; }
   const LinkStats& stats() const { return stats_; }
   BackgroundProcess& background() { return bg_; }
-  std::int64_t queued_bytes() const { return queued_bytes_; }
 
   /// Residual capacity available to foreground traffic right now.
   double available_bps() { return capacity_bps_ * (1.0 - bg_.utilization(sim_->now())); }

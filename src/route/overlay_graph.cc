@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "sim/hash_rng.h"
 
@@ -33,12 +34,15 @@ OverlayGraph::OverlayGraph(topo::Internet* topo, const model::FlowModel* flow,
   const std::size_t nn =
       static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_);
   edges_.resize(nn);
-  handles_.resize(static_cast<std::size_t>(n_) * (n_ > 0 ? n_ - 1 : 0));
   const int num_edges = n_ * (n_ > 0 ? n_ - 1 : 0);
   budget_ = std::max(1, (num_edges + interval_ - 1) / interval_);
   for (int i = 0; i < n_; ++i) {
     for (int j = 0; j < n_; ++j) {
       due_.add(j == i ? sim::DueSet::kNeverDue : sim::DueSet::kDueNow);
+      if (j == i) continue;
+      const topo::PathRef path = std::make_shared<const topo::RouterPath>(
+          topo_->backbone_path(eps_[i], eps_[j]));
+      edge(i, j).handle = sampler_.intern(path);
     }
   }
   delay_dirty_rows_.assign(eps_.size(), 0);
@@ -101,9 +105,7 @@ void OverlayGraph::note_link_event(const topo::LinkEvent& ev) {
   for (int i = 0; i < n_; ++i) {
     for (int j = 0; j < n_; ++j) {
       if (j == i) continue;
-      const topo::PathRef p = topo_->cached_backbone_path(eps_[i], eps_[j]);
-      if (!p || !p->valid) continue;
-      for (const auto& tr : p->traversals) {
+      for (const auto& tr : sampler_.path(edge(i, j).handle).traversals) {
         if (tr.link_id == ev.link_id) {
           // Probe the edge when the episode starts (see the surge) and
           // again just after it ends (see the recovery), instead of
@@ -136,7 +138,7 @@ void OverlayGraph::select_due(std::vector<int>* out) {
 
 void OverlayGraph::measure(sim::Time t) {
   std::fill(delay_dirty_rows_.begin(), delay_dirty_rows_.end(), 0);
-  if (handles_.empty()) {
+  if (n_ < 2) {
     ++rounds_measured_;
     return;
   }
@@ -153,33 +155,13 @@ void OverlayGraph::measure(sim::Time t) {
     pending_dirty_.resize(w);
   }
 
-  const bool reset = sampler_.begin_batch();
-  if (reset || !handles_valid_) {
-    std::size_t k = 0;
-    for (int i = 0; i < n_; ++i) {
-      for (int j = 0; j < n_; ++j) {
-        if (j == i) continue;
-        EdgeState& e = edge(i, j);
-        e.path = topo_->cached_backbone_path(eps_[i], eps_[j]);
-        handles_[k++] = sampler_.intern(e.path);
-      }
-    }
-    handles_valid_ = true;
-  }
-
   select_due(&selected_);
   const std::size_t m = selected_.size();
   if (m > 0) {
     sel_handles_.resize(m);
     metrics_.resize(m);
     for (std::size_t s = 0; s < m; ++s) {
-      const int e = selected_[s];
-      const int i = e / n_;
-      const int j = e % n_;
-      const std::size_t k = static_cast<std::size_t>(i) *
-                                static_cast<std::size_t>(n_ - 1) +
-                            static_cast<std::size_t>(j < i ? j : j - 1);
-      sel_handles_[s] = handles_[k];
+      sel_handles_[s] = edges_[static_cast<std::size_t>(selected_[s])].handle;
     }
     sampler_.sample_batch(sel_handles_.data(), m, t, metrics_.data());
 

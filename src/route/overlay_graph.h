@@ -14,12 +14,19 @@ namespace cronets::route {
 
 /// The routing plane's view of the cloud: one node per data-center VM
 /// endpoint, one directed edge per ordered DC pair, riding the private
-/// backbone (topo::Internet::cached_backbone_path). Edges carry EWMA
-/// estimates of backbone TCP rate and delay, refreshed through the SoA
-/// batch sampler — the same measurement kernel the probe sweeps use, so an
-/// edge estimate is bitwise a pure function of (seed, src VM, dst VM, t)
-/// at every SIMD level, and of the probe schedule, which is itself a pure
-/// function of the mutation timeline.
+/// backbone (topo::Internet::backbone_path). Edges carry EWMA estimates of
+/// backbone TCP rate and delay, refreshed through the SoA batch sampler —
+/// the same measurement kernel the probe sweeps use, so an edge estimate
+/// is bitwise a pure function of (seed, src VM, dst VM, t) at every SIMD
+/// level, and of the probe schedule, which is itself a pure function of
+/// the mutation timeline.
+///
+/// A backbone path reads no BGP or event state, so no mutation changes
+/// it: the constructor builds every edge's path once and interns it in the
+/// graph's sampler, which holds the paths for the graph's lifetime. The
+/// sampler follows the topology's event list itself, so a transient event
+/// on a backbone path shows in the next probe of every edge that crosses
+/// it.
 ///
 /// Probing is incremental: an edge's staleness key in a sim::DueSet is the
 /// round it was last probed (kDueNow = dirty, probe now). A round probes
@@ -92,11 +99,11 @@ class OverlayGraph {
 
  private:
   struct EdgeState {
-    topo::PathRef path;  ///< interned backbone segment (pins the pointer)
     double ewma_bps = 0.0;
     double ewma_delay_ms = 0.0;
     double metric_bps = 0.0;       ///< latched (policy-facing) rate
     double metric_delay_ms = 0.0;  ///< latched (policy-facing) delay
+    int handle = -1;  ///< sampler handle of the edge's backbone path
     bool measured = false;
   };
 
@@ -144,8 +151,6 @@ class OverlayGraph {
   // Batched measurement machinery (scratch persists across rounds so a
   // warm round allocates nothing).
   model::BatchSampler sampler_;
-  std::vector<int> handles_;  ///< per edge, row-major skipping the diagonal
-  bool handles_valid_ = false;
   std::vector<int> sel_handles_;
   std::vector<model::PathMetrics> metrics_;
   std::vector<double> rtt_ms_, loss_, residual_bps_, capacity_bps_,

@@ -96,23 +96,14 @@ std::uint32_t PathRanker::intern_route(int entry_ep, int exit_ep) {
                                  static_cast<std::size_t>(graph.size()) +
                              static_cast<std::size_t>(b)];
   // route() reads the agents' tables and edge_measured (written only by a
-  // round), and node liveness; the segments change with the topology.
+  // round), and node liveness.
   const int round = plane.rounds();
   const std::uint64_t liveness = graph.liveness_epoch();
-  const std::uint64_t mutation = topo_->mutation_epoch();
-  if (m.round == round && m.liveness == liveness && m.mutation == mutation) {
-    return m.record;
-  }
+  if (m.round == round && m.liveness == liveness) return m.record;
   m.round = round;
   m.liveness = liveness;
-  m.mutation = mutation;
   RouteRecord fresh;
   fresh.usable = plane.route(entry_ep, exit_ep, &fresh.via);
-  for (std::size_t k = 1; k < fresh.via.size(); ++k) {
-    const topo::PathRef& mid = fresh.mids.emplace_back(
-        topo_->cached_backbone_path(fresh.via[k - 1], fresh.via[k]));
-    if (mid && !mid->valid) fresh.usable = false;
-  }
   // A middle hop may be any DC of the plane; a session can only relay
   // through VMs the broker rents (and whose NICs it books).
   for (int ep : fresh.via) {
@@ -122,10 +113,7 @@ std::uint32_t PathRanker::intern_route(int entry_ep, int exit_ep) {
     }
   }
   const RouteRecord& prev = routes_[m.record];
-  if (prev.via == fresh.via && prev.mids == fresh.mids &&
-      prev.usable == fresh.usable) {
-    return m.record;
-  }
+  if (prev.via == fresh.via && prev.usable == fresh.usable) return m.record;
   m.record = static_cast<std::uint32_t>(routes_.size());
   routes_.push_back(std::move(fresh));
   return m.record;
@@ -375,15 +363,11 @@ bool PathRanker::uses_adjacency(const Candidate& c, int as_a,
                                 int as_b) const {
   if (c.path && path_uses_adjacency(*c.path, as_a, as_b)) return true;
   if (c.leg2 && path_uses_adjacency(*c.leg2, as_a, as_b)) return true;
-  const RouteRecord& r = routes_[c.route];
-  for (const auto& mid : r.mids) {
-    if (mid && path_uses_adjacency(*mid, as_a, as_b)) return true;
-  }
   // A DC outage downs every adjacency of the cloud AS; any multi-hop chain
-  // through a VM of that AS must drop immediately — its backbone mids stay
-  // "valid" (plain links, not adjacencies), so the AS match on the via
+  // through a VM of that AS must drop immediately. Its backbone segments
+  // are plain mesh links, not adjacencies, so the AS match on the via
   // chain is what catches it.
-  for (int ep : r.via) {
+  for (int ep : routes_[c.route].via) {
     const int ep_as = topo_->endpoint(ep).as_id;
     if (ep_as == as_a || ep_as == as_b) return true;
   }

@@ -45,16 +45,16 @@ struct RankerConfig {
 };
 
 /// One multi-hop chain as the routing plane handed it out: the DC endpoint
-/// chain (entry..exit, >= 2 entries; empty = no route) and its interned
-/// backbone segments. Records live in PathRanker's append-only route table
-/// and their chains never change once appended, so every pair's candidate
-/// that read the same chain shares one record; record 0 is the empty route.
+/// chain (entry..exit, >= 2 entries; empty = no route). Its backbone
+/// segments are fixed mesh links, never BGP adjacencies, so the chain alone
+/// decides where a session rides. Records live in PathRanker's append-only
+/// route table and their chains never change once appended, so every
+/// pair's candidate that read the same chain shares one record; record 0
+/// is the empty route.
 struct RouteRecord {
   std::vector<int> via;
-  std::vector<topo::PathRef> mids;
-  /// Sessions may ride it: non-empty, every DC up and rented by the broker,
-  /// every segment valid. An unusable chain scores 0, prices 0 and is
-  /// skipped at admission.
+  /// Sessions may ride it: non-empty, every DC up and rented by the broker.
+  /// An unusable chain scores 0, prices 0 and is skipped at admission.
   bool usable = false;
   /// RoutePlane::route_bottleneck_bps(via) as of plane round
   /// `bottleneck_round` (only a round moves the EWMA rates it reads).
@@ -218,9 +218,9 @@ class PathRanker {
   void refresh_paths(int idx);
 
   /// Does the candidate ride the AS adjacency (as_a, as_b)? Its access
-  /// legs or backbone segments cross it, or a VM of its via chain sits in
-  /// as_a or as_b. The one predicate behind mark_adjacency_down, the
-  /// broker's sessions_traversing and the chaos monitor's blast radius.
+  /// legs cross it, or a VM of its via chain sits in as_a or as_b. The one
+  /// predicate behind mark_adjacency_down, the broker's sessions_traversing
+  /// and the chaos monitor's blast radius.
   bool uses_adjacency(const Candidate& c, int as_a, int as_b) const;
 
   /// Append the indices of pairs with any candidate that uses_adjacency
@@ -257,10 +257,9 @@ class PathRanker {
   const RouteRecord& route(std::uint32_t id) const { return routes_[id]; }
   /// The route record for entry VM -> exit VM (both plane nodes) at the
   /// plane's current state. Memoized per (entry, exit) on the plane's
-  /// round, its liveness epoch and the topology's mutation epoch — every
-  /// input of a RoutePlane::route read and of the interned segments — and
-  /// shared by every pair. A re-read appends a record only when the chain,
-  /// its segments or its usability differ from the memo's previous one.
+  /// round and its liveness epoch — every input of a RoutePlane::route
+  /// read — and shared by every pair. A re-read appends a record only when
+  /// the chain or its usability differ from the memo's previous one.
   std::uint32_t intern_route(int entry_ep, int exit_ep);
 
   /// The plan a session reserving on candidate `ci` of the pair holds and
@@ -304,11 +303,10 @@ class PathRanker {
   std::vector<PairState> pairs_;
   std::vector<RouteRecord> routes_;  // append-only; [0] = the empty route
   /// Per (entry node, exit node) of the plane, row-major: the record the
-  /// last read produced and the plane/topology state it was read at.
+  /// last read produced and the plane state it was read at.
   struct RouteMemo {
     int round = -1;  // no read yet
     std::uint64_t liveness = 0;
-    std::uint64_t mutation = 0;
     std::uint32_t record = 0;
   };
   std::vector<RouteMemo> route_memo_;

@@ -292,10 +292,9 @@ bool ShardedBroker::busiest_transit_adjacency(int* as_a, int* as_b) const {
   sessions_.for_each_live([&](std::uint64_t, const Session& s) {
     const Candidate& c = ranker_.pair(s.pair)
                              .candidates[static_cast<std::size_t>(s.candidate)];
+    // A multi-hop chain's backbone segments join cloud ASes, which carry
+    // no transit, so only the access legs count.
     if (c.path) count_path(*c.path);
-    for (const auto& mid : ranker_.route(c.route).mids) {
-      if (mid) count_path(*mid);
-    }
     if (c.leg2) count_path(*c.leg2);
   });
   // The most-loaded adjacency (deterministic tie-break on the packed key).

@@ -226,15 +226,10 @@ class Internet {
   double base_rtt_ms(const RouterPath& p) const;
   /// Direct cloud-backbone path between two DC endpoints (multi-hop
   /// overlay extension); falls back to the public path if either endpoint
-  /// is not a DC VM.
+  /// is not a DC VM. Between two DCs it reads no BGP or event state — the
+  /// mesh links are plain links, not adjacencies — so no mutation changes
+  /// it: the routing plane builds each edge's path once and keeps it.
   RouterPath backbone_path(int dc_ep_a, int dc_ep_b);
-  /// Interned immutable version of `backbone_path()` (separate key space
-  /// in the shared PathCache, same invalidation). The multi-hop routing
-  /// plane's edge measurements go through this, so the SoA batch sampler
-  /// sees stable interned segments with zero new allocation paths.
-  PathRef cached_backbone_path(int dc_ep_a, int dc_ep_b) {
-    return path_cache_.get_backbone(dc_ep_a, dc_ep_b);
-  }
 
   // --- dynamics -------------------------------------------------------
   void add_event(const LinkEvent& ev);

@@ -7,16 +7,7 @@
 namespace cronets::topo {
 
 PathRef PathCache::get(int ep_src, int ep_dst) {
-  return get_keyed(key(ep_src, ep_dst), ep_src, ep_dst, /*backbone=*/false);
-}
-
-PathRef PathCache::get_backbone(int dc_ep_a, int dc_ep_b) {
-  return get_keyed(key(dc_ep_a, dc_ep_b) | kBackboneKeyBit, dc_ep_a, dc_ep_b,
-                   /*backbone=*/true);
-}
-
-PathRef PathCache::get_keyed(std::uint64_t k, int ep_src, int ep_dst,
-                             bool backbone) {
+  const std::uint64_t k = key(ep_src, ep_dst);
   {
     std::shared_lock<std::shared_mutex> lk(mu_);
     auto it = cache_.find(k);
@@ -28,9 +19,7 @@ PathRef PathCache::get_keyed(std::uint64_t k, int ep_src, int ep_dst,
   misses_.fetch_add(1, std::memory_order_relaxed);
   // Compute outside the lock: paths are deterministic, so losing the
   // insert race below just discards an identical duplicate.
-  auto path = std::make_shared<const RouterPath>(
-      backbone ? topo_->backbone_path(ep_src, ep_dst)
-               : topo_->path(ep_src, ep_dst));
+  auto path = std::make_shared<const RouterPath>(topo_->path(ep_src, ep_dst));
   std::unique_lock<std::shared_mutex> lk(mu_);
   return cache_.emplace(k, std::move(path)).first->second;
 }

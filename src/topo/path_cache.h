@@ -19,6 +19,12 @@ class Internet;
 /// taking path expansion — and its per-call vector churn — off the hot
 /// path entirely.
 ///
+/// An entry lives until the next BGP adjacency change, the only mutation
+/// that can reroute a policy path; the Internet then drops every entry.
+/// A PathRef handed out earlier stays valid and keeps naming the old
+/// route, so holders that key state on the pointer (the batch sampler's
+/// handles) never alias a new route.
+///
 /// Mirrors the Routing::to() cache contract: `get` is safe to call
 /// concurrently (reader/writer lock; a miss computes outside the lock and
 /// the first insert wins, so all threads intern one object per pair).
@@ -31,14 +37,6 @@ class PathCache {
   /// The interned policy path src -> dst (computed on first use).
   PathRef get(int ep_src, int ep_dst);
 
-  /// The interned cloud-backbone path between two DC endpoints (see
-  /// Internet::backbone_path). Lives in a separate key space — bit 63 of
-  /// the packed key, which endpoint ids (non-negative ints) never set — so
-  /// a DC pair's public policy path and its private backbone path are
-  /// distinct entries. Invalidation is shared: a route-changing mutation
-  /// drops both.
-  PathRef get_backbone(int dc_ep_a, int dc_ep_b);
-
   /// Drop every interned path (topology changed). Outstanding PathRefs
   /// stay valid — they go stale, not dangling.
   void invalidate();
@@ -50,13 +48,10 @@ class PathCache {
   std::size_t size() const;
 
  private:
-  static constexpr std::uint64_t kBackboneKeyBit = 1ull << 63;
   static std::uint64_t key(int ep_src, int ep_dst) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ep_src)) << 32) |
            static_cast<std::uint32_t>(ep_dst);
   }
-  /// Lookup-or-compute under the shared-lock protocol of `get`.
-  PathRef get_keyed(std::uint64_t k, int ep_src, int ep_dst, bool backbone);
 
   Internet* topo_;
   mutable std::shared_mutex mu_;

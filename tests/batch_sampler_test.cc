@@ -2,7 +2,8 @@
 // performance knob. model::BatchSampler and the batched meter entry points
 // must be bitwise identical to the scalar sampler at every batch size
 // (including 1 and ragged tails), at every thread count, and across
-// topology mutations that force paths to be re-interned.
+// topology mutations: a handle interned before a transient event samples
+// it without re-interning, and a rerouted path interns as a new handle.
 
 #include <gtest/gtest.h>
 
@@ -87,7 +88,6 @@ TEST(BatchSampler, BitwiseEqualsScalarAtEveryBatchSize) {
   ASSERT_GT(paths.size(), 256u);
 
   model::BatchSampler sampler(&world.flow());
-  sampler.begin_batch();
   std::vector<int> handles;
   for (const auto& p : paths) handles.push_back(sampler.intern(p));
   EXPECT_GT(sampler.unique_fields(), 0u);
@@ -118,21 +118,17 @@ TEST(BatchSampler, ReinternsAfterTopologyMutation) {
   auto paths = sweep_paths(world, pops);
 
   model::BatchSampler sampler(&world.flow());
-  ASSERT_FALSE(sampler.begin_batch());
   std::vector<int> handles;
   for (const auto& p : paths) handles.push_back(sampler.intern(p));
   std::vector<model::PathMetrics> out(paths.size());
   sampler.sample_batch(handles.data(), handles.size(), sim::Time::minutes(30),
                        out.data());
 
-  // Transient event: epoch bump, same routes, field constants change.
+  // Transient event: epoch bump, same routes, one more event to apply. The
+  // handles interned before it sample it without re-interning.
   world.internet().add_event(topo::LinkEvent{0, true, sim::Time::minutes(40),
                                              sim::Time::minutes(80), 0.3});
-  EXPECT_TRUE(sampler.begin_batch());
-  EXPECT_EQ(sampler.paths(), 0u);
-  paths = sweep_paths(world, pops);
-  handles.clear();
-  for (const auto& p : paths) handles.push_back(sampler.intern(p));
+  const std::size_t interned = sampler.paths();
   sampler.sample_batch(handles.data(), handles.size(), sim::Time::minutes(60),
                        out.data());
   for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -140,6 +136,7 @@ TEST(BatchSampler, ReinternsAfterTopologyMutation) {
                          world.flow().sample(*paths[i], sim::Time::minutes(60)),
                          "post-event");
   }
+  EXPECT_EQ(sampler.paths(), interned);
 
   // BGP failure: routes themselves change and paths re-intern.
   int as_a = -1, as_b = -1;
@@ -156,10 +153,14 @@ TEST(BatchSampler, ReinternsAfterTopologyMutation) {
   }
   ASSERT_GE(as_a, 0);
   ASSERT_TRUE(world.internet().set_adjacency_up(as_a, as_b, false));
-  EXPECT_TRUE(sampler.begin_batch());
+  // The path cache dropped every route; the sampler still pins the old
+  // paths, so the re-fetched ones intern as new handles.
   paths = sweep_paths(world, pops);
   handles.clear();
-  for (const auto& p : paths) handles.push_back(sampler.intern(p));
+  for (const auto& p : paths) {
+    handles.push_back(sampler.intern(p));
+    EXPECT_GE(handles.back(), static_cast<int>(interned));
+  }
   sampler.sample_batch(handles.data(), handles.size(), sim::Time::minutes(90),
                        out.data());
   for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -276,8 +277,8 @@ TEST(BatchMeasure, PostMutationMeasurementsTrackScalar) {
 TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
   // Chaos-style storm: an adjacency bounces down/up repeatedly while a
   // mutation listener subscribes and unsubscribes mid-storm. After every
-  // bounce the sampler must notice the epoch change, demand re-interning,
-  // and reproduce the scalar sampler bit for bit against the new routes.
+  // bounce the re-fetched paths must intern as new handles and reproduce
+  // the scalar sampler bit for bit against the new routes.
   wkld::World world(9, small_params(9));
   auto& net = world.internet();
   const auto pops = make_populations(world, 4);
@@ -297,7 +298,6 @@ TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
   ASSERT_GE(as_a, 0);
 
   model::BatchSampler sampler(&world.flow());
-  sampler.begin_batch();
   {
     const auto paths = sweep_paths(world, pops);
     for (const auto& p : paths) sampler.intern(p);
@@ -311,18 +311,20 @@ TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
   for (int round = 0; round < 6; ++round) {
     const bool up = (round % 2) != 0;
     ASSERT_TRUE(net.set_adjacency_up(as_a, as_b, up));
-    // Listener churn mid-storm must not disturb the sampler's own
-    // epoch-listener registration.
+    // Listener churn mid-storm must not disturb the sampler, which polls
+    // the topology instead of listening.
     if (round == 2) {
       net.remove_mutation_listener(listener);
       listener = net.add_mutation_listener(
           [&](const topo::Mutation&) { ++listener_seen; });
     }
-    EXPECT_TRUE(sampler.begin_batch());  // epoch changed: everything drops
-    EXPECT_EQ(sampler.paths(), 0u);
+    const auto interned = static_cast<int>(sampler.paths());
     const auto paths = sweep_paths(world, pops);
     std::vector<int> handles;
-    for (const auto& p : paths) handles.push_back(sampler.intern(p));
+    for (const auto& p : paths) {
+      handles.push_back(sampler.intern(p));
+      EXPECT_GE(handles.back(), interned);  // rerouted: a new handle
+    }
     out.resize(paths.size());
     const sim::Time t = sim::Time::minutes(15 * (round + 1));
     sampler.sample_batch(handles.data(), handles.size(), t, out.data());
@@ -333,8 +335,11 @@ TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
   net.remove_mutation_listener(listener);
   EXPECT_EQ(listener_seen, 6);
 
-  // Quiet world: no epoch change, the interned batch stays valid.
-  EXPECT_FALSE(sampler.begin_batch());
+  // Quiet world: the cache hands out the same paths, so they keep their
+  // handles.
+  const std::size_t interned = sampler.paths();
+  for (const auto& p : sweep_paths(world, pops)) sampler.intern(p);
+  EXPECT_EQ(sampler.paths(), interned);
 }
 
 }  // namespace

@@ -427,6 +427,13 @@ TEST(ChaosModel, SamplersBitwiseIdenticalUnderStormAndGrayOverlays) {
   const sim::Time outside = sim::Time::minutes(90);
   const model::PathMetrics calm = world.flow().sample(*paths[0], inside);
 
+  // Interned before the faults: the handles must see them without
+  // re-interning.
+  model::BatchSampler sampler(&world.flow());
+  std::vector<int> handles;
+  for (const auto& p : paths) handles.push_back(sampler.intern(p));
+  std::vector<model::PathMetrics> out(paths.size());
+
   // A congestion storm and a gray failure on the first path's first link,
   // both covering `inside` only.
   topo::LinkEvent storm;
@@ -440,18 +447,6 @@ TEST(ChaosModel, SamplersBitwiseIdenticalUnderStormAndGrayOverlays) {
   gray.util_boost = 0.0;
   gray.loss_boost = 0.08;
   net.add_event(gray);
-
-  // Re-intern after the epoch bump, as production consumers do.
-  paths.clear();
-  for (int s : servers) {
-    for (int c : clients) paths.push_back(net.cached_path(s, c));
-  }
-
-  model::BatchSampler sampler(&world.flow());
-  sampler.begin_batch();
-  std::vector<int> handles;
-  for (const auto& p : paths) handles.push_back(sampler.intern(p));
-  std::vector<model::PathMetrics> out(paths.size());
 
   // The batch sampler against the reference, inside and outside the fault
   // window.

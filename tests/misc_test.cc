@@ -231,8 +231,9 @@ TEST(FlowModelKnobs, NoiseToggleIsExact) {
   fm.params().noise_sigma = 0.0;
   model::PathMetrics m{.rtt_ms = 100, .loss = 0.001, .residual_bps = 1e9,
                        .capacity_bps = 1e9, .hop_count = 5};
-  const double t1 = fm.tcp_throughput(m);
-  const double t2 = fm.tcp_throughput(m);
+  sim::Rng rng(fm.seed());
+  const double t1 = fm.tcp_throughput(m, rng);
+  const double t2 = fm.tcp_throughput(m, rng);
   EXPECT_DOUBLE_EQ(t1, t2);  // no noise => deterministic
 }
 
@@ -248,7 +249,8 @@ TEST(FlowModelKnobs, RwndOverrideBindsWhenSmall) {
   model::PathMetrics m{.rtt_ms = 200, .loss = 0.0, .residual_bps = 1e9,
                        .capacity_bps = 1e9, .hop_count = 5};
   m.rwnd_bytes = 64 * 1024;
-  EXPECT_NEAR(fm.tcp_throughput(m), 64 * 1024 * 8 / 0.2, 1.0);
+  sim::Rng rng(fm.seed());
+  EXPECT_NEAR(fm.tcp_throughput(m, rng), 64 * 1024 * 8 / 0.2, 1.0);
 }
 
 }  // namespace

@@ -150,9 +150,10 @@ TEST(FlowModel, SplitBeatsPlainOnBalancedLossyLegs) {
   PathMetrics leg{.rtt_ms = 80, .loss = 0.004, .residual_bps = 1e9,
                   .capacity_bps = 1e9, .hop_count = 10};
   double split_sum = 0, plain_sum = 0;
+  sim::Rng rng(fm.seed());
   for (int i = 0; i < 50; ++i) {
-    split_sum += fm.overlay_split(leg, leg);
-    plain_sum += fm.overlay_plain(leg, leg);
+    split_sum += fm.overlay_split(leg, leg, rng);
+    plain_sum += fm.overlay_plain(leg, leg, rng);
   }
   // Mathis: same loss per leg at half the RTT -> at least ~1.9x.
   EXPECT_GT(split_sum, plain_sum * 1.8);
@@ -163,15 +164,16 @@ TEST(FlowModel, MptcpPredictors) {
   FlowModel fm(&topo, 82);
   fm.params().noise_sigma = 0.0;
   const std::vector<double> paths = {10e6, 40e6, 25e6};
+  sim::Rng rng(fm.seed());
   for (int i = 0; i < 20; ++i) {
-    const double coupled = fm.mptcp_coupled(paths);
+    const double coupled = fm.mptcp_coupled(paths, rng);
     EXPECT_GT(coupled, 35e6);
     EXPECT_LT(coupled, 45e6);
-    const double uncoupled = fm.mptcp_uncoupled(paths, 100e6);
+    const double uncoupled = fm.mptcp_uncoupled(paths, 100e6, rng);
     EXPECT_GT(uncoupled, 70e6);
     EXPECT_LE(uncoupled, 97e6 + 1);
     // NIC cap binds when the sum exceeds it.
-    EXPECT_LE(fm.mptcp_uncoupled({80e6, 90e6}, 100e6), 97e6 + 1);
+    EXPECT_LE(fm.mptcp_uncoupled({80e6, 90e6}, 100e6, rng), 97e6 + 1);
   }
 }
 

@@ -221,19 +221,19 @@ TEST(PathAggregates, TransientEventInvalidatesAggregates) {
   const sim::Time t = sim::Time::hours(2), after = sim::Time::hours(4);
 
   model::BatchSampler sampler(&world.flow());
+  const topo::PathRef p = net.cached_path(src, dst);
+  const int h = sampler.intern(p);
   const auto batch_sample = [&](sim::Time at) {
-    const int h = sampler.intern(net.cached_path(src, dst));
     model::PathMetrics m;
     sampler.sample_batch(&h, 1, at, &m);
     return m;
   };
-  const topo::PathRef p = net.cached_path(src, dst);
   const model::PathMetrics calm = batch_sample(t);
   const model::PathMetrics calm_after = batch_sample(after);
   expect_same_metrics(calm, world.flow().sample(*p, t));
 
   // Saturate the first traversed link inside a window covering t; the
-  // interned aggregates (which carry per-link event lists) must rebuild.
+  // handle interned before the event must sample it without re-interning.
   topo::LinkEvent ev;
   ev.link_id = p->traversals.front().link_id;
   ev.forward = p->traversals.front().forward;
@@ -241,9 +241,9 @@ TEST(PathAggregates, TransientEventInvalidatesAggregates) {
   ev.until = sim::Time::hours(3);
   ev.util_boost = 0.5;
   net.add_event(ev);
-  EXPECT_TRUE(sampler.begin_batch());
 
   const model::PathMetrics hot = batch_sample(t);
+  EXPECT_EQ(sampler.paths(), 1u);
   expect_same_metrics(hot, world.flow().sample(*p, t));
   EXPECT_GT(hot.loss, calm.loss);
   EXPECT_LT(hot.residual_bps, calm.residual_bps);

@@ -182,13 +182,14 @@ TEST_P(FlowModelInvariants, SamplesAreWellFormed) {
   const int c = net.add_client(topo::Region::kEurope, "c");
   const int s = net.add_client(topo::Region::kNaEast, "s");
   const auto path = net.path(s, c);
+  sim::Rng rng(fm.seed());
   for (int hour = 1; hour < 50; hour += 7) {
     const auto m = fm.sample(path, sim::Time::hours(hour));
     EXPECT_GE(m.loss, 0.0);
     EXPECT_LE(m.loss, 1.0);
     EXPECT_GT(m.rtt_ms, 0.0);
     EXPECT_GT(m.residual_bps, 0.0);
-    const double t = fm.tcp_throughput(m);
+    const double t = fm.tcp_throughput(m, rng);
     EXPECT_GT(t, 0.0);
     EXPECT_LE(t, std::min(m.residual_bps, m.capacity_bps) * 1.01);
   }

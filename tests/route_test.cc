@@ -3,14 +3,16 @@
 // where detours genuinely win; hysteresis damps metric-chatter flaps;
 // the backpressure policy keeps its virtual queues bounded when drain
 // capacity exceeds arrivals; DC outages propagate through the Internet's
-// mutation listeners (routes withdrawn while dark, restored after); and
-// every routing table and broker decision is bitwise identical across
-// measurement thread counts.
+// mutation listeners (routes withdrawn while dark, restored after); a
+// transient event reaches the edges built before it; and every routing
+// table and broker decision is bitwise identical across measurement thread
+// counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "chaos/injector.h"
@@ -234,6 +236,86 @@ TEST(RoutePlane, DcOutageWithdrawsAndRestoresRoutes) {
   warm(&plane, 2, /*offset_s=*/10);
   EXPECT_TRUE(plane.route(net.dc_endpoint("wdc"), tok, &via));
   EXPECT_EQ(via.back(), tok);
+}
+
+// The plane builds and interns its backbone edges once, so an event added
+// after the plane exists must reach its probes exactly as one the world
+// already held when the plane was built. Two same-seed worlds get the same
+// congestion window on one backbone edge: world A before its plane is
+// built, world B a few rounds after. Both then take the same DC outage and
+// restore, and the two planes must agree every round.
+TEST(RoutePlane, LateBackboneEventMatchesEventKnownAtConstruction) {
+  // A thin backbone, so the episode's queueing moves the edge's delay past
+  // the latch threshold.
+  topo::CloudParams cloud;
+  cloud.backbone_capacity_bps = 50e6;
+  wkld::World world_a(kSeed, topo::TopologyParams{}, cloud);
+  wkld::World world_b(kSeed, topo::TopologyParams{}, cloud);
+  topo::Internet& net_a = world_a.internet();
+  topo::Internet& net_b = world_b.internet();
+
+  const int ams = net_a.dc_endpoint("ams");
+  const int lon = net_a.dc_endpoint("lon");
+  topo::LinkEvent ev;
+  for (const auto& tr : net_a.backbone_path(ams, lon).traversals) {
+    if (net_a.links()[static_cast<std::size_t>(tr.link_id)].is_backbone) {
+      ev.link_id = tr.link_id;
+    }
+  }
+  ASSERT_GE(ev.link_id, 0);
+  ev.from = sim::Time::seconds(6);
+  ev.until = sim::Time::seconds(12);
+  ev.util_boost = 0.9;
+  const auto congest = [&](topo::Internet& net) {
+    for (const bool fwd : {true, false}) {
+      ev.forward = fwd;
+      net.add_event(ev);
+    }
+  };
+  // The same DC outage in both worlds, the way the chaos injector takes a
+  // DC dark.
+  const int dark_as = net_a.endpoint(net_a.dc_endpoint("tok")).as_id;
+  std::vector<std::pair<int, int>> adjs;
+  for (const auto& adj : net_a.ases()[static_cast<std::size_t>(dark_as)].adj) {
+    adjs.emplace_back(dark_as, adj.nbr_as);
+  }
+  const auto set_dark = [&](bool dark) {
+    for (const auto& [a, b] : adjs) {
+      net_a.set_adjacency_up(a, b, !dark);
+      net_b.set_adjacency_up(a, b, !dark);
+    }
+  };
+
+  congest(net_a);
+  RouteConfig cfg;
+  cfg.policy = Policy::kDelay;
+  RoutePlane plane_a(&net_a, &world_a.flow(), world_a.seed(), cfg);
+  RoutePlane plane_b(&net_b, &world_b.flow(), world_b.seed(), cfg);
+  const OverlayGraph& ga = plane_a.graph();
+  const OverlayGraph& gb = plane_b.graph();
+  const int i = ga.node_of_ep(ams);
+  const int j = ga.node_of_ep(lon);
+
+  double calm_delay_ms = 0.0;
+  bool delay_moved = false;
+  for (int r = 1; r <= 20; ++r) {
+    if (r == 3) congest(net_b);
+    if (r == 8) set_dark(true);
+    if (r == 14) set_dark(false);
+    plane_a.step(sim::Time::seconds(r));
+    plane_b.step(sim::Time::seconds(r));
+    ASSERT_EQ(plane_a.table_fingerprint(), plane_b.table_fingerprint())
+        << "round " << r;
+    ASSERT_EQ(ga.ewma_bps(i, j), gb.ewma_bps(i, j)) << "round " << r;
+    if (r == 5) calm_delay_ms = ga.metric_delay_ms(i, j);
+    if (r >= 6 && r <= 12) {
+      delay_moved |= ga.metric_delay_ms(i, j) != calm_delay_ms;
+    }
+  }
+  // The episode reached the edge's latched delay, so the planes agreed on
+  // a congested edge, not only on a calm one.
+  EXPECT_GT(calm_delay_ms, 0.0);
+  EXPECT_TRUE(delay_moved);
 }
 
 // Replays a seeded chaos timeline (DC outages + a link-flap/storm mix)

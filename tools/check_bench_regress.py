@@ -9,12 +9,14 @@ environment. The axes are crossed; the first combination is the row's
 reference run, which every other run must reproduce. Each run gets the
 caller's environment minus all CRONETS_* variables, plus
 CRONETS_QUICK=1, and a fresh working directory under
-bench_results/gate/. Each bench's first reference run is then compared
-with its bench/baselines/ file (compare), and must fail against that
-baseline with its fingerprints perturbed (perturb_errors). A lint
-(lint_errors) first fails on a standard-library random engine or
-distribution anywhere under src/. EXPERIMENTS.md ("CI gates") lists every
-rule.
+bench_results/gate/. A run's JSON must read back the axis values it was
+given (READBACK): its thread count, and its SIMD level, so an axis that
+the program ignored cannot pass by comparing two identical runs. Each
+bench's first reference run is then compared with its bench/baselines/
+file (compare), and must fail against that baseline with its
+fingerprints perturbed (perturb_errors). A lint (lint_errors) first fails
+on a standard-library random engine or distribution anywhere under src/.
+EXPERIMENTS.md ("CI gates") lists every rule.
 """
 
 import copy
@@ -69,12 +71,16 @@ GATES = {
     "bench_cost_pareto": [("extra recorded", bool, True)],
 }
 
-# Where a run's JSON records an axis value it was given.
+# Where a run's JSON records an axis value it was given: name -> (field,
+# does the recorded value honour the setting?). CRONETS_SIMD=auto picks a
+# level the host runs; any other setting must be read back as given.
 READBACK = {
-    "CRONETS_THREADS": lambda d: d["threads"],
+    "CRONETS_THREADS": ("threads", lambda got, want: float(got) == float(want)),
+    "CRONETS_SIMD": ("simd", lambda got, want: got in simd_levels()
+                     if want == "auto" else got == want),
 }
 
-REQUIRED_FIELDS = ("bench", "seed", "threads", "wall_s", "pairs",
+REQUIRED_FIELDS = ("bench", "seed", "threads", "simd", "wall_s", "pairs",
                    "pairs_per_s", "checks")
 FILTER = re.compile(r"timing:|^-- config")
 THROUGHPUT_DROP_WARN = 0.20
@@ -93,6 +99,17 @@ STD_RANDOM = re.compile(
 def load(path):
     with open(path) as f:
         return json.load(f)
+
+
+def simd_levels():
+    """SIMD levels this host runs: scalar always, avx2 where the CPU flags
+    list it (every level the build knows when the flags cannot be read)."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            flags = f.read().split()
+    except OSError:
+        return ("scalar", "avx2")
+    return ("scalar", "avx2") if "avx2" in flags else ("scalar",)
 
 
 def check_rows(doc):
@@ -164,9 +181,11 @@ def axis_errors(combo, out, doc, ref):
     for name, value in combo:
         if name not in READBACK:
             continue
-        got = READBACK[name](doc)
-        if got is None or float(got) != float(value):
-            errors.append(f"{name} {value} not applied: the JSON reads {got}")
+        field, honours = READBACK[name]
+        got = doc[field]
+        if got is None or not honours(got, value):
+            errors.append(f"{name} {value} not applied: the JSON reads "
+                          f"{field} {got!r}")
     if ref is None or ref[1] is None:
         return errors
     a = [l for l in ref[0].splitlines() if not FILTER.search(l)]
