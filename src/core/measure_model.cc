@@ -28,11 +28,13 @@ struct PairPlan {
 // array a batch needs, reused across calls so warm batches allocate
 // nothing. Keyed by the flow model's process-unique instance tag — a
 // different model (even one reallocated at the same address) rebuilds —
-// and by the topology's mutation epoch: the plans name the routes the
-// path cache handed out, so a mutation replaces the sampler and plans.
+// and by the path cache's invalidation count: the plans name the routes
+// the cache handed out, so a reroute replaces the sampler and plans. A
+// transient event keeps them; the sampler re-buckets the event list
+// itself.
 struct BatchScratch {
   std::uint64_t flow_tag = 0;
-  std::uint64_t epoch = 0;
+  std::uint64_t routes = 0;  ///< PathCache::invalidations() of the plans
   std::unique_ptr<model::BatchSampler> sampler;
   std::unordered_map<std::uint64_t, PairPlan> plans;  ///< key: (src, dst)
   std::vector<const PairPlan*> batch_plans;           ///< per request
@@ -143,11 +145,11 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
                                      sim::Time t, PairSample* out) const {
   if (n == 0) return;
   BatchScratch& S = batch_scratch();
-  const std::uint64_t epoch = flow_->topo()->mutation_epoch();
-  if (!S.sampler || S.flow_tag != flow_->instance_tag() || S.epoch != epoch) {
+  const std::uint64_t routes = flow_->topo()->path_cache().invalidations();
+  if (!S.sampler || S.flow_tag != flow_->instance_tag() || S.routes != routes) {
     S.sampler = std::make_unique<model::BatchSampler>(flow_);
     S.flow_tag = flow_->instance_tag();
-    S.epoch = epoch;
+    S.routes = routes;
     S.plans.clear();
   }
 

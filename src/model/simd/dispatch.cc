@@ -104,4 +104,16 @@ void pftk_batch(Level level, std::size_t n, const double* rtt_ms,
   }
 }
 
+int min_plus_argmin(Level level, std::size_t n, const double* a,
+                    const double* b, const int* next, int exclude) {
+  switch (level) {
+#if defined(__x86_64__) || defined(_M_X64)
+    case Level::kAvx2:
+      return detail::min_plus_argmin_avx2(n, a, b, next, exclude);
+#endif
+    default:
+      return detail::min_plus_argmin_scalar(n, a, b, next, exclude);
+  }
+}
+
 }  // namespace cronets::model::simd

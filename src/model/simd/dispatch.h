@@ -68,4 +68,16 @@ void pftk_batch(Level level, std::size_t n, const double* rtt_ms,
                 const double* capacity_bps, const double* rwnd_bytes,
                 const TcpModelParams& p, double* out_bps);
 
+/// First-index min-plus argmin, one relaxation of a distance vector: the
+/// lowest j in [0, n) minimizing a[j] + b[j] over the j with
+/// next[j] != exclude, or -1 when every such term is +inf (or there is
+/// none). Inputs must hold no NaN and no -inf, so no term is NaN.
+///
+/// Each term is one IEEE add, the same bits at every level; the minimum of
+/// a set of non-NaN doubles is a selection, and the first index holding it
+/// is unique. Hence the result is identical at every level. The AVX2 level
+/// finds the minimum four lanes at a time, then scans for its first index.
+int min_plus_argmin(Level level, std::size_t n, const double* a,
+                    const double* b, const int* next, int exclude);
+
 }  // namespace cronets::model::simd

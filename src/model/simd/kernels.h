@@ -23,6 +23,8 @@ void pftk_batch_scalar(std::size_t n, const double* rtt_ms, const double* loss,
                        const double* residual_bps, const double* capacity_bps,
                        const double* rwnd_bytes, const TcpModelParams& p,
                        double* out_bps);
+int min_plus_argmin_scalar(std::size_t n, const double* a, const double* b,
+                           const int* next, int exclude);
 
 #if defined(__x86_64__) || defined(_M_X64)
 void ar1_weighted_sums_avx2(int nf, const std::uint64_t* streams,
@@ -32,6 +34,8 @@ void pftk_batch_avx2(std::size_t n, const double* rtt_ms, const double* loss,
                      const double* residual_bps, const double* capacity_bps,
                      const double* rwnd_bytes, const TcpModelParams& p,
                      double* out_bps);
+int min_plus_argmin_avx2(std::size_t n, const double* a, const double* b,
+                         const int* next, int exclude);
 #endif
 
 }  // namespace cronets::model::simd::detail

@@ -7,6 +7,8 @@
 
 #include <immintrin.h>
 
+#include <limits>
+
 #include "model/flow_model.h"
 #include "model/simd/kernels.h"
 
@@ -145,6 +147,59 @@ void pftk_batch_avx2(std::size_t n, const double* rtt_ms, const double* loss,
     pftk_batch_scalar(n - i, rtt_ms + i, loss + i, residual_bps + i,
                       capacity_bps + i, rwnd_bytes + i, p, out_bps + i);
   }
+}
+
+int min_plus_argmin_avx2(std::size_t n, const double* a, const double* b,
+                         const int* next, int exclude) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const __m256d vinf = _mm256_set1_pd(inf);
+  const __m128i vex = _mm_set1_epi32(exclude);
+  // Four terms a[j] + b[j], +inf where next[j] == exclude: one IEEE add
+  // per lane, the scalar add's exact bits.
+  const auto terms = [&](std::size_t j) {
+    const __m256d sum =
+        _mm256_add_pd(_mm256_loadu_pd(a + j), _mm256_loadu_pd(b + j));
+    const __m256i hit = _mm256_cvtepi32_epi64(_mm_cmpeq_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(next + j)), vex));
+    return _mm256_blendv_pd(sum, vinf, _mm256_castsi256_pd(hit));
+  };
+  // Pass 1: the minimum term, over two accumulators. MINPD is an ordered
+  // compare-and-select; no term is NaN, so it picks exactly what the
+  // scalar `<` picks.
+  __m256d m0 = vinf;
+  __m256d m1 = vinf;
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    m0 = _mm256_min_pd(m0, terms(j));
+    m1 = _mm256_min_pd(m1, terms(j + 4));
+  }
+  if (j + 4 <= n) {
+    m0 = _mm256_min_pd(m0, terms(j));
+    j += 4;
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, _mm256_min_pd(m0, m1));
+  double best = inf;
+  for (const double v : lanes) best = v < best ? v : best;
+  for (std::size_t k = j; k < n; ++k) {
+    const double v = next[k] == exclude ? inf : a[k] + b[k];
+    best = v < best ? v : best;
+  }
+  if (!(best < inf)) return -1;
+  // Pass 2: the first index holding it (an ordered equality, so a masked
+  // +inf lane never matches a finite minimum).
+  const __m256d target = _mm256_set1_pd(best);
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const int eq =
+        _mm256_movemask_pd(_mm256_cmp_pd(terms(k), target, _CMP_EQ_OQ));
+    if (eq != 0) return static_cast<int>(k) + __builtin_ctz(eq);
+  }
+  // Not in a full vector, so in the tail.
+  for (; k < n; ++k) {
+    if (next[k] != exclude && a[k] + b[k] == best) break;
+  }
+  return static_cast<int>(k);
 }
 
 }  // namespace cronets::model::simd::detail

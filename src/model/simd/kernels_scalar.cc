@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "model/flow_model.h"
 #include "model/simd/kernels.h"
@@ -8,7 +9,8 @@
 namespace cronets::model::simd::detail {
 
 // Portable reference kernels: the exact loops BatchSampler::sample_batch
-// and model::pftk_throughput_batch ran before the SIMD split. Every wider
+// and model::pftk_throughput_batch ran before the SIMD split, and the
+// delay policy's per-neighbour relaxation as one min-plus scan. Every wider
 // level is pinned bitwise against these (tests/simd_test.cc and the
 // bench_micro "simd sample == scalar sample" row).
 
@@ -63,6 +65,22 @@ void pftk_batch_scalar(std::size_t n, const double* rtt_ms, const double* loss,
     const double cap_Bps = std::min(residual_bps[i], capacity_bps[i]) / 8.0;
     out_bps[i] = 8.0 * std::min({loss_bound_Bps, wnd_bound_Bps, cap_Bps});
   }
+}
+
+int min_plus_argmin_scalar(std::size_t n, const double* a, const double* b,
+                           const int* next, int exclude) {
+  // Strict improvement in ascending j: the lowest index wins a tie.
+  int best = -1;
+  double best_v = std::numeric_limits<double>::infinity();
+  for (std::size_t j = 0; j < n; ++j) {
+    const double v = next[j] == exclude
+                         ? std::numeric_limits<double>::infinity()
+                         : a[j] + b[j];
+    const bool lt = v < best_v;
+    best_v = lt ? v : best_v;
+    best = lt ? static_cast<int>(j) : best;
+  }
+  return best;
 }
 
 }  // namespace cronets::model::simd::detail

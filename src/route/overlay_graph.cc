@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "sim/hash_rng.h"
@@ -34,6 +35,7 @@ OverlayGraph::OverlayGraph(topo::Internet* topo, const model::FlowModel* flow,
   const std::size_t nn =
       static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_);
   edges_.resize(nn);
+  delay_ms_.assign(nn, std::numeric_limits<double>::infinity());
   const int num_edges = n_ * (n_ > 0 ? n_ - 1 : 0);
   budget_ = std::max(1, (num_edges + interval_ - 1) / interval_);
   for (int i = 0; i < n_; ++i) {
@@ -45,6 +47,7 @@ OverlayGraph::OverlayGraph(topo::Internet* topo, const model::FlowModel* flow,
       edge(i, j).handle = sampler_.intern(path);
     }
   }
+  build_link_index();
   delay_dirty_rows_.assign(eps_.size(), 0);
   up_.assign(eps_.size(), 1);
   refresh_liveness();
@@ -100,22 +103,49 @@ void OverlayGraph::mark_node_edges_dirty(int node) {
   }
 }
 
-void OverlayGraph::note_link_event(const topo::LinkEvent& ev) {
-  if (ev.link_id < 0) return;
-  for (int i = 0; i < n_; ++i) {
-    for (int j = 0; j < n_; ++j) {
-      if (j == i) continue;
-      for (const auto& tr : sampler_.path(edge(i, j).handle).traversals) {
-        if (tr.link_id == ev.link_id) {
-          // Probe the edge when the episode starts (see the surge) and
-          // again just after it ends (see the recovery), instead of
-          // waiting out the staleness interval.
-          pending_dirty_.emplace_back(ev.from.ns(), i * n_ + j);
-          pending_dirty_.emplace_back(ev.until.ns() + 1, i * n_ + j);
-          break;
-        }
+void OverlayGraph::build_link_index() {
+  // Two passes over every edge's path in ascending edge id: count each
+  // link's edges, then place them. `seen` keeps a path that crosses a link
+  // twice to one entry.
+  const std::size_t num_links = topo_->links().size();
+  std::vector<int> seen(num_links, -1);
+  const auto for_each_crossing = [&](auto&& fn) {
+    std::fill(seen.begin(), seen.end(), -1);
+    for (int e = 0; e < n_ * n_; ++e) {
+      if (e / n_ == e % n_) continue;
+      for (const auto& tr : sampler_.path(edges_[static_cast<std::size_t>(e)]
+                                              .handle)
+                                .traversals) {
+        const auto l = static_cast<std::size_t>(tr.link_id);
+        if (seen[l] == e) continue;
+        seen[l] = e;
+        fn(l, e);
       }
     }
+  };
+  link_edge_begin_.assign(num_links + 1, 0);
+  for_each_crossing([&](std::size_t l, int) { ++link_edge_begin_[l + 1]; });
+  for (std::size_t l = 0; l < num_links; ++l) {
+    link_edge_begin_[l + 1] += link_edge_begin_[l];
+  }
+  link_edges_.resize(static_cast<std::size_t>(link_edge_begin_.back()));
+  std::vector<int> fill(link_edge_begin_.begin(), link_edge_begin_.end() - 1);
+  for_each_crossing([&](std::size_t l, int e) {
+    link_edges_[static_cast<std::size_t>(fill[l]++)] = e;
+  });
+}
+
+void OverlayGraph::note_link_event(const topo::LinkEvent& ev) {
+  const auto l = static_cast<std::size_t>(ev.link_id);
+  // A negative id wraps past the end, so one compare rejects it too.
+  if (l >= link_edge_begin_.size() - 1) return;
+  for (int k = link_edge_begin_[l]; k < link_edge_begin_[l + 1]; ++k) {
+    // Probe the edge when the episode starts (see the surge) and again
+    // just after it ends (see the recovery), instead of waiting out the
+    // staleness interval.
+    const int e = link_edges_[static_cast<std::size_t>(k)];
+    pending_dirty_.emplace_back(ev.from.ns(), e);
+    pending_dirty_.emplace_back(ev.until.ns() + 1, e);
   }
 }
 
@@ -202,22 +232,25 @@ void OverlayGraph::measure(sim::Time t) {
           sim::pair_seed(seed_ ^ flow_->seed(), eps_[i], eps_[j], t.ns()));
       const double v = flow_->noisy(pftk_bps_[s], mm, rng);
       EdgeState& e = edge(i, j);
-      if (e.measured) {
-        e.ewma_bps = alpha * v + (1.0 - alpha) * e.ewma_bps;
-        e.ewma_delay_ms = alpha * mm.rtt_ms + (1.0 - alpha) * e.ewma_delay_ms;
-      } else {
+      const bool first = !e.measured;
+      if (first) {
         e.ewma_bps = v;
         e.ewma_delay_ms = mm.rtt_ms;
         e.measured = true;
+      } else {
+        e.ewma_bps = alpha * v + (1.0 - alpha) * e.ewma_bps;
+        e.ewma_delay_ms = alpha * mm.rtt_ms + (1.0 - alpha) * e.ewma_delay_ms;
       }
       // Re-latch the policy-facing metrics only past the threshold. A
-      // fresh edge latches on first sight (|x - 0| > th*0 for any x > 0).
+      // fresh edge latches on first sight: the rate because
+      // |x - 0| > th*0 for any x > 0, the delay explicitly, since an
+      // unprobed edge's latched delay is +inf.
       if (std::abs(e.ewma_bps - e.metric_bps) > th * e.metric_bps) {
         e.metric_bps = e.ewma_bps;
       }
-      if (std::abs(e.ewma_delay_ms - e.metric_delay_ms) >
-          th * e.metric_delay_ms) {
-        e.metric_delay_ms = e.ewma_delay_ms;
+      double& delay = delay_ms_[static_cast<std::size_t>(eid)];
+      if (first || std::abs(e.ewma_delay_ms - delay) > th * delay) {
+        delay = e.ewma_delay_ms;
         delay_dirty_rows_[static_cast<std::size_t>(i)] = 1;
       }
       due_.set(eid, rounds_measured_);

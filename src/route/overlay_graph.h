@@ -40,8 +40,9 @@ namespace cronets::route {
 ///
 /// Mutation listeners feed the dirty set: a transient link event marks
 /// every edge whose backbone path crosses the link dirty at the event's
-/// start and end, and a BGP adjacency change marks the flipped DC's edges
-/// dirty — so faults are re-measured the next round, not an interval later.
+/// start and end (a link -> edge index, built with the paths, names them),
+/// and a BGP adjacency change marks the flipped DC's edges dirty — so
+/// faults are re-measured the next round, not an interval later.
 ///
 /// Liveness piggybacks on the Internet's mutation listeners: a BGP
 /// adjacency change (chaos DC outages flip every adjacency of one cloud
@@ -81,10 +82,15 @@ class OverlayGraph {
   /// Latched policy metrics: the EWMA as of its last threshold crossing.
   /// Both exchange policies read only these, so between latch moves their
   /// inputs are frozen — the delay policy's incremental skip set falls out
-  /// of that.
+  /// of that. The latched delay is +inf on the diagonal and until the
+  /// edge's first probe.
   double metric_bps(int i, int j) const { return edge(i, j).metric_bps; }
-  double metric_delay_ms(int i, int j) const {
-    return edge(i, j).metric_delay_ms;
+  double metric_delay_ms(int i, int j) const { return delay_row(i)[j]; }
+  /// Row i of the dense n x n latched-delay matrix: metric_delay_ms(i, j)
+  /// at [j], contiguous, for the delay policy's min-plus kernel.
+  const double* delay_row(int i) const {
+    return &delay_ms_[static_cast<std::size_t>(i) *
+                      static_cast<std::size_t>(n_)];
   }
 
   /// Edges probed since construction.
@@ -101,8 +107,7 @@ class OverlayGraph {
   struct EdgeState {
     double ewma_bps = 0.0;
     double ewma_delay_ms = 0.0;
-    double metric_bps = 0.0;       ///< latched (policy-facing) rate
-    double metric_delay_ms = 0.0;  ///< latched (policy-facing) delay
+    double metric_bps = 0.0;  ///< latched (policy-facing) rate
     int handle = -1;  ///< sampler handle of the edge's backbone path
     bool measured = false;
   };
@@ -118,6 +123,7 @@ class OverlayGraph {
   void refresh_liveness(std::vector<int>* flipped = nullptr);
   void mark_dirty(int e);
   void mark_node_edges_dirty(int node);
+  void build_link_index();
   void note_link_event(const topo::LinkEvent& ev);
   void select_due(std::vector<int>* out);
 
@@ -137,6 +143,12 @@ class OverlayGraph {
   int rounds_measured_ = 0;
 
   std::vector<EdgeState> edges_;  ///< n*n row-major; diagonal unused
+  std::vector<double> delay_ms_;  ///< n*n row-major latched delays
+  /// Link -> edge index (CSR): the ids of the edges whose backbone path
+  /// crosses link l are link_edges_[link_edge_begin_[l] ..
+  /// link_edge_begin_[l + 1]), ascending, once per edge.
+  std::vector<int> link_edge_begin_;
+  std::vector<int> link_edges_;
 
   // Staleness/dirty bookkeeping: per edge id (n*n row-major, keyed like
   // edges_) the round it was last probed, kDueNow = dirty (never measured,

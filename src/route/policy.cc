@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
+
+#include "model/simd/dispatch.h"
 
 namespace cronets::route {
 
@@ -105,6 +108,17 @@ class DeltaTracker {
 /// challenger is decisively faster — chatty-metric flapping is the classic
 /// DV failure mode and the thing the flap counters in the bench watch.
 ///
+/// Relaxing entry (i, d) is one min-plus pass over contiguous arrays: row i
+/// of the graph's latched delays against snapshot column d. The column
+/// holds, per neighbour j, what j advertised toward d at round start: the
+/// metric, with every test that does not depend on i folded in as +inf (a
+/// withdrawn entry, a hop count at the bound, a dark neighbour), the next
+/// hop (split horizon is the one i-dependent test, a mask in the kernel),
+/// and the hop count. The latched delay is +inf on the diagonal and on
+/// unprobed edges, so those terms drop out too. The direct edge needs no
+/// case of its own: agent d's self entry {d, 0.0, 0} makes its term
+/// delay(i, d) + 0.0, the delay's own bits.
+///
 /// Incremental rounds recompute entry (i, d) only when its inputs could
 /// have moved: a delay latch in row i re-latched this round (every
 /// candidate metric through i shifts), or some agent's entry toward d
@@ -114,7 +128,12 @@ class DeltaTracker {
 class DelayPolicy final : public RoutePolicy {
  public:
   explicit DelayPolicy(const RouteConfig& cfg)
-      : max_hops_(cfg.max_hops), hysteresis_(cfg.hysteresis) {}
+      : max_hops_(cfg.max_hops),
+        hysteresis_(cfg.hysteresis),
+        level_(model::simd::active_level()) {
+    // The direct edge's fold: the self entry's 1 + 0 hops must pass.
+    assert(max_hops_ >= 1 && "the delay policy needs max_hops >= 1");
+  }
 
   void round(const OverlayGraph& g, std::vector<RoutingAgent>* agents,
              RoundContext* ctx) override {
@@ -125,28 +144,32 @@ class DelayPolicy final : public RoutePolicy {
     // Round-start snapshot: every agent advertises the table it ended the
     // previous round with, so in-round updates cannot leak sideways. The
     // incremental path keeps the snapshot warm by re-copying only the
-    // entries that changed last round.
-    adv_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-    if (!inc || !adv_valid_) {
-      for (int i = 0; i < n; ++i) {
-        const RoutingAgent& a = (*agents)[static_cast<std::size_t>(i)];
-        std::copy(a.table.begin(), a.table.end(),
-                  adv_.begin() + static_cast<std::size_t>(i) *
-                                     static_cast<std::size_t>(n));
+    // entries that changed last round. Liveness is folded in, so a moved
+    // liveness epoch rebuilds it whatever the round.
+    const std::size_t nn =
+        static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+    if (!inc || adv_metric_.size() != nn ||
+        adv_epoch_ != g.liveness_epoch()) {
+      adv_metric_.resize(nn);
+      adv_next_.resize(nn);
+      adv_hops_.resize(nn);
+      for (int j = 0; j < n; ++j) {
+        const RoutingAgent& a = (*agents)[static_cast<std::size_t>(j)];
+        for (int d = 0; d < n; ++d) {
+          advertise(g, j, d, a.table[static_cast<std::size_t>(d)]);
+        }
       }
-      adv_valid_ = true;
+      adv_epoch_ = g.liveness_epoch();
     } else {
-      for (int i = 0; i < n; ++i) {
-        const RoutingAgent& a = (*agents)[static_cast<std::size_t>(i)];
-        const std::uint64_t* row = tracker_.prev_row(i);
+      for (int j = 0; j < n; ++j) {
+        const RoutingAgent& a = (*agents)[static_cast<std::size_t>(j)];
+        const std::uint64_t* row = tracker_.prev_row(j);
         for (int w = 0; w < tracker_.words(); ++w) {
           std::uint64_t word = row[w];
           while (word != 0) {
             const int d = w * 64 + __builtin_ctzll(word);
             word &= word - 1;
-            adv_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
-                 static_cast<std::size_t>(d)] =
-                a.table[static_cast<std::size_t>(d)];
+            advertise(g, j, d, a.table[static_cast<std::size_t>(d)]);
           }
         }
       }
@@ -187,33 +210,40 @@ class DelayPolicy final : public RoutePolicy {
   }
 
  private:
+  /// Snapshot slot (d, j): agent j's entry `e` toward d.
+  void advertise(const OverlayGraph& g, int j, int d, const RouteEntry& e) {
+    const std::size_t k =
+        static_cast<std::size_t>(d) * static_cast<std::size_t>(g.size()) +
+        static_cast<std::size_t>(j);
+    const bool usable = e.next >= 0 && 1 + e.hops <= max_hops_ && g.node_up(j);
+    adv_metric_[k] = usable ? e.metric : kInfMetric;
+    adv_next_[k] = e.next;
+    adv_hops_[k] = e.hops;
+  }
+
   void compute_entry(const OverlayGraph& g, RoutingAgent* a, int i, int d,
                      RoundContext* ctx) {
-    const int n = g.size();
+    const std::size_t n = static_cast<std::size_t>(g.size());
+    const double* delay = g.delay_row(i);
+    const std::size_t col = static_cast<std::size_t>(d) * n;
+    const double* metric = &adv_metric_[col];
+    const int* next = &adv_next_[col];
+    const int* hops = &adv_hops_[col];
+    // Candidate j's metric: delay(i, j) + what j advertises toward d,
+    // unless j routes back through i (split horizon). The lowest j wins a
+    // tie.
+    const auto candidate = [&](int j) {
+      return RouteEntry{j, delay[j] + metric[j], 1 + hops[j]};
+    };
+    const int b =
+        model::simd::min_plus_argmin(level_, n, delay, metric, next, i);
+    const RouteEntry best = b >= 0 ? candidate(b) : RouteEntry{};
+    // The incumbent next-hop's metric this round, under the same tests.
     const int inc_next = a->table[static_cast<std::size_t>(d)].next;
-    RouteEntry best;
-    RouteEntry inc_fresh;  // the incumbent next-hop's metric this round
-    // Candidates in ascending next-hop index with strict improvement,
-    // so ties always resolve to the lowest node index.
-    for (int j = 0; j < n; ++j) {
-      if (j == i || !g.node_up(j) || !g.edge_measured(i, j)) continue;
-      RouteEntry cand;
-      if (j == d) {
-        // The direct backbone edge.
-        cand = RouteEntry{d, g.metric_delay_ms(i, d), 1};
-      } else {
-        const RouteEntry& via =
-            adv_[static_cast<std::size_t>(j) * static_cast<std::size_t>(n) +
-                 static_cast<std::size_t>(d)];
-        // Split horizon: never route towards a neighbour whose own
-        // route points back through us.
-        if (via.next < 0 || via.next == i) continue;
-        if (1 + via.hops > max_hops_) continue;
-        cand =
-            RouteEntry{j, g.metric_delay_ms(i, j) + via.metric, 1 + via.hops};
-      }
-      if (cand.next == inc_next) inc_fresh = cand;
-      if (cand.metric < best.metric) best = cand;
+    RouteEntry inc_fresh;
+    if (inc_next >= 0 && next[inc_next] != i) {
+      const RouteEntry c = candidate(inc_next);
+      if (c.metric < kInfMetric) inc_fresh = c;
     }
     RouteEntry nw;
     if (best.next < 0) {
@@ -231,8 +261,13 @@ class DelayPolicy final : public RoutePolicy {
 
   int max_hops_;
   double hysteresis_;
-  bool adv_valid_ = false;
-  std::vector<RouteEntry> adv_;  ///< n*n advertised snapshot, row-major
+  model::simd::Level level_;
+  // Round-start snapshot, per-destination columns: slot d * n + j holds
+  // neighbour j's advertisement toward d. Valid for adv_epoch_.
+  std::vector<double> adv_metric_;  ///< +inf unless usable (see advertise)
+  std::vector<int> adv_next_;       ///< for split horizon
+  std::vector<int> adv_hops_;
+  std::uint64_t adv_epoch_ = 0;
   DeltaTracker tracker_;
 };
 

@@ -222,6 +222,7 @@ class Internet {
     return path_cache_.get(ep_src, ep_dst);
   }
   PathCache& path_cache() { return path_cache_; }
+  const PathCache& path_cache() const { return path_cache_; }
   /// Base (uncongested) round-trip time of a path in ms.
   double base_rtt_ms(const RouterPath& p) const;
   /// Direct cloud-backbone path between two DC endpoints (multi-hop

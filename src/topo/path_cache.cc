@@ -27,6 +27,7 @@ PathRef PathCache::get(int ep_src, int ep_dst) {
 void PathCache::invalidate() {
   std::unique_lock<std::shared_mutex> lk(mu_);
   cache_.clear();
+  ++invalidations_;
 }
 
 std::size_t PathCache::size() const {

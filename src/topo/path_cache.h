@@ -40,6 +40,10 @@ class PathCache {
   /// Drop every interned path (topology changed). Outstanding PathRefs
   /// stay valid — they go stale, not dangling.
   void invalidate();
+  /// invalidate() calls since construction: the one counter that moves
+  /// exactly when handed-out routes may go stale. State derived from
+  /// cached paths (the batch meter's pair plans) keys on it.
+  std::uint64_t invalidations() const { return invalidations_; }
 
   /// Lifetime hit/miss counters (relaxed; exact in single-threaded runs).
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -58,6 +62,7 @@ class PathCache {
   std::unordered_map<std::uint64_t, PathRef> cache_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
+  std::uint64_t invalidations_ = 0;
 };
 
 }  // namespace cronets::topo

@@ -247,8 +247,36 @@ TEST(BatchMeasure, PostMutationMeasurementsTrackScalar) {
   world.meter().measure_batch(pairs.data(), pairs.size(), pops.overlays,
                               sim::Time::minutes(10), got.data());
 
+  // A transient event on the first pair's direct path reroutes nothing:
+  // the batch keeps its sampler and plans, and the sampler picks the event
+  // up from the topology's event list.
+  const topo::PathRef direct =
+      world.internet().cached_path(pairs[0].first, pairs[0].second);
+  const topo::Traversal& hot =
+      direct->traversals[direct->traversals.size() / 2];
+  topo::LinkEvent ev;
+  ev.link_id = hot.link_id;
+  ev.forward = hot.forward;
+  ev.from = sim::Time::minutes(12);
+  ev.until = sim::Time::minutes(18);
+  ev.util_boost = 0.6;
+  ev.loss_boost = 0.02;
+  const sim::Time during = sim::Time::minutes(15);
+  const core::PairSample calm = world.meter().measure(
+      pairs[0].first, pairs[0].second, pops.overlays, during);
+  world.internet().add_event(ev);
+  world.meter().measure_batch(pairs.data(), pairs.size(), pops.overlays,
+                              during, got.data());
+  EXPECT_NE(calm.direct_bps, got[0].direct_bps) << "the event did not bite";
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    expect_pair_samples_equal(world.meter().measure(pairs[i].first,
+                                                    pairs[i].second,
+                                                    pops.overlays, during),
+                              got[i]);
+  }
+
   // Cut a transit adjacency: routes change, the path cache invalidates,
-  // and the next batch re-interns everything against the new epoch.
+  // and the next batch re-interns everything against the new routes.
   int as_a = -1, as_b = -1;
   const auto& ases = world.internet().ases();
   for (std::size_t a = 0; a < ases.size() && as_a < 0; ++a) {

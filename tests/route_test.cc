@@ -1,6 +1,8 @@
 // The routing plane's contract: the delay policy converges to (near)
 // shortest-delay routes under the hop bound on a pathological backbone
-// where detours genuinely win; hysteresis damps metric-chatter flaps;
+// where detours genuinely win; its min-plus exchange reproduces the plain
+// per-neighbour relaxation bit for bit; hysteresis damps metric-chatter
+// flaps;
 // the backpressure policy keeps its virtual queues bounded when drain
 // capacity exceeds arrivals; DC outages propagate through the Internet's
 // mutation listeners (routes withdrawn while dark, restored after); a
@@ -11,7 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -390,6 +395,219 @@ TEST(RoutePlane, IncrementalMatchesFullUnderChaos) {
                   static_cast<std::uint64_t>(n - 1))
         << policy_name(policy);
   }
+}
+
+/// The delay exchange as a plain per-neighbour loop, kept as a test
+/// oracle: a row-major snapshot of whole tables, the direct edge as its own
+/// branch, and every filter (liveness, probed edge, withdrawn entry, split
+/// horizon, hop bound) inside the loop. It recomputes every entry every
+/// round on its own tables and reads only the plane's graph, so after each
+/// step its tables must equal the plane's bit for bit.
+class ReferenceDelayExchange {
+ public:
+  ReferenceDelayExchange(int n, const RouteConfig& cfg)
+      : max_hops_(cfg.max_hops), hysteresis_(cfg.hysteresis) {
+    agents_.resize(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      agents_[static_cast<std::size_t>(i)].reset(i, n);
+    }
+  }
+
+  void round(const OverlayGraph& g) {
+    const int n = g.size();
+    adv_.clear();
+    for (const RoutingAgent& a : agents_) {
+      adv_.insert(adv_.end(), a.table.begin(), a.table.end());
+    }
+    for (int i = 0; i < n; ++i) {
+      RoutingAgent& a = agents_[static_cast<std::size_t>(i)];
+      for (int d = 0; d < n; ++d) {
+        if (d == i) continue;
+        a.table[static_cast<std::size_t>(d)] =
+            g.node_up(i) ? relax(g, a, i, d) : RouteEntry{};
+      }
+    }
+  }
+
+  const std::vector<RoutingAgent>& agents() const { return agents_; }
+
+ private:
+  RouteEntry relax(const OverlayGraph& g, const RoutingAgent& a, int i,
+                   int d) const {
+    const int n = g.size();
+    const int inc_next = a.table[static_cast<std::size_t>(d)].next;
+    RouteEntry best;
+    RouteEntry inc_fresh;
+    for (int j = 0; j < n; ++j) {
+      if (j == i || !g.node_up(j) || !g.edge_measured(i, j)) continue;
+      RouteEntry cand;
+      if (j == d) {
+        cand = RouteEntry{d, g.metric_delay_ms(i, d), 1};
+      } else {
+        const RouteEntry& via =
+            adv_[static_cast<std::size_t>(j) * static_cast<std::size_t>(n) +
+                 static_cast<std::size_t>(d)];
+        if (via.next < 0 || via.next == i) continue;
+        if (1 + via.hops > max_hops_) continue;
+        cand =
+            RouteEntry{j, g.metric_delay_ms(i, j) + via.metric, 1 + via.hops};
+      }
+      if (cand.next == inc_next) inc_fresh = cand;
+      if (cand.metric < best.metric) best = cand;
+    }
+    if (best.next < 0) return RouteEntry{};
+    if (inc_fresh.next >= 0 && best.next != inc_fresh.next &&
+        !(best.metric < inc_fresh.metric * (1.0 - hysteresis_))) {
+      return inc_fresh;
+    }
+    return best;
+  }
+
+  int max_hops_;
+  double hysteresis_;
+  std::vector<RoutingAgent> agents_;
+  std::vector<RouteEntry> adv_;  ///< n*n snapshot, row-major by agent
+};
+
+/// First (agent, destination) whose entries differ (metric by bit
+/// pattern), as text; empty when the tables are equal.
+std::string first_table_difference(const std::vector<RoutingAgent>& x,
+                                   const std::vector<RoutingAgent>& y) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    for (std::size_t d = 0; d < x[i].table.size(); ++d) {
+      const RouteEntry& p = x[i].table[d];
+      const RouteEntry& q = y[i].table[d];
+      if (p.next != q.next || p.hops != q.hops ||
+          std::bit_cast<std::uint64_t>(p.metric) !=
+              std::bit_cast<std::uint64_t>(q.metric)) {
+        return "entry " + std::to_string(i) + " -> " + std::to_string(d) +
+               ": plane {" + std::to_string(p.next) + ", " +
+               std::to_string(p.metric) + ", " + std::to_string(p.hops) +
+               "}, reference {" + std::to_string(q.next) + ", " +
+               std::to_string(q.metric) + ", " + std::to_string(q.hops) + "}";
+      }
+    }
+  }
+  return {};
+}
+
+/// One delay plane per (max_hops, hysteresis) in {1, 2, 3} x {0, 0.1} on
+/// one world, each beside its reference exchange. `mutate(round)` runs
+/// before each round's steps. Returns the number of table entries with
+/// >= 2 hops seen across planes and rounds.
+template <typename Mutate>
+long run_against_reference(wkld::World& world, int rounds,
+                           int full_refresh_rounds, Mutate mutate) {
+  std::vector<std::unique_ptr<RoutePlane>> planes;
+  std::vector<ReferenceDelayExchange> refs;
+  for (const int max_hops : {1, 2, 3}) {
+    for (const double hysteresis : {0.0, 0.1}) {
+      RouteConfig cfg;
+      cfg.policy = Policy::kDelay;
+      cfg.max_hops = max_hops;
+      cfg.hysteresis = hysteresis;
+      cfg.full_refresh_rounds = full_refresh_rounds;
+      planes.push_back(std::make_unique<RoutePlane>(
+          &world.internet(), &world.flow(), world.seed(), cfg));
+      refs.emplace_back(planes.back()->graph().size(), cfg);
+    }
+  }
+  long multi_hop = 0;
+  for (int r = 1; r <= rounds; ++r) {
+    mutate(r);
+    for (std::size_t k = 0; k < planes.size(); ++k) {
+      planes[k]->step(sim::Time::seconds(r));
+      refs[k].round(planes[k]->graph());
+      const std::string diff =
+          first_table_difference(planes[k]->agents(), refs[k].agents());
+      EXPECT_TRUE(diff.empty())
+          << "max_hops " << planes[k]->config().max_hops << ", hysteresis "
+          << planes[k]->config().hysteresis << ", round " << r << ": "
+          << diff;
+      if (!diff.empty()) return multi_hop;
+      for (const RoutingAgent& a : planes[k]->agents()) {
+        for (const RouteEntry& e : a.table) multi_hop += e.hops >= 2;
+      }
+    }
+  }
+  return multi_hop;
+}
+
+TEST(RoutePlane, DelayExchangeMatchesPerNeighbourReferenceUnderChaos) {
+  // The 7-DC chaos timeline of IncrementalMatchesFullUnderChaos.
+  wkld::World world(kSeed, topo::TopologyParams{}, pathological_cloud());
+  sim::EventQueue queue;
+  chaos::ScenarioParams sp;
+  sp.horizon = sim::Time::seconds(48);
+  sp.link_flaps = 6;
+  sp.dc_outages = 2;
+  sp.congestion_storms = 3;
+  sp.gray_failures = 2;
+  sp.mean_repair_s = 8.0;
+  sp.min_repair_s = 3.0;
+  const chaos::Scenario scenario = chaos::Scenario::generate(
+      world.internet(), sp, kSeed, /*scenario_seed=*/7);
+  chaos::Injector injector(&world.internet(), &queue);
+  injector.arm(scenario);
+  const long multi_hop = run_against_reference(
+      world, 48, /*full_refresh_rounds=*/16, [&](int r) {
+        while (queue.next_time() <= sim::Time::seconds(r)) queue.run_next();
+      });
+  EXPECT_GT(injector.begun(), 0u);
+  EXPECT_GT(multi_hop, 0);
+}
+
+/// A synthetic n-DC cloud on a thin backbone: index-keyed positions (no
+/// RNG draws) and detours up to 3x, so the mesh violates the triangle
+/// inequality and a congestion episode moves latched delays.
+topo::CloudParams synth_cloud(int n) {
+  topo::CloudParams cp = pathological_cloud();
+  cp.backbone_capacity_bps = 50e6;
+  cp.dcs.clear();
+  for (int i = 0; i < n; ++i) {
+    const double lat = -60.0 + 120.0 * static_cast<double>((i * 37) % n) / n;
+    const double lon = -180.0 + 360.0 * static_cast<double>(i) / n;
+    cp.dcs.push_back({"d" + std::to_string(i), {lat, lon}});
+  }
+  return cp;
+}
+
+TEST(RoutePlane, DelayExchangeMatchesPerNeighbourReferenceOnMesh) {
+  // 37 DCs: 37 = 4 * 9 + 1, so every kernel call has a ragged tail. One
+  // DC goes dark for rounds 10-13; a backbone congestion episode, added
+  // at round 16, covers rounds 18-25.
+  wkld::World world(kSeed, topo::TopologyParams{}, synth_cloud(37));
+  topo::Internet& net = world.internet();
+  const auto& eps = net.dc_endpoints();
+  const int dark_as = net.endpoint(eps[11]).as_id;
+  std::vector<std::pair<int, int>> adjs;
+  for (const auto& adj : net.ases()[static_cast<std::size_t>(dark_as)].adj) {
+    adjs.emplace_back(dark_as, adj.nbr_as);
+  }
+  topo::LinkEvent ev;
+  for (const auto& tr : net.backbone_path(eps[3], eps[20]).traversals) {
+    if (net.links()[static_cast<std::size_t>(tr.link_id)].is_backbone) {
+      ev.link_id = tr.link_id;
+    }
+  }
+  ASSERT_GE(ev.link_id, 0);
+  ev.from = sim::Time::seconds(18);
+  ev.until = sim::Time::seconds(25);
+  ev.util_boost = 0.9;
+  ev.loss_boost = 0.02;
+  const long multi_hop = run_against_reference(
+      world, 40, RouteConfig{}.full_refresh_rounds, [&](int r) {
+        if (r == 10 || r == 14) {
+          for (const auto& [a, b] : adjs) net.set_adjacency_up(a, b, r == 14);
+        }
+        if (r == 16) {
+          for (const bool fwd : {true, false}) {
+            ev.forward = fwd;
+            net.add_event(ev);
+          }
+        }
+      });
+  EXPECT_GT(multi_hop, 0);
 }
 
 struct ControlResult {

@@ -1,14 +1,15 @@
-// The vectorized measurement kernels' contract: CRONETS_SIMD is a pure
-// performance knob. Every ISA level (AVX2 on x86-64, the portable scalar
-// reference) must produce bitwise identical AR(1) weighted sums, PFTK
-// throughputs, and end-to-end batched samples — at every horizon, array
-// length (including ragged SIMD tails), and loss regime (the
-// branch-turned-blend).
+// The vectorized kernels' contract: CRONETS_SIMD is a pure performance
+// knob. Every ISA level (AVX2 on x86-64, the portable scalar reference)
+// must produce bitwise identical AR(1) weighted sums, PFTK throughputs,
+// end-to-end batched samples and min-plus argmins — at every horizon,
+// array length (including ragged SIMD tails), loss regime (the
+// branch-turned-blend), tie pattern and mask.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "model/batch_sampler.h"
@@ -171,6 +172,109 @@ TEST(SimdPftk, MatchesScalarFunctionAcrossLossRegimes) {
       }
     }
   }
+}
+
+// The delay policy's relaxation as a plain loop: strict improvement in
+// ascending j over the unmasked terms, so the lowest index wins a tie and
+// an all-+inf row has no winner.
+int min_plus_oracle(std::size_t n, const double* a, const double* b,
+                    const int* next, int exclude) {
+  int best = -1;
+  double best_v = std::numeric_limits<double>::infinity();
+  for (std::size_t j = 0; j < n; ++j) {
+    if (next[j] == exclude) continue;
+    const double v = a[j] + b[j];
+    if (v < best_v) {
+      best_v = v;
+      best = static_cast<int>(j);
+    }
+  }
+  return best;
+}
+
+TEST(SimdMinPlus, FirstIndexArgminMatchesPlainLoopAtEveryLength) {
+  std::vector<Level> levels = wide_levels();
+  levels.push_back(Level::kScalar);
+  const double inf = std::numeric_limits<double>::infinity();
+  constexpr int kExclude = 2;
+  sim::Rng rng(13);
+  int ties = 0, masked = 0, no_winner = 0;
+  // n = 1..70 covers every tail length after the 4- and 8-lane blocks.
+  for (std::size_t n = 1; n <= 70; ++n) {
+    std::vector<double> a(n), b(n);
+    std::vector<int> next(n);
+    for (int pattern = 0; pattern < 7; ++pattern) {
+      for (int trial = 0; trial < 6; ++trial) {
+        for (std::size_t j = 0; j < n; ++j) {
+          // Next hops in [-1, 4]: kExclude marks a split-horizon mask.
+          next[j] = static_cast<int>(rng.index(6)) - 1;
+          switch (pattern) {
+            case 0:  // distinct reals, a few +inf on either side
+              a[j] = rng.uniform() < 0.1 ? inf : 1.0 + 300.0 * rng.uniform();
+              b[j] = rng.uniform() < 0.2 ? inf : 500.0 * rng.uniform();
+              break;
+            case 1:  // small integers: exact ties at several j
+              a[j] = static_cast<double>(1 + rng.index(3));
+              b[j] = static_cast<double>(rng.index(3));
+              break;
+            case 2:  // one value everywhere: the first unmasked j wins
+              a[j] = 7.25;
+              b[j] = 0.5;
+              break;
+            case 3:  // every term +inf: no winner
+              a[j] = rng.uniform() < 0.5 ? inf : 3.0;
+              b[j] = a[j] == inf ? 1.0 : inf;
+              break;
+            case 4:  // every term masked: no winner
+              a[j] = 1.0 + rng.uniform();
+              b[j] = rng.uniform();
+              next[j] = kExclude;
+              break;
+            case 5:  // the minimum only under a mask: the mask must bite
+              a[j] = 2.0 + rng.uniform();
+              b[j] = 1.0;
+              if (j % 3 == 0) {
+                a[j] = 1.0;
+                b[j] = 0.0;
+                next[j] = kExclude;
+              }
+              break;
+            default:  // one finite term, anywhere (often in the tail)
+              a[j] = inf;
+              b[j] = 0.0;
+              break;
+          }
+        }
+        if (pattern == 6) a[rng.index(n)] = 4.0;
+        const int want =
+            min_plus_oracle(n, a.data(), b.data(), next.data(), kExclude);
+        if (want < 0) {
+          ++no_winner;
+        } else {
+          const double v = a[static_cast<std::size_t>(want)] +
+                           b[static_cast<std::size_t>(want)];
+          for (std::size_t j = static_cast<std::size_t>(want) + 1; j < n; ++j) {
+            if (next[j] != kExclude && a[j] + b[j] == v) {
+              ++ties;
+              break;
+            }
+          }
+        }
+        for (std::size_t j = 0; j < n; ++j) masked += next[j] == kExclude;
+        for (const Level level : levels) {
+          ASSERT_EQ(want, model::simd::min_plus_argmin(level, n, a.data(),
+                                                       b.data(), next.data(),
+                                                       kExclude))
+              << model::simd::level_name(level) << " n=" << n
+              << " pattern=" << pattern << " trial=" << trial;
+        }
+      }
+    }
+  }
+  // The patterns did reach every case they are meant to.
+  EXPECT_GT(ties, 500);
+  EXPECT_GT(masked, 10000);
+  EXPECT_GT(no_winner, 700);
 }
 
 TEST(SimdBatchSampler, EndToEndSamplesMatchScalarLevel) {
