@@ -41,9 +41,8 @@ struct BatchScratch {
   std::vector<int> handles;
   std::vector<model::PathMetrics> metrics;  ///< per handle, rwnd filled in
   std::vector<model::PathMetrics> concat;   ///< per overlay candidate
-  // PFTK evaluation table (direct, then per overlay: concat, leg1, leg2).
-  std::vector<double> rtt_ms, loss, residual_bps, capacity_bps, rwnd_bytes;
-  std::vector<double> pftk_bps;
+  std::vector<double> metrics_bps;          ///< PFTK of metrics[i]
+  std::vector<double> concat_bps;           ///< PFTK of concat[i]
   std::vector<ProbeRequest> reqs;  ///< backing for the pairs overload
 };
 
@@ -194,70 +193,55 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
   S.sampler->sample_batch(S.handles.data(), S.handles.size(), t,
                           S.metrics.data());
 
-  // Pass 2: receiver windows (precomputed per plan) and the flat PFTK
-  // evaluation table, exactly as in measure(). Each overlay contributes
-  // three deterministic evaluations — concat, leg1, leg2 — and the leg
-  // values are shared between the split and discrete predictors.
-  const model::TcpModelParams& p = flow_->params();
+  // Pass 2: receiver windows (precomputed per plan), each overlay's
+  // concatenated path, and one flat PFTK evaluation over each array,
+  // exactly as in measure(). The leg values are shared between the split
+  // and discrete predictors.
   S.concat.clear();
-  S.rtt_ms.clear();
-  S.loss.clear();
-  S.residual_bps.clear();
-  S.capacity_bps.clear();
-  S.rwnd_bytes.clear();
-  const auto push_eval = [&](const model::PathMetrics& m) {
-    S.rtt_ms.push_back(m.rtt_ms);
-    S.loss.push_back(m.loss);
-    S.residual_bps.push_back(m.residual_bps);
-    S.capacity_bps.push_back(m.capacity_bps);
-    S.rwnd_bytes.push_back(m.rwnd_bytes > 0 ? m.rwnd_bytes : p.rwnd_bytes);
-  };
   std::size_t cursor = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const PairPlan& plan = *S.batch_plans[i];
     for (std::size_t k = 0; k < plan.handles.size(); ++k) {
       S.metrics[cursor + k].rwnd_bytes = plan.rwnd[k];
     }
-    push_eval(S.metrics[cursor]);
     for (std::size_t j = 0; j < plan.eligible.size(); ++j) {
-      const model::PathMetrics& m1 = S.metrics[cursor + 1 + 2 * j];
-      const model::PathMetrics& m2 = S.metrics[cursor + 2 + 2 * j];
-      S.concat.push_back(model::FlowModel::concat(m1, m2));
-      push_eval(S.concat.back());
-      push_eval(m1);
-      push_eval(m2);
+      S.concat.push_back(model::FlowModel::concat(
+          S.metrics[cursor + 1 + 2 * j], S.metrics[cursor + 2 + 2 * j]));
     }
     cursor += plan.handles.size();
   }
-  S.pftk_bps.resize(S.rtt_ms.size());
-  model::pftk_throughput_batch(S.rtt_ms.size(), S.rtt_ms.data(), S.loss.data(),
-                               S.residual_bps.data(), S.capacity_bps.data(),
-                               S.rwnd_bytes.data(), p, S.pftk_bps.data());
+  const model::TcpModelParams& p = flow_->params();
+  S.metrics_bps.resize(S.metrics.size());
+  S.concat_bps.resize(S.concat.size());
+  model::pftk_throughput_batch(S.metrics.data(), S.metrics.size(), p,
+                               S.metrics_bps.data());
+  model::pftk_throughput_batch(S.concat.data(), S.concat.size(), p,
+                               S.concat_bps.data());
 
   // Pass 3: the per-pair stochastic pass — draw-for-draw the sequence
   // measure() makes on its private (seed, src, dst, t) stream, applied to
   // the precomputed PFTK values through FlowModel's own noise tail.
   cursor = 0;
-  std::size_t eval = 0, cc = 0;
+  std::size_t cc = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const ProbeRequest& r = reqs[i];
     PairSample& ps = out[i];
     ps.src = r.src;
     ps.dst = r.dst;
     sim::Rng rng(sim::pair_seed(seed_ ^ flow_->seed(), r.src, r.dst, t.ns()));
-    const model::PathMetrics& dm = S.metrics[cursor++];
-    ps.direct_bps = flow_->noisy(S.pftk_bps[eval++], dm, rng);
+    const model::PathMetrics& dm = S.metrics[cursor];
+    ps.direct_bps = flow_->noisy(S.metrics_bps[cursor++], dm, rng);
     ps.direct_rtt_ms = dm.rtt_ms;
     ps.direct_loss = dm.loss;
     ps.direct_hops = dm.hop_count;
     ps.overlays.clear();  // keeps capacity: warm batches do not allocate
     for (int o : S.batch_plans[i]->eligible) {
-      const model::PathMetrics& m1 = S.metrics[cursor++];
-      const model::PathMetrics& m2 = S.metrics[cursor++];
-      const model::PathMetrics& cm = S.concat[cc++];
-      const double pftk_cm = S.pftk_bps[eval++];
-      const double pftk_1 = S.pftk_bps[eval++];
-      const double pftk_2 = S.pftk_bps[eval++];
+      const model::PathMetrics& m1 = S.metrics[cursor];
+      const double pftk_1 = S.metrics_bps[cursor++];
+      const model::PathMetrics& m2 = S.metrics[cursor];
+      const double pftk_2 = S.metrics_bps[cursor++];
+      const model::PathMetrics& cm = S.concat[cc];
+      const double pftk_cm = S.concat_bps[cc++];
       OverlaySample s;
       s.overlay_ep = o;
       s.plain_bps = flow_->noisy(pftk_cm, cm, rng);

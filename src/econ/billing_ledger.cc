@@ -67,14 +67,6 @@ double BillingLedger::total_usd() const {
   return sum;
 }
 
-double BillingLedger::kind_gb(core::PathKind kind) const {
-  double sum = 0.0;
-  for_each_cell([&](std::uint64_t k, const Cell& c) {
-    if (static_cast<core::PathKind>(k & 0xffu) == kind) sum += c.gb;
-  });
-  return sum;
-}
-
 std::uint64_t BillingLedger::fingerprint() const {
   std::uint64_t fp = sim::splitmix64(0xB111Dull);
   for_each_cell([&](std::uint64_t k, const Cell& c) {

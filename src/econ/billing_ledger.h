@@ -48,8 +48,6 @@ class BillingLedger {
   /// End-to-end GB delivered across all metered sessions (accumulated in
   /// meter order).
   double delivered_gb() const { return delivered_gb_; }
-  /// Per-path-kind slice of total_gb (same fold order).
-  double kind_gb(core::PathKind kind) const;
 
   std::size_t cell_count() const { return cell_count_; }
   std::uint64_t meter_events() const { return meter_events_; }

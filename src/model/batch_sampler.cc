@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <numeric>
 
 #include "model/simd/dispatch.h"
 
 namespace cronets::model {
-
-namespace {
-// field_constants() caps the AR(1) truncation horizon at 64; the grouped
-// weight rows below rely on that bound.
-constexpr int kMaxHorizon = 64;
-}  // namespace
 
 std::uint32_t BatchSampler::intern_field(const topo::Traversal& trav) {
   const std::uint64_t stream =
@@ -26,10 +21,10 @@ std::uint32_t BatchSampler::intern_field(const topo::Traversal& trav) {
   const topo::TopoLink& link = topo_->links()[trav.link_id];
   const net::BackgroundParams& bg = trav.forward ? link.bg_fwd : link.bg_rev;
   const FieldConstants c = field_constants(bg);
-  assert(c.horizon <= kMaxHorizon);
   f_stream_.push_back(stream);
   f_epoch_ns_.push_back(std::max<std::int64_t>(bg.epoch.ns(), 1));
   f_horizon_.push_back(c.horizon);
+  f_a_.push_back(c.a);
   f_stationary_sd_.push_back(c.stationary_sd);
   f_sqrt_w2_.push_back(c.sqrt_w2);
   f_delay_ms_.push_back(link.delay_ms);
@@ -44,16 +39,7 @@ std::uint32_t BatchSampler::intern_field(const topo::Traversal& trav) {
     }
   }
   f_event_begin_.push_back(static_cast<std::uint32_t>(events_.size()));
-  // Precompute the exponential weights with the scalar sampler's own
-  // w *= a recurrence: the lane-ordered reduction over this array is then
-  // bitwise identical to the original loop-carried form.
-  if (f_weight_begin_.empty()) f_weight_begin_.push_back(0);
-  double w = 1.0;
-  for (int j = 0; j < c.horizon; ++j) {
-    f_weights_.push_back(w);
-    w *= c.a;
-  }
-  f_weight_begin_.push_back(static_cast<std::uint32_t>(f_weights_.size()));
+  mark_.push_back(0);
   return it->second;
 }
 
@@ -96,118 +82,75 @@ int BatchSampler::intern(const topo::PathRef& path) {
   path_min_capacity_bps_.push_back(min_capacity_bps);
   path_hops_.push_back(static_cast<int>(path->routers.size()));
   path_slot_begin_.push_back(static_cast<std::uint32_t>(slot_field_.size()));
+  path_mark_.push_back(0);
+  path_pos_.push_back(0);
   path_index_.emplace(path.get(), handle);
   return handle;
 }
 
 void BatchSampler::sample_batch(const int* handles, std::size_t n, sim::Time t,
                                 PathMetrics* out) {
+  assert(n <= std::numeric_limits<std::uint32_t>::max());
   if (topo_->events().size() != events_seen_) bucket_events();
-  // Pass 1: the unique link fields this batch touches, in first-touch
-  // order. A field crossed by many paths is collected (and later
-  // evaluated) exactly once. The scan depends only on the handle set (not
-  // on t), so re-sampling the same handles — probe sweeps and benches do
-  // this every tick — reuses the previous plan after a cheap content
-  // compare instead of walking every slot again.
-  const bool plan_hit = plan_valid_ && plan_handles_.size() == n &&
-                        std::equal(handles, handles + n, plan_handles_.begin());
-  if (!plan_hit) {
-    mark_.resize(f_stream_.size(), 0);
-    if (++stamp_ == 0) {  // stamp wrapped: invalidate every mark
-      std::fill(mark_.begin(), mark_.end(), 0);
-      stamp_ = 1;
-    }
-    used_.clear();
-    std::uint64_t traversals = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto h = static_cast<std::size_t>(handles[i]);
-      for (std::uint32_t k = path_slot_begin_[h]; k < path_slot_begin_[h + 1];
-           ++k) {
-        const std::uint32_t fi = slot_field_[k];
-        ++traversals;
-        if (mark_[fi] != stamp_) {
-          mark_[fi] = stamp_;
-          used_.push_back(fi);
-        }
+  if (++stamp_ == 0) {  // stamp wrapped: invalidate every mark
+    std::fill(mark_.begin(), mark_.end(), 0);
+    std::fill(path_mark_.begin(), path_mark_.end(), 0);
+    stamp_ = 1;
+  }
+  // Pass 1: each distinct handle's first position, and the unique link
+  // fields the batch touches, in first-touch order. A handle named again
+  // is not walked again, and a field crossed by many paths is collected
+  // (and later evaluated) exactly once.
+  used_.clear();
+  std::uint64_t traversals = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto h = static_cast<std::size_t>(handles[i]);
+    const std::uint32_t begin = path_slot_begin_[h];
+    const std::uint32_t end = path_slot_begin_[h + 1];
+    traversals += end - begin;
+    if (path_mark_[h] == stamp_) continue;
+    path_mark_[h] = stamp_;
+    path_pos_[h] = static_cast<std::uint32_t>(i);
+    for (std::uint32_t k = begin; k < end; ++k) {
+      const std::uint32_t fi = slot_field_[k];
+      if (mark_[fi] != stamp_) {
+        mark_[fi] = stamp_;
+        used_.push_back(fi);
       }
-    }
-    plan_handles_.assign(handles, handles + n);
-    plan_traversals_ = traversals;
-    plan_valid_ = true;
-    // Path-level dedup: accumulate each distinct handle once in pass 3 and
-    // copy its metrics to every position that names it.
-    plan_uniq_.clear();
-    plan_out_of_.resize(n);
-    std::vector<int> uniq_of(path_ref_.size(), -1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const int h = handles[i];
-      int& u = uniq_of[static_cast<std::size_t>(h)];
-      if (u < 0) {
-        u = static_cast<int>(plan_uniq_.size());
-        plan_uniq_.push_back(h);
-      }
-      plan_out_of_[i] = static_cast<std::uint32_t>(u);
-    }
-    uniq_out_.resize(plan_uniq_.size());
-    // Pack the used fields into lane groups of four and transpose their
-    // (t-independent) exponential weights for the grouped fold kernel,
-    // zero-padding each lane past its own horizon.
-    plan_groups_.clear();
-    plan_wt_.clear();
-    for (std::size_t g0 = 0; g0 < used_.size(); g0 += 4) {
-      PlanGroup g;
-      g.nf = static_cast<int>(std::min<std::size_t>(4, used_.size() - g0));
-      g.maxh = 0;
-      for (int k = 0; k < 4; ++k) {
-        const std::uint32_t fi =
-            used_[g0 + static_cast<std::size_t>(std::min(k, g.nf - 1))];
-        g.field[k] = fi;
-        if (k < g.nf) g.maxh = std::max(g.maxh, f_horizon_[fi]);
-      }
-      g.wt_begin = static_cast<std::uint32_t>(plan_wt_.size());
-      plan_wt_.resize(plan_wt_.size() + 4 * static_cast<std::size_t>(g.maxh),
-                      0.0);
-      for (int k = 0; k < g.nf; ++k) {
-        const std::uint32_t fi = g.field[k];
-        const double* w = f_weights_.data() + f_weight_begin_[fi];
-        for (int j = 0; j < f_horizon_[fi]; ++j) {
-          plan_wt_[g.wt_begin + 4 * static_cast<std::size_t>(j) +
-                   static_cast<std::size_t>(k)] = w[j];
-        }
-      }
-      plan_groups_.push_back(g);
     }
   }
-  dedup_saved_ += plan_traversals_ - used_.size();
+  dedup_saved_ += traversals - used_.size();
 
-  // Pass 2: evaluate each used field once, four fields per grouped kernel
-  // call (see model/simd/): the AR(1) innovations are pure integer hashing
-  // plus an exact uint->double conversion, and the exponentially-weighted
-  // fold runs one field per SIMD lane in the scalar fold's strict j order
-  // — the serial chain that bounds this pass advances four fields per
-  // vector add without touching the accumulation order (or bits) of the
-  // scalar sampler. Derived per-field quantities (loss complement,
-  // queueing delay, residual) are also computed once here instead of once
-  // per traversal.
+  // Pass 2: evaluate each used field once, walking used_ four fields at a
+  // time, one field per SIMD lane of the grouped AR(1) fold (see
+  // model/simd/): the innovations are pure integer hashing plus an exact
+  // uint->double conversion, and each lane folds in the scalar sampler's
+  // strict j order with its own w *= a weights, so the serial chain that
+  // bounds this pass advances four fields per vector add without touching
+  // the accumulation order (or bits) of the scalar sampler. Derived
+  // per-field quantities (loss complement, queueing delay, residual) are
+  // also computed once here instead of once per traversal.
   f_eval_.resize(f_stream_.size());
-  for (const PlanGroup& g : plan_groups_) {
-    // Grouped innovation + fold: four fields per kernel call, one SIMD
-    // lane each, every lane's accumulation in the scalar fold's exact
-    // j order (see simd::ar1_weighted_sums).
+  for (std::size_t g = 0; g < used_.size(); g += 4) {
+    const int nf = static_cast<int>(std::min<std::size_t>(4, used_.size() - g));
     std::uint64_t streams4[4];
     std::int64_t ns4[4];
     int hz4[4];
+    double a4[4];
     double acc4[4];
     for (int k = 0; k < 4; ++k) {
-      const std::uint32_t gfi = g.field[k];
-      streams4[k] = f_stream_[gfi];
-      ns4[k] = t.ns() / f_epoch_ns_[gfi];
-      hz4[k] = f_horizon_[gfi];
+      // Spare lanes of a short tail group repeat the last field; their
+      // outputs are ignored.
+      const std::uint32_t fi =
+          used_[g + static_cast<std::size_t>(std::min(k, nf - 1))];
+      streams4[k] = f_stream_[fi];
+      ns4[k] = t.ns() / f_epoch_ns_[fi];
+      hz4[k] = f_horizon_[fi];
+      a4[k] = f_a_[fi];
     }
-    simd::ar1_weighted_sums(level_, g.nf, streams4, ns4, hz4,
-                            plan_wt_.data() + g.wt_begin, g.maxh, acc4);
-    for (int k = 0; k < g.nf; ++k) {
-      const std::uint32_t fi = g.field[k];
+    simd::ar1_weighted_sums(level_, nf, streams4, ns4, hz4, a4, acc4);
+    for (int k = 0; k < nf; ++k) {
+      const std::uint32_t fi = used_[g + static_cast<std::size_t>(k)];
       const double acc = acc4[k];
       double u = f_bg_[fi].mean_util + acc * f_stationary_sd_[fi] / f_sqrt_w2_[fi];
       u = std::clamp(u, 0.0, 0.98);
@@ -234,10 +177,14 @@ void BatchSampler::sample_batch(const int* handles, std::size_t n, sim::Time t,
   }
 
   // Pass 3: per-path accumulation over precomputed per-field values, in
-  // the scalar sampler's link order and operation shape. Only distinct
-  // handles are walked (plan_uniq_); duplicates get a struct copy below.
-  for (std::size_t u = 0; u < plan_uniq_.size(); ++u) {
-    const auto h = static_cast<std::size_t>(plan_uniq_[u]);
+  // the scalar sampler's link order and operation shape, at each handle's
+  // first position; every later position naming it copies that output.
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto h = static_cast<std::size_t>(handles[i]);
+    if (path_pos_[h] != i) {
+      out[i] = out[path_pos_[h]];
+      continue;
+    }
     PathMetrics m;
     m.capacity_bps = path_min_capacity_bps_[h];
     m.residual_bps = 1e18;
@@ -256,10 +203,7 @@ void BatchSampler::sample_batch(const int* handles, std::size_t n, sim::Time t,
     m.loss = 1.0 - survive;
     m.rtt_ms = 2.0 * oneway_ms;
     m.hop_count = path_hops_[h];
-    uniq_out_[u] = m;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = uniq_out_[plan_out_of_[i]];
+    out[i] = m;
   }
 }
 

@@ -13,17 +13,22 @@ namespace cronets::model {
 
 /// Batch-oriented, SIMD-friendly path sampler: the structure-of-arrays
 /// batch copy of the reference FlowModel::sample. Interned paths become
-/// dense handles whose link-field constants (AR(1) parameters, delays,
-/// capacities), derived straight from the topology's links once per
-/// (link, direction), live in contiguous arrays beside each field's
-/// transient events, and `sample_batch` evaluates a whole batch of paths
-/// at one timestamp with
+/// dense handles whose link-field constants (AR(1) coefficient and
+/// horizon, delays, capacities), derived straight from the topology's
+/// links once per (link, direction), live in contiguous arrays beside each
+/// field's transient events, and `sample_batch` evaluates a whole batch of
+/// paths at one timestamp with
 ///
 ///  1. *deduplicated* link-field evaluation — each (link direction, t) is
 ///     computed exactly once per batch no matter how many paths cross it
-///     (core links shared by many overlay legs are the common case), and
-///  2. branch-light flat loops over the SoA store that the compiler can
-///     auto-vectorize (the hash-indexed AR(1) innovations in particular).
+///     (core links shared by many overlay legs are the common case), and a
+///     handle named k times in one batch is accumulated once, and
+///  2. branch-light flat loops over the SoA store, with the AR(1) folds of
+///     four fields per simd::ar1_weighted_sums call, one SIMD lane each.
+///
+/// Every call finds its distinct handles and fields afresh with per-handle
+/// and per-field stamps: no plan outlives the call, so nothing depends on
+/// which handles the previous batch named.
 ///
 /// Results are bitwise identical to FlowModel::sample(*path, t) at every
 /// batch size — enforced by tests/batch_sampler_test.cc and the
@@ -106,6 +111,7 @@ class BatchSampler {
   std::vector<std::uint64_t> f_stream_;
   std::vector<std::int64_t> f_epoch_ns_;
   std::vector<int> f_horizon_;
+  std::vector<double> f_a_;  ///< AR(1) coefficient: the fold's weight ratio
   std::vector<double> f_stationary_sd_;
   std::vector<double> f_sqrt_w2_;
   std::vector<double> f_delay_ms_;
@@ -115,13 +121,6 @@ class BatchSampler {
   std::vector<std::uint8_t> f_has_diurnal_;
   std::vector<std::uint32_t> f_event_begin_;  ///< size fields+1 into events_
   std::vector<topo::LinkEvent> events_;
-  /// Exponential weights a^j per field, flattened (f_weight_begin_ indexes
-  /// the start of each field's `horizon` weights). Generated by the same
-  /// w *= a recurrence the scalar sampler runs, so the lane-ordered
-  /// reduction over them reproduces its bits while dropping the
-  /// loop-carried multiply from the hot loop.
-  std::vector<std::uint32_t> f_weight_begin_;  ///< size fields+1 into f_weights_
-  std::vector<double> f_weights_;
 
   // --- per-batch scratch (persistent so warm batches do not allocate) ---
   /// Per-field values pass 3 gathers through the slot indirection,
@@ -135,38 +134,19 @@ class BatchSampler {
     double queue_ms;
     double residual_bps;
   };
-  std::vector<std::uint32_t> used_;  ///< unique fields touched, first-touch order
-  std::vector<std::uint32_t> mark_;  ///< per-field batch stamp
+  /// One stamp per call marks both the fields and the handles it touches;
+  /// a mark equal to stamp_ means "already seen in this call".
   std::uint32_t stamp_ = 0;
-  std::vector<FieldEval> f_eval_;    ///< per-field evaluation at t
+  std::vector<std::uint32_t> mark_;       ///< per field: last call's stamp
+  std::vector<std::uint32_t> used_;       ///< unique fields, first-touch order
+  std::vector<FieldEval> f_eval_;         ///< per field: evaluation at t
+  /// Path-level dedup: a batch that names the same handle k times (overlay
+  /// legs shared across pairs, typically) accumulates it once, at its
+  /// first position; the other copies are struct copies of that output,
+  /// so they cannot change bits.
+  std::vector<std::uint32_t> path_mark_;  ///< per handle: last call's stamp
+  std::vector<std::uint32_t> path_pos_;   ///< per handle: first input index
   std::uint64_t dedup_saved_ = 0;
-  /// Dedup-plan cache: pass 1 (the unique-field scan) depends only on the
-  /// handle set, not on t, so a sweep re-sampling the same handles — every
-  /// probe tick, every bench rep — reuses `used_` after one memcmp-cheap
-  /// content compare.
-  std::vector<int> plan_handles_;
-  std::uint64_t plan_traversals_ = 0;
-  bool plan_valid_ = false;
-  /// Used fields packed into lane groups of four for the grouped
-  /// simd::ar1_weighted_sums kernel, with the lane-transposed zero-padded
-  /// weight matrix (t-independent, so it is part of the cached plan).
-  /// Spare lanes of a short tail group repeat the last field; their
-  /// outputs are ignored.
-  struct PlanGroup {
-    std::uint32_t field[4];
-    int nf;
-    int maxh;
-    std::uint32_t wt_begin;  ///< row-major maxh x 4 block in plan_wt_
-  };
-  std::vector<PlanGroup> plan_groups_;
-  std::vector<double> plan_wt_;
-  /// Path-level dedup, also part of the plan: a batch that names the same
-  /// handle k times (overlay legs shared across pairs, typically) pays for
-  /// its accumulation once — identical handle, identical metrics, so the
-  /// remaining copies are struct copies and cannot change bits.
-  std::vector<int> plan_uniq_;             ///< unique handles, first-touch order
-  std::vector<std::uint32_t> plan_out_of_; ///< input i -> index into plan_uniq_
-  std::vector<PathMetrics> uniq_out_;      ///< per-unique-path scratch
 };
 
 }  // namespace cronets::model

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "model/simd/dispatch.h"
 #include "sim/hash_rng.h"
 
 namespace cronets::model {
@@ -66,25 +67,25 @@ double pftk_throughput_bps(double rtt_ms, double loss, double residual_bps,
   return 8.0 * std::min({loss_bound_Bps, wnd_bound_Bps, cap_Bps});
 }
 
-void pftk_throughput_batch(std::size_t n, const double* rtt_ms,
-                           const double* loss, const double* residual_bps,
-                           const double* capacity_bps, const double* rwnd_bytes,
+void pftk_throughput_batch(const PathMetrics* m, std::size_t n,
                            const TcpModelParams& p, double* out_bps) {
-  pftk_throughput_batch(simd::active_level(), n, rtt_ms, loss, residual_bps,
-                        capacity_bps, rwnd_bytes, p, out_bps);
-}
-
-void pftk_throughput_batch(simd::Level level, std::size_t n,
-                           const double* rtt_ms, const double* loss,
-                           const double* residual_bps,
-                           const double* capacity_bps, const double* rwnd_bytes,
-                           const TcpModelParams& p, double* out_bps) {
-  // Element-wise mirror of pftk_throughput_bps with the rwnd override
-  // applied per element; every kernel level keeps the scalar expression
-  // shape (the loss branch becomes a lane blend), so the results are
-  // bitwise identical.
-  simd::pftk_batch(level, n, rtt_ms, loss, residual_bps, capacity_bps,
-                   rwnd_bytes, p, out_bps);
+  constexpr std::size_t kChunk = 64;
+  double rtt_ms[kChunk], loss[kChunk], residual_bps[kChunk],
+      capacity_bps[kChunk], rwnd_bytes[kChunk];
+  const simd::Level level = simd::active_level();
+  for (std::size_t lo = 0; lo < n; lo += kChunk) {
+    const std::size_t len = std::min(kChunk, n - lo);
+    for (std::size_t i = 0; i < len; ++i) {
+      const PathMetrics& x = m[lo + i];
+      rtt_ms[i] = x.rtt_ms;
+      loss[i] = x.loss;
+      residual_bps[i] = x.residual_bps;
+      capacity_bps[i] = x.capacity_bps;
+      rwnd_bytes[i] = x.rwnd_bytes > 0 ? x.rwnd_bytes : p.rwnd_bytes;
+    }
+    simd::pftk_batch(level, len, rtt_ms, loss, residual_bps, capacity_bps,
+                     rwnd_bytes, p, out_bps + lo);
+  }
 }
 
 FieldConstants field_constants(const net::BackgroundParams& bg) {

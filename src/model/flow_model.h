@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "model/simd/dispatch.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 #include "topo/internet.h"
@@ -38,24 +37,14 @@ struct TcpModelParams {
 double pftk_throughput_bps(double rtt_ms, double loss, double residual_bps,
                            double capacity_bps, const TcpModelParams& p);
 
-/// Flat-loop PFTK over parallel arrays: out_bps[i] is bitwise identical to
-/// pftk_throughput_bps(rtt_ms[i], ..., p') where p' is `p` with rwnd_bytes
-/// replaced by rwnd_bytes[i]. The batched measurement path hoists every
-/// deterministic throughput evaluation of a probe batch into one call;
-/// the loop dispatches to the vectorized kernels in model/simd/ at the
-/// process-wide simd::active_level() (CRONETS_SIMD), every level bitwise
-/// identical to the scalar reference.
-void pftk_throughput_batch(std::size_t n, const double* rtt_ms,
-                           const double* loss, const double* residual_bps,
-                           const double* capacity_bps, const double* rwnd_bytes,
-                           const TcpModelParams& p, double* out_bps);
-
-/// Explicit-level overload (benches/tests comparing scalar vs SIMD in one
-/// process; same bits at every level).
-void pftk_throughput_batch(simd::Level level, std::size_t n,
-                           const double* rtt_ms, const double* loss,
-                           const double* residual_bps,
-                           const double* capacity_bps, const double* rwnd_bytes,
+/// PFTK over a batch of paths: out_bps[i] is bitwise identical to
+/// pftk_throughput_bps over m[i] with FlowModel::tcp_throughput's receiver
+/// window rule (m[i].rwnd_bytes where > 0, else p.rwnd_bytes) — the
+/// deterministic part of tcp_throughput(m[i]). Stages fixed-size chunks of
+/// the metrics into stack arrays for simd::pftk_batch at the process-wide
+/// simd::active_level() (CRONETS_SIMD); every level is bitwise identical
+/// to the scalar reference.
+void pftk_throughput_batch(const PathMetrics* m, std::size_t n,
                            const TcpModelParams& p, double* out_bps);
 
 /// Static constants of one link direction's AR(1) utilization field: the

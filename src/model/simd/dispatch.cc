@@ -72,16 +72,15 @@ Level active_level() {
 
 void ar1_weighted_sums(Level level, int nf, const std::uint64_t* streams,
                        const std::int64_t* ns, const int* horizons,
-                       const double* wt, int maxh, double* acc) {
+                       const double* a, double* acc) {
   switch (level) {
 #if defined(__x86_64__) || defined(_M_X64)
     case Level::kAvx2:
-      detail::ar1_weighted_sums_avx2(nf, streams, ns, horizons, wt, maxh, acc);
+      detail::ar1_weighted_sums_avx2(nf, streams, ns, horizons, a, acc);
       return;
 #endif
     default:
-      detail::ar1_weighted_sums_scalar(nf, streams, ns, horizons, wt, maxh,
-                                       acc);
+      detail::ar1_weighted_sums_scalar(nf, streams, ns, horizons, a, acc);
       return;
   }
 }

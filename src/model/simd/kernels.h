@@ -18,7 +18,7 @@ namespace cronets::model::simd::detail {
 
 void ar1_weighted_sums_scalar(int nf, const std::uint64_t* streams,
                               const std::int64_t* ns, const int* horizons,
-                              const double* wt, int maxh, double* acc);
+                              const double* a, double* acc);
 void pftk_batch_scalar(std::size_t n, const double* rtt_ms, const double* loss,
                        const double* residual_bps, const double* capacity_bps,
                        const double* rwnd_bytes, const TcpModelParams& p,
@@ -29,7 +29,7 @@ int min_plus_argmin_scalar(std::size_t n, const double* a, const double* b,
 #if defined(__x86_64__) || defined(_M_X64)
 void ar1_weighted_sums_avx2(int nf, const std::uint64_t* streams,
                             const std::int64_t* ns, const int* horizons,
-                            const double* wt, int maxh, double* acc);
+                            const double* a, double* acc);
 void pftk_batch_avx2(std::size_t n, const double* rtt_ms, const double* loss,
                      const double* residual_bps, const double* capacity_bps,
                      const double* rwnd_bytes, const TcpModelParams& p,

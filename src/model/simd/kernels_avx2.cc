@@ -7,6 +7,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "model/flow_model.h"
@@ -73,8 +74,9 @@ inline __m256d centered_lanes(__m256i stream, __m256i add, __m256i b) {
 
 void ar1_weighted_sums_avx2(int nf, const std::uint64_t* streams,
                             const std::int64_t* ns, const int* horizons,
-                            const double* wt, int maxh, double* acc) {
-  (void)horizons;  // maxh covers every lane; shorter lanes see zero weights
+                            const double* a, double* acc) {
+  int maxh = 0;
+  for (int k = 0; k < nf; ++k) maxh = std::max(maxh, horizons[k]);
   const __m256i vs =
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(streams));
   // hash_combine's a-dependent terms, per lane this time (four streams).
@@ -82,14 +84,21 @@ void ar1_weighted_sums_avx2(int nf, const std::uint64_t* streams,
       _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ull)),
       _mm256_add_epi64(_mm256_slli_epi64(vs, 6), _mm256_srli_epi64(vs, 2)));
   const __m256i vn = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ns));
+  const __m256i vh = _mm256_setr_epi64x(horizons[0], horizons[1], horizons[2],
+                                        horizons[3]);
+  const __m256d va = _mm256_loadu_pd(a);
   // One vector add per j advances all four lanes' serial chains: the fold
-  // stays latency-bound, but on 4 fields at once. Zero-padded weights make
-  // a lane's extra terms exact +/-0.0 adds (bitwise no-ops — see dispatch.h).
+  // stays latency-bound, but on 4 fields at once. Each lane's weight runs
+  // the scalar w *= a recurrence; a lane past its horizon is masked to an
+  // exact +0.0 add (a bitwise no-op — see dispatch.h).
+  __m256d w = _mm256_set1_pd(1.0);
   __m256d accv = _mm256_setzero_pd();
   for (int j = 0; j < maxh; ++j) {
-    const __m256i b = _mm256_sub_epi64(vn, _mm256_set1_epi64x(j));
-    const __m256d innov = centered_lanes(vs, add, b);
-    accv = _mm256_add_pd(accv, _mm256_mul_pd(_mm256_loadu_pd(wt + 4 * j), innov));
+    const __m256i vj = _mm256_set1_epi64x(j);
+    const __m256d innov = centered_lanes(vs, add, _mm256_sub_epi64(vn, vj));
+    const __m256d live = _mm256_castsi256_pd(_mm256_cmpgt_epi64(vh, vj));
+    accv = _mm256_add_pd(accv, _mm256_and_pd(_mm256_mul_pd(w, innov), live));
+    w = _mm256_mul_pd(w, va);
   }
   alignas(32) double lanes[4];
   _mm256_store_pd(lanes, accv);

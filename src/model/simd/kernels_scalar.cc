@@ -8,40 +8,24 @@
 
 namespace cronets::model::simd::detail {
 
-// Portable reference kernels: the exact loops BatchSampler::sample_batch
-// and model::pftk_throughput_batch ran before the SIMD split, and the
-// delay policy's per-neighbour relaxation as one min-plus scan. Every wider
-// level is pinned bitwise against these (tests/simd_test.cc and the
-// bench_micro "simd sample == scalar sample" row).
-
-namespace {
-
-void ar1_innovations_scalar(std::uint64_t stream, std::int64_t n, int horizon,
-                            double* innov) {
-  std::uint64_t keys[64];
-  for (int j = 0; j < horizon; ++j) {
-    keys[j] = sim::hash_combine(stream, static_cast<std::uint64_t>(n - j));
-  }
-  for (int j = 0; j < horizon; ++j) {
-    innov[j] = sim::hash_centered(keys[j]);
-  }
-}
-
-}  // namespace
+// Portable reference kernels: FlowModel::utilization's AR(1) fold,
+// pftk_throughput_bps over flat arrays, and the delay policy's
+// per-neighbour relaxation as one min-plus scan. Every wider level is
+// pinned bitwise against these (tests/simd_test.cc and the bench_micro
+// "simd sample == scalar sample" row).
 
 void ar1_weighted_sums_scalar(int nf, const std::uint64_t* streams,
                               const std::int64_t* ns, const int* horizons,
-                              const double* wt, int maxh, double* acc) {
-  (void)maxh;
+                              const double* a, double* acc) {
   for (int k = 0; k < nf; ++k) {
-    double innov[64];
-    ar1_innovations_scalar(streams[k], ns[k], horizons[k], innov);
-    // Strict j-order fold; wt rows hold this lane's weight at stride 4.
-    double a = 0.0;
+    // FlowModel::utilization's fold: strict j order, w *= a from 1.0.
+    double sum = 0.0, w = 1.0;
     for (int j = 0; j < horizons[k]; ++j) {
-      a += wt[4 * j + k] * innov[j];
+      sum += w * sim::hash_centered(sim::hash_combine(
+                     streams[k], static_cast<std::uint64_t>(ns[k] - j)));
+      w *= a[k];
     }
-    acc[k] = a;
+    acc[k] = sum;
   }
 }
 

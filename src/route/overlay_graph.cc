@@ -200,26 +200,14 @@ void OverlayGraph::measure(sim::Time t) {
     // FlowModel::tcp_throughput ends with, on a stream keyed on
     // (seed, src VM, dst VM, t) — so an edge estimate never depends on
     // measurement order or on which other edges share the batch.
-    const model::TcpModelParams& p = flow_->params();
-    rtt_ms_.clear();
-    loss_.clear();
-    residual_bps_.clear();
-    capacity_bps_.clear();
-    rwnd_bytes_.clear();
     for (std::size_t s = 0; s < m; ++s) {
       const int j = selected_[s] % n_;
-      model::PathMetrics& mm = metrics_[s];
-      mm.rwnd_bytes = static_cast<double>(topo_->endpoint(eps_[j]).rcv_buf);
-      rtt_ms_.push_back(mm.rtt_ms);
-      loss_.push_back(mm.loss);
-      residual_bps_.push_back(mm.residual_bps);
-      capacity_bps_.push_back(mm.capacity_bps);
-      rwnd_bytes_.push_back(mm.rwnd_bytes);
+      metrics_[s].rwnd_bytes =
+          static_cast<double>(topo_->endpoint(eps_[j]).rcv_buf);
     }
     pftk_bps_.resize(m);
-    model::pftk_throughput_batch(m, rtt_ms_.data(), loss_.data(),
-                                 residual_bps_.data(), capacity_bps_.data(),
-                                 rwnd_bytes_.data(), p, pftk_bps_.data());
+    model::pftk_throughput_batch(metrics_.data(), m, flow_->params(),
+                                 pftk_bps_.data());
 
     const double alpha = kEwmaAlpha;
     const double th = kMetricThreshold;

@@ -165,8 +165,7 @@ class OverlayGraph {
   model::BatchSampler sampler_;
   std::vector<int> sel_handles_;
   std::vector<model::PathMetrics> metrics_;
-  std::vector<double> rtt_ms_, loss_, residual_bps_, capacity_bps_,
-      rwnd_bytes_, pftk_bps_;
+  std::vector<double> pftk_bps_;
 };
 
 }  // namespace cronets::route

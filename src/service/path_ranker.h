@@ -120,7 +120,8 @@ struct PairState {
   std::vector<Candidate> candidates;  ///< [0] = direct, then overlays
   int best = 0;                       ///< hysteresis-stable current choice
   sim::Time last_probe{-1};           ///< negative: never probed
-  std::uint64_t route_epoch = 0;      ///< broker: epoch candidates were built at
+  /// Broker: PathCache::invalidations() when the candidates were built.
+  std::uint64_t route_epoch = 0;
   /// Session slots currently pinned to this pair (owned by SessionManager;
   /// order = admission order, with swap-removal on release).
   std::vector<std::uint32_t> sessions;

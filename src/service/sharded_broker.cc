@@ -55,7 +55,7 @@ int ShardedBroker::register_pair(int src, int dst) {
       sim::pack_pair(src, dst), static_cast<int>(ranker_.size()));
   if (!fresh) return it->second;
   const int idx = ranker_.add_pair(src, dst);
-  ranker_.pair(idx).route_epoch = route_epoch_;
+  ranker_.pair(idx).route_epoch = topo_->path_cache().invalidations();
   scheduler_.track_pair(idx);
   // Registration is the only place the sweep scratch may grow: any sweep
   // measures at most every registered pair, so steady-state probe ticks
@@ -171,9 +171,10 @@ int ShardedBroker::apply_selection(const std::vector<int>& sel, sim::Time t,
 int ShardedBroker::apply_probe(int pair_idx, const core::PairSample& s,
                                sim::Time t, bool force_repin) {
   PairState& p = ranker_.pair(pair_idx);
-  if (p.route_epoch != route_epoch_) {
+  const std::uint64_t routes = topo_->path_cache().invalidations();
+  if (p.route_epoch != routes) {
     ranker_.refresh_paths(pair_idx);
-    p.route_epoch = route_epoch_;
+    p.route_epoch = routes;
   }
   const bool changed = ranker_.apply_sample(pair_idx, s, t);
   if (changed) ++counters_.ranking_flips;
@@ -198,7 +199,6 @@ void ShardedBroker::on_mutation(const topo::Mutation& m) {
   if (m.kind != topo::Mutation::Kind::kAdjacencyChange) {
     return;  // transient congestion: rankings adapt through normal probing
   }
-  ++route_epoch_;
   if (m.up) {
     // Restored adjacency: age every ranking fleet-wide so the budgeted
     // prober re-ranks over the coming ticks (paths re-interned lazily).

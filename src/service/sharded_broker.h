@@ -242,7 +242,6 @@ class ShardedBroker final {
   ProbeScheduler scheduler_;
   BrokerMonitor* monitor_ = nullptr;
   int listener_id_ = -1;
-  std::uint64_t route_epoch_ = 0;
 
   std::unordered_map<std::uint64_t, int> pair_index_;  // (src,dst) -> id
 

@@ -143,8 +143,6 @@ TEST(EconLedgerTest, MeterAccumulatesPerCell) {
   EXPECT_EQ(ledger.cell_count(), 1u);
   EXPECT_DOUBLE_EQ(ledger.total_gb(), 5.0);
   EXPECT_DOUBLE_EQ(ledger.total_usd(), 0.5);
-  EXPECT_DOUBLE_EQ(ledger.kind_gb(core::PathKind::kOverlay), 5.0);
-  EXPECT_DOUBLE_EQ(ledger.kind_gb(core::PathKind::kDirect), 0.0);
   EXPECT_EQ(ledger.meter_events(), 2u);
 }
 

@@ -55,22 +55,19 @@ void expect_group_matches_fold(const Ar1Lane* lanes, int nf) {
   std::uint64_t gs[4];
   std::int64_t gn[4];
   int gh[4];
-  int maxh = 0;
+  double ga[4];
   for (int k = 0; k < 4; ++k) {
     const Ar1Lane& l = lanes[std::min(k, nf - 1)];
     gs[k] = l.stream;
     gn[k] = l.n;
     gh[k] = l.horizon;
-    maxh = std::max(maxh, l.horizon);
+    ga[k] = l.a;
   }
-  // Lane-transposed weight matrix, zero-padded past each horizon.
-  std::vector<double> wt(4 * static_cast<std::size_t>(maxh), 0.0);
   double want[4];
   for (int k = 0; k < nf; ++k) {
     const Ar1Lane& l = lanes[k];
     double w = 1.0, acc = 0.0;
     for (int j = 0; j < l.horizon; ++j) {
-      wt[4 * static_cast<std::size_t>(j) + static_cast<std::size_t>(k)] = w;
       acc += w * sim::hash_centered(sim::hash_combine(
                      l.stream, static_cast<std::uint64_t>(l.n - j)));
       w *= l.a;
@@ -81,7 +78,7 @@ void expect_group_matches_fold(const Ar1Lane* lanes, int nf) {
   levels.push_back(Level::kScalar);
   for (const Level level : levels) {
     double got[4];
-    model::simd::ar1_weighted_sums(level, nf, gs, gn, gh, wt.data(), maxh, got);
+    model::simd::ar1_weighted_sums(level, nf, gs, gn, gh, ga, got);
     for (int k = 0; k < nf; ++k) {
       ASSERT_EQ(want[k], got[k])
           << model::simd::level_name(level) << " stream=" << gs[k]
@@ -109,10 +106,10 @@ TEST(SimdAr1, MatchesScalarReferenceAtEveryHorizon) {
 
 TEST(SimdAr1, GroupedWeightedSumsMatchScalarFoldExactly) {
   // The grouped fold (four fields per kernel call, one lane each) must
-  // reproduce the plain per-field fold bit-for-bit: zero-padded weight rows
-  // past a lane's horizon contribute exact +/-0.0 adds, and lane order
-  // never mixes fields. Exercised with mixed horizons per group and short
-  // tail groups (nf 1..4).
+  // reproduce the plain per-field fold bit-for-bit: masked terms past a
+  // lane's horizon contribute exact +0.0 adds, and lane order never mixes
+  // fields. Exercised with mixed horizons per group and short tail groups
+  // (nf 1..4).
   sim::Rng rng(11);
   const std::uint64_t streams[] = {3u, 0x9e3779b97f4a7c15ull, 77777777777ull,
                                    0xfedcba9876543210ull};
@@ -153,12 +150,12 @@ TEST(SimdPftk, MatchesScalarFunctionAcrossLossRegimes) {
                           std::size_t{4}, std::size_t{5}, std::size_t{7},
                           std::size_t{8}, rtt_ms.size()}) {
       std::vector<double> got(n), ref(n);
-      model::pftk_throughput_batch(level, n, rtt_ms.data(), loss.data(),
-                                   residual.data(), capacity.data(),
-                                   rwnd.data(), p, got.data());
-      model::pftk_throughput_batch(Level::kScalar, n, rtt_ms.data(),
-                                   loss.data(), residual.data(),
-                                   capacity.data(), rwnd.data(), p, ref.data());
+      model::simd::pftk_batch(level, n, rtt_ms.data(), loss.data(),
+                              residual.data(), capacity.data(), rwnd.data(),
+                              p, got.data());
+      model::simd::pftk_batch(Level::kScalar, n, rtt_ms.data(), loss.data(),
+                              residual.data(), capacity.data(), rwnd.data(),
+                              p, ref.data());
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(ref[i], got[i])
             << model::simd::level_name(level) << " n=" << n << " i=" << i
