@@ -69,7 +69,8 @@ class OverlayGraph {
   }
   bool node_up(int i) const { return up_[static_cast<std::size_t>(i)] != 0; }
   /// Bumped by every BGP adjacency change (the only mutation that can
-  /// change node liveness). Part of RoutePlane::pair_route_version.
+  /// change node liveness). With RoutePlane::rounds() it keys every input
+  /// of a RoutePlane::route read.
   std::uint64_t liveness_epoch() const { return liveness_epoch_; }
 
   /// One measurement round at time `t`: probe every dirty edge plus the

@@ -15,7 +15,6 @@ RoutePlane::RoutePlane(topo::Internet* topo, const model::FlowModel* flow,
   const int n = graph_.size();
   agents_.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) agents_[static_cast<std::size_t>(i)].reset(i, n);
-  dest_version_.assign(static_cast<std::size_t>(n), 0);
   seen_liveness_epoch_ = graph_.liveness_epoch();
 }
 
@@ -45,30 +44,10 @@ void RoutePlane::step(sim::Time t) {
   ctx.full_refresh = rounds_ == 1 || liveness_moved ||
                      (cfg_.full_refresh_rounds > 0 &&
                       rounds_ % cfg_.full_refresh_rounds == 0);
-  ctx.delay_dirty_rows = &graph_.delay_dirty_rows();
   policy_->round(graph_, &agents_, &ctx);
   recomputed_total_ += static_cast<std::uint64_t>(ctx.entries_recomputed);
   deltas_total_ += static_cast<std::uint64_t>(ctx.entries_changed);
   flaps_ += ctx.flaps;
-  // Per-destination versions from the policy's changed bitsets: column d
-  // moved somewhere => every cached route toward d may be stale. The bits
-  // are bitwise change detections, identical in full and incremental
-  // rounds.
-  const int n = graph_.size();
-  const int words = ctx.words_per_agent;
-  for (int w = 0; w < words; ++w) {
-    std::uint64_t word = 0;
-    for (int i = 0; i < n; ++i) {
-      word |= ctx.changed_words[static_cast<std::size_t>(i) *
-                                    static_cast<std::size_t>(words) +
-                                static_cast<std::size_t>(w)];
-    }
-    while (word != 0) {
-      const int d = w * 64 + __builtin_ctzll(word);
-      word &= word - 1;
-      if (d < n) ++dest_version_[static_cast<std::size_t>(d)];
-    }
-  }
   if (ctx.next_changes > 0) {
     convergence_round_ = -1;
   } else if (convergence_round_ < 0) {

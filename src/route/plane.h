@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -18,18 +17,19 @@ namespace cronets::route {
 /// per DC, and a RoutePolicy exchanging metrics between them in periodic
 /// rounds on the owner's event queue. Consumers (service::PathRanker via
 /// RankerConfig::route_plane) treat it as read-only between rounds: they
-/// ask `route()` for the current via-chain of an (entry DC, exit DC) pair
-/// and watch `pair_route_version()` to re-compose a cached candidate only
-/// when the table column or DC liveness behind it actually moved.
+/// ask `route()` for the current via-chain of an (entry DC, exit DC) pair.
+/// A read can change only when a round runs or DC liveness moves, so a
+/// consumer that memoizes reads on `rounds()` and the graph's
+/// `liveness_epoch()` never hands out a stale chain.
 ///
-/// Incrementality: the graph probes only dirty/stale edges per round, the
-/// delay policy recomputes only entries whose inputs moved (backpressure
-/// recomputes every entry), and consumers recompose only pairs whose
-/// destination version moved. Every RouteConfig::full_refresh_rounds-th
-/// round recomputes everything anyway, and `full_refresh_rounds = 1` runs
-/// the full-recompute reference over the same probe schedule — tables,
-/// fingerprints, and decisions are bitwise identical at any value; the
-/// benches and the bench gate diff them byte for byte.
+/// Incrementality: the graph probes only dirty/stale edges per round, and
+/// the delay policy recomputes only entries whose inputs moved
+/// (backpressure recomputes every entry). Every
+/// RouteConfig::full_refresh_rounds-th round recomputes everything anyway,
+/// and `full_refresh_rounds = 1` runs the full-recompute reference over the
+/// same probe schedule — tables, fingerprints, and decisions are bitwise
+/// identical at any value; the benches and the bench gate diff them byte
+/// for byte.
 ///
 /// Determinism: rounds run single-threaded on the event queue, agents
 /// update in node index order from round-start snapshots, and every edge
@@ -51,7 +51,7 @@ class RoutePlane {
   bool attached() const { return queue_ != nullptr; }
 
   /// One round now: probe due edges, run the policy exchange, account
-  /// flaps/versions/convergence. Benches and tests may call this directly
+  /// flaps/convergence. Benches and tests may call this directly
   /// instead of attach() when they drive time themselves.
   void step(sim::Time t);
 
@@ -64,19 +64,6 @@ class RoutePlane {
   /// Min EWMA backbone rate over the chain's consecutive edges (0 when
   /// any edge is unmeasured).
   double route_bottleneck_bps(const std::vector<int>& via_eps) const;
-
-  /// Per-pair staleness: the route() walk toward `exit_ep` reads only the
-  /// table column of its exit node (plus liveness), so a consumer caching
-  /// that pair's chain needs to recompose only when this moves. Identical
-  /// at any full_refresh_rounds — full and incremental rounds derive
-  /// destination versions from the same bitwise change trajectory.
-  /// `exit_ep` must be a plane node (a DC VM endpoint).
-  std::uint64_t pair_route_version(int exit_ep) const {
-    const int exit = graph_.node_of_ep(exit_ep);
-    assert(exit >= 0 && "exit_ep is not a plane node");
-    return dest_version_[static_cast<std::size_t>(exit)] +
-           graph_.liveness_epoch();
-  }
 
   /// Order-sensitive hash over every agent's full table and virtual queues
   /// (metric doubles by bit pattern). THE determinism witness: equal
@@ -111,7 +98,6 @@ class RoutePlane {
   OverlayGraph graph_;
   std::unique_ptr<RoutePolicy> policy_;
   std::vector<RoutingAgent> agents_;
-  std::vector<std::uint64_t> dest_version_;  ///< per destination node
   sim::EventQueue* queue_ = nullptr;
   std::uint64_t seen_liveness_epoch_ = 0;
   std::uint64_t recomputed_total_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstdint>
 
 #include "model/simd/dispatch.h"
 
@@ -28,11 +29,12 @@ bool entry_equal(const RouteEntry& a, const RouteEntry& b) {
              std::bit_cast<std::uint64_t>(b.metric);
 }
 
-/// Changed-entry bookkeeping shared by both policies: per-agent bitsets of
-/// destinations whose entry changed this round (reported to the plane via
-/// RoundContext) and last round (the delta-propagation frontier). Full
-/// and incremental rounds run identical tracking — the bits are derived
-/// from bitwise entry comparisons, so both record the same trajectory.
+/// Changed-entry bookkeeping shared by both policies: the funnel for table
+/// writes and their RoundContext counters, plus per-agent bitsets of
+/// destinations whose entry changed this round and last round (the delay
+/// policy's delta-propagation frontier). Full and incremental rounds run
+/// identical tracking — the bits are derived from bitwise entry
+/// comparisons, so both record the same trajectory.
 class DeltaTracker {
  public:
   void ensure(int n) {
@@ -73,11 +75,7 @@ class DeltaTracker {
     out = nw;
   }
 
-  void end_round(RoundContext* ctx) {
-    prev_.swap(cur_);
-    ctx->changed_words = prev_.data();
-    ctx->words_per_agent = words_;
-  }
+  void end_round() { prev_.swap(cur_); }
 
   const std::uint64_t* prev_row(int i) const {
     return &prev_[static_cast<std::size_t>(i) *
@@ -142,14 +140,13 @@ class DelayPolicy final : public RoutePolicy {
     tracker_.begin_round();
     const bool inc = !ctx->full_refresh;
     // Round-start snapshot: every agent advertises the table it ended the
-    // previous round with, so in-round updates cannot leak sideways. The
-    // incremental path keeps the snapshot warm by re-copying only the
-    // entries that changed last round. Liveness is folded in, so a moved
-    // liveness epoch rebuilds it whatever the round.
-    const std::size_t nn =
-        static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-    if (!inc || adv_metric_.size() != nn ||
-        adv_epoch_ != g.liveness_epoch()) {
+    // previous round with, so in-round updates cannot leak sideways. A full
+    // round rebuilds it; an incremental round keeps it warm by re-copying
+    // only the entries that changed last round. Liveness is folded in, and
+    // the plane makes round 1 and every round after a liveness move full.
+    if (!inc) {
+      const std::size_t nn =
+          static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
       adv_metric_.resize(nn);
       adv_next_.resize(nn);
       adv_hops_.resize(nn);
@@ -159,7 +156,6 @@ class DelayPolicy final : public RoutePolicy {
           advertise(g, j, d, a.table[static_cast<std::size_t>(d)]);
         }
       }
-      adv_epoch_ = g.liveness_epoch();
     } else {
       for (int j = 0; j < n; ++j) {
         const RoutingAgent& a = (*agents)[static_cast<std::size_t>(j)];
@@ -174,7 +170,7 @@ class DelayPolicy final : public RoutePolicy {
         }
       }
     }
-    const std::vector<char>* rows = ctx->delay_dirty_rows;
+    const std::vector<char>& rows = g.delay_dirty_rows();
     const bool any_dest = tracker_.any_dest_dirty();
     for (int i = 0; i < n; ++i) {
       RoutingAgent& a = (*agents)[static_cast<std::size_t>(i)];
@@ -189,7 +185,7 @@ class DelayPolicy final : public RoutePolicy {
         }
         continue;
       }
-      const bool row_dirty = !inc || (*rows)[static_cast<std::size_t>(i)] != 0;
+      const bool row_dirty = !inc || rows[static_cast<std::size_t>(i)] != 0;
       if (row_dirty) {
         for (int d = 0; d < n; ++d) {
           if (d != i) compute_entry(g, &a, i, d, ctx);
@@ -206,7 +202,7 @@ class DelayPolicy final : public RoutePolicy {
         }
       }
     }
-    tracker_.end_round(ctx);
+    tracker_.end_round();
   }
 
  private:
@@ -263,11 +259,10 @@ class DelayPolicy final : public RoutePolicy {
   double hysteresis_;
   model::simd::Level level_;
   // Round-start snapshot, per-destination columns: slot d * n + j holds
-  // neighbour j's advertisement toward d. Valid for adv_epoch_.
+  // neighbour j's advertisement toward d.
   std::vector<double> adv_metric_;  ///< +inf unless usable (see advertise)
   std::vector<int> adv_next_;       ///< for split horizon
   std::vector<int> adv_hops_;
-  std::uint64_t adv_epoch_ = 0;
   DeltaTracker tracker_;
 };
 
@@ -352,7 +347,7 @@ class BackpressurePolicy final : public RoutePolicy {
         }
       }
     }
-    tracker_.end_round(ctx);
+    tracker_.end_round();
   }
 
  private:

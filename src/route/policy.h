@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -42,19 +41,15 @@ struct RouteConfig {
   int full_refresh_rounds = 64;
 };
 
-/// Per-round exchange context: the plane tells the policy which delta
-/// triggers fired this round (inputs), and the policy reports exactly what
-/// it touched and changed (outputs) so the plane can maintain versions,
-/// flap counters, and per-destination dirtiness without rescanning n^2
-/// entries.
+/// Per-round exchange context: the plane tells the policy whether this
+/// round recomputes everything (input), and the policy reports exactly what
+/// it touched and changed (outputs) for the plane's work, flap and
+/// convergence counters, without rescanning n^2 entries.
 struct RoundContext {
-  // -- inputs (plane -> policy) --
+  // -- input (plane -> policy) --
   /// Recompute everything this round regardless of dirtiness: first
   /// round, liveness epoch moved, or the periodic refresh came due.
   bool full_refresh = true;
-  /// Per-source-node flags: a delay latch in this row moved during this
-  /// round's measurement (owned by the graph).
-  const std::vector<char>* delay_dirty_rows = nullptr;
 
   // -- outputs (policy -> plane) --
   /// (agent, destination) entries actually recomputed / bitwise changed.
@@ -66,11 +61,6 @@ struct RoundContext {
   /// next-hop was replaced or withdrawn (flaps).
   int next_changes = 0;
   int flaps = 0;
-  /// Per-agent changed-destination bitsets for this round: agent i's words
-  /// at [i * words_per_agent, (i+1) * words_per_agent). Owned by the
-  /// policy, valid until its next round() call.
-  const std::uint64_t* changed_words = nullptr;
-  int words_per_agent = 0;
 };
 
 /// One metric-exchange discipline over the overlay graph. A `round` is a

@@ -44,8 +44,7 @@ void PathRanker::build_candidates(PairState* p) {
   Candidate direct;
   direct.kind = core::PathKind::kDirect;
   direct.path = topo_->cached_path(p->src, p->dst);
-  direct.usd_per_gb = price(*p, direct, nullptr);
-  direct.key = candidate_objective(direct);
+  set_route(*p, &direct, 0);
   p->candidates.push_back(std::move(direct));
   for (int o : overlay_eps_) {
     if (o == p->src || o == p->dst) continue;
@@ -54,8 +53,7 @@ void PathRanker::build_candidates(PairState* p) {
     c.overlay_ep = o;
     c.path = topo_->cached_path(p->src, o);
     c.leg2 = topo_->cached_path(o, p->dst);
-    c.usd_per_gb = price(*p, c, nullptr);
-    c.key = candidate_objective(c);
+    set_route(*p, &c, 0);
     p->candidates.push_back(std::move(c));
   }
   // Multi-hop candidates: every ordered (entry VM, exit VM) pair of plane
@@ -75,7 +73,9 @@ void PathRanker::build_candidates(PairState* p) {
         c.kind = core::PathKind::kMultiHop;
         c.overlay_ep = oa;
         c.exit_ep = ob;
-        refresh_multihop(*p, &c);
+        c.path = topo_->cached_path(p->src, oa);
+        c.leg2 = topo_->cached_path(ob, p->dst);
+        set_route(*p, &c, intern_route(oa, ob));
         p->candidates.push_back(std::move(c));
       }
     }
@@ -119,12 +119,10 @@ std::uint32_t PathRanker::intern_route(int entry_ep, int exit_ep) {
   return m.record;
 }
 
-void PathRanker::refresh_multihop(const PairState& p, Candidate* c) {
+void PathRanker::set_route(const PairState& p, Candidate* c,
+                           std::uint32_t record) {
+  c->route = record;
   c->plan = Candidate::kNoPlan;
-  c->path = topo_->cached_path(p.src, c->overlay_ep);
-  c->leg2 = topo_->cached_path(c->exit_ep, p.dst);
-  c->route = intern_route(c->overlay_ep, c->exit_ep);
-  c->route_ver = cfg_.route_plane->pair_route_version(c->exit_ep);
   // The chain moved, so what it costs moved with it.
   c->usd_per_gb = price(p, *c, nullptr);
   c->key = candidate_objective(*c);
@@ -265,13 +263,11 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
       raw = s.direct_bps;
     } else if (c.kind == core::PathKind::kMultiHop) {
       const route::RoutePlane* plane = cfg_.route_plane;
-      // The table column or liveness behind this candidate's route moved
-      // since it was read: re-read before scoring so the score matches the
-      // route sessions would actually ride. Per-destination versions keep
-      // unrelated table churn from re-composing every candidate.
-      if (c.route_ver != plane->pair_route_version(c.exit_ep)) {
-        refresh_multihop(p, &c);
-      }
+      // Re-read before scoring so the score matches the route sessions
+      // would actually ride. Between rounds and liveness moves the memo
+      // answers from its last read; only a new record re-pins.
+      const std::uint32_t record = intern_route(c.overlay_ep, c.exit_ep);
+      if (record != c.route) set_route(p, &c, record);
       // Compose from the one-hop probe's per-leg rates: leg 1 of the entry
       // VM's split sample, leg 2 of the exit VM's, and the plane's EWMA
       // bottleneck across the backbone hops. One 0.97 split-proxy haircut
@@ -349,7 +345,10 @@ void PathRanker::refresh_paths(int idx) {
     if (c.kind == core::PathKind::kDirect) {
       c.path = topo_->cached_path(p.src, p.dst);
     } else if (c.kind == core::PathKind::kMultiHop) {
-      refresh_multihop(p, &c);
+      c.path = topo_->cached_path(p.src, c.overlay_ep);
+      c.leg2 = topo_->cached_path(c.exit_ep, p.dst);
+      const std::uint32_t record = intern_route(c.overlay_ep, c.exit_ep);
+      if (record != c.route) set_route(p, &c, record);
     } else {
       c.path = topo_->cached_path(p.src, c.overlay_ep);
       c.leg2 = topo_->cached_path(c.overlay_ep, p.dst);

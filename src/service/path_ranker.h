@@ -71,11 +71,9 @@ struct Candidate {
   int overlay_ep = -1;        ///< kSplitOverlay/kMultiHop: entry VM
   int exit_ep = -1;           ///< kMultiHop only: exit VM
   /// kMultiHop: the plane route the score was composed against (an id for
-  /// PathRanker::route), and the per-destination plane version it was
-  /// read at (stale version => re-read on the next probe). Record 0, the
-  /// empty route, for every other kind.
+  /// PathRanker::route), re-read through PathRanker::intern_route on every
+  /// probe. Record 0, the empty route, for every other kind.
   std::uint32_t route = 0;
-  std::uint64_t route_ver = 0;
   double score_bps = 0.0;     ///< EWMA-smoothed predicted throughput
   /// PathRanker::candidate_objective of this candidate, stored whenever its
   /// score or price moves: the key the admission order is sorted by.
@@ -86,18 +84,18 @@ struct Candidate {
   /// candidate's traffic costs — direct pays nothing, a one-hop relay pays
   /// transit egress at its VM, a multi-hop chain pays backbone egress at
   /// every intermediate hop plus transit at the exit. Recomputed whenever
-  /// the candidate's route is (re)built, so the price always matches the
+  /// the candidate is pinned to a route, so the price always matches the
   /// current chain.
   double usd_per_gb = 0.0;
   /// The candidate's ChargePlan (PathRanker::charge_plan), interned at the
-  /// first reservation after the candidate was (re)built; kNoPlan until then.
+  /// first reservation after its last route change; kNoPlan until then.
   static constexpr std::uint32_t kNoPlan = 0xffffffffu;
   std::uint32_t plan = kNoPlan;
   bool measured = false;      ///< at least one probe applied
   bool down = false;          ///< traverses a failed adjacency (await repin)
 };
-static_assert(sizeof(Candidate) <= 88,
-              "a candidate holds no heap block of its own and fits 88 bytes");
+static_assert(sizeof(Candidate) <= 80,
+              "a candidate holds no heap block of its own and fits 80 bytes");
 
 /// What a session pinned to a candidate holds and pays, fixed when it
 /// reserves: the overlay VMs whose NICs carry its demand (none for direct,
@@ -260,7 +258,8 @@ class PathRanker {
   /// plane's current state. Memoized per (entry, exit) on the plane's
   /// round and its liveness epoch — every input of a RoutePlane::route
   /// read — and shared by every pair. A re-read appends a record only when
-  /// the chain or its usability differ from the memo's previous one.
+  /// the chain or its usability differ from the memo's previous one, so a
+  /// multi-hop candidate is current exactly when this returns its `route`.
   std::uint32_t intern_route(int entry_ep, int exit_ep);
 
   /// The plan a session reserving on candidate `ci` of the pair holds and
@@ -280,9 +279,10 @@ class PathRanker {
 
  private:
   void build_candidates(PairState* p);
-  /// Re-read the plane's current route for a kMultiHop candidate (through
-  /// the memo) and re-intern its access legs; re-prices it.
-  void refresh_multihop(const PairState& p, Candidate* c);
+  /// Pin the candidate to route record `record` (0 for the direct and
+  /// one-hop kinds): its plan is re-interned at the next reservation, its
+  /// price and key are re-derived now.
+  void set_route(const PairState& p, Candidate* c, std::uint32_t record);
   /// Insertion-sort the pair's cached order into ranked_order's
   /// permutation (best first) and clear its dirty bit.
   void repair_order(PairState* p) const;

@@ -2,12 +2,13 @@
 
 #include <utility>
 
+#include "sim/hash_rng.h"
 #include "topo/internet.h"
 
 namespace cronets::topo {
 
 PathRef PathCache::get(int ep_src, int ep_dst) {
-  const std::uint64_t k = key(ep_src, ep_dst);
+  const std::uint64_t k = sim::pack_pair(ep_src, ep_dst);
   {
     std::shared_lock<std::shared_mutex> lk(mu_);
     auto it = cache_.find(k);

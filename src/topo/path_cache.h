@@ -52,14 +52,9 @@ class PathCache {
   std::size_t size() const;
 
  private:
-  static std::uint64_t key(int ep_src, int ep_dst) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ep_src)) << 32) |
-           static_cast<std::uint32_t>(ep_dst);
-  }
-
   Internet* topo_;
   mutable std::shared_mutex mu_;
-  std::unordered_map<std::uint64_t, PathRef> cache_;
+  std::unordered_map<std::uint64_t, PathRef> cache_;  // by sim::pack_pair
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::uint64_t invalidations_ = 0;

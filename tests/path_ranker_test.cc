@@ -211,23 +211,11 @@ TEST(PathRanker, RouteMemoMatchesFreshPlaneReads) {
     expected.emplace_back(ranker.pair(idx).candidates.size());
     note_refresh(idx);
   };
-  // A probe: candidates whose plane version moved re-read their chain.
+  // A probe: every multi-hop candidate re-reads its chain.
   const auto probe = [&](int idx, int t_s) {
-    const PairState& p = ranker.pair(idx);
-    std::vector<char> stale(p.candidates.size(), 0);
-    for (std::size_t ci = 0; ci < p.candidates.size(); ++ci) {
-      const Candidate& c = p.candidates[ci];
-      stale[ci] = c.kind == core::PathKind::kMultiHop &&
-                  c.route_ver != plane.pair_route_version(c.exit_ep);
-    }
-    ranker.apply_sample(idx, flat_sample(p, overlays, 50e6),
+    ranker.apply_sample(idx, flat_sample(ranker.pair(idx), overlays, 50e6),
                         sim::Time::seconds(t_s));
-    for (std::size_t ci = 0; ci < p.candidates.size(); ++ci) {
-      const Candidate& c = p.candidates[ci];
-      if (!stale[ci]) continue;
-      expected[static_cast<std::size_t>(idx)][ci] =
-          fresh_read(plane, c.overlay_ep, c.exit_ep);
-    }
+    note_refresh(idx);
   };
   int detours = 0, multihop_checked = 0;
   const auto check = [&](int t_s) {

@@ -208,7 +208,6 @@ TEST(RoutePlane, DcOutageWithdrawsAndRestoresRoutes) {
   // adjacency of its cloud AS goes down through the production mutation
   // path, which must reach the graph via its listener — no polling.
   const std::uint64_t epoch_before = g.liveness_epoch();
-  const std::uint64_t version_before = plane.pair_route_version(tok);
   const int dc_as = net.endpoint(tok).as_id;
   std::vector<std::pair<int, int>> downed;
   for (const auto& adj : net.ases()[static_cast<std::size_t>(dc_as)].adj) {
@@ -218,7 +217,6 @@ TEST(RoutePlane, DcOutageWithdrawsAndRestoresRoutes) {
   for (const auto& [a, b] : downed) net.set_adjacency_up(a, b, false);
 
   EXPECT_GT(g.liveness_epoch(), epoch_before);
-  EXPECT_GT(plane.pair_route_version(tok), version_before);
   EXPECT_FALSE(g.node_up(down));
   EXPECT_FALSE(plane.route(net.dc_endpoint("wdc"), tok, &via));
 

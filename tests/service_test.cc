@@ -355,6 +355,28 @@ TEST(ReservationContract, RerouteKeepsWhatAPinnedSessionHoldsAndPays) {
   EXPECT_EQ(books.billing.fingerprint(), expected.fingerprint());
   EXPECT_EQ(books.billing.total_usd(), expected.total_usd());
   EXPECT_EQ(books.billing.cell_count(), chain.size());
+
+  // The re-read moved the candidate's price and plan with its chain: it
+  // prices the rerouted chain hop by hop, and the next session holds the
+  // rerouted chain's NICs and reserves that chain's spend rate.
+  double rerouted_usd_per_gb = 0.0;
+  for (std::size_t h = 0; h + 1 < rerouted.size(); ++h) {
+    rerouted_usd_per_gb += econ::egress_usd_per_gb(
+        book, region(rerouted[h]), region(rerouted[h + 1]), true);
+  }
+  rerouted_usd_per_gb += econ::egress_usd_per_gb(book, region(rerouted.back()),
+                                                 region(server), false);
+  ASSERT_NE(rerouted_usd_per_gb, usd_per_gb) << "the reroute kept the price";
+  EXPECT_EQ(cand.usd_per_gb, rerouted_usd_per_gb);
+  const std::uint64_t next = sessions.admit(ranker, idx, demand, closed);
+  ASSERT_EQ(sessions.session(next).candidate, ci);
+  for (int ep : overlays) {
+    const bool on_rerouted =
+        std::find(rerouted.begin(), rerouted.end(), ep) != rerouted.end();
+    EXPECT_EQ(books.nic.used_bps(ep), on_rerouted ? demand : 0.0) << ep;
+  }
+  EXPECT_EQ(books.cost.reserved_usd_per_hour(),
+            demand / 8e9 * 3600.0 * rerouted_usd_per_gb);
 }
 
 TEST(PathRanker, EwmaSmoothsAndHysteresisDamsFlapping) {
