@@ -14,15 +14,15 @@
 // control plane's per-pair-merged decision fingerprint. Every `checks`
 // row is a pure function of the seed: the "(1=yes)" rows assert that the
 // default incremental plane reproduces a full-recompute run of the same
-// policy (RouteConfig::full_refresh_rounds = 1: every round recomputes
-// every entry), in the same process, bit for bit in every RunResult
+// policy (RouteConfig::full_recompute: every round recomputes every
+// entry), in the same process, bit for bit in every RunResult
 // field, and the bench gate (tools/check_bench_regress.py) diffs the
 // whole text output across CRONETS_THREADS 1/4 and CRONETS_SIMD
 // auto/scalar (only "-- timing:"/"-- config" rows are filtered).
 //
 // The `--dcs N` axis (default sweep: 32/128, plus 512 in full mode) grows
 // a synthetic DC mesh and runs the plane alone — the default plane and
-// the full_refresh_rounds = 1 reference in lockstep on one world,
+// the full_recompute reference in lockstep on one world,
 // fingerprint-checked every warm and perturbed round — reporting
 // steady-state rounds/s for both and the wall-clock speedup (timing rows,
 // no threshold), edges probed per round, and table-entry deltas per
@@ -92,9 +92,9 @@ struct RunResult {
 
 // One full control-plane run. The world, plane config, workload and
 // congestion episode are fixed by the seed, so every RunResult field must
-// be bitwise identical across thread counts, and at any
-// `full_refresh_rounds` (1 = the full-recompute reference).
-RunResult run_one(route::Policy policy, bool smoke, int full_refresh_rounds) {
+// be bitwise identical across thread counts, and with or without
+// `full_recompute` (the full-recompute reference).
+RunResult run_one(route::Policy policy, bool smoke, bool full_recompute) {
   wkld::World world(bench::world_seed(), pathological_topology(),
                     pathological_cloud());
   auto& net = world.internet();
@@ -133,7 +133,7 @@ RunResult run_one(route::Policy policy, bool smoke, int full_refresh_rounds) {
   route::RouteConfig rcfg;
   rcfg.policy = policy;
   rcfg.round_interval = sim::Time::seconds(1);
-  rcfg.full_refresh_rounds = full_refresh_rounds;
+  rcfg.full_recompute = full_recompute;
   route::RoutePlane plane(&net, &world.flow(), world.seed(), rcfg);
 
   service::BrokerConfig cfg;
@@ -235,7 +235,7 @@ struct ScaleResult {
 
 // The `--dcs` axis: the routing plane alone on an n-DC mesh, the default
 // incremental plane and the full-recompute reference
-// (full_refresh_rounds = 1) in lockstep on ONE world so both see the
+// (full_recompute) in lockstep on ONE world so both see the
 // identical mutation timeline. Fingerprints are compared after every warm
 // and perturbed round (and once after the timed quiescent window, where
 // per-round hashing would swamp the thing being measured); the timed
@@ -256,7 +256,7 @@ ScaleResult run_scale(route::Policy policy, int dcs, bool smoke) {
   base.probe_interval_rounds = 128;
   const route::RouteConfig& inc_cfg = base;
   route::RouteConfig full_cfg = base;
-  full_cfg.full_refresh_rounds = 1;
+  full_cfg.full_recompute = true;
   route::RoutePlane inc(&net, &world.flow(), world.seed(), inc_cfg);
   route::RoutePlane full(&net, &world.flow(), world.seed(), full_cfg);
 
@@ -353,9 +353,8 @@ int main(int argc, char** argv) {
     const std::string tag = route::policy_name(policy);
     // The full-recompute run is the lockstep witness: it must reproduce
     // every field the incremental broker run reports.
-    const RunResult broker =
-        run_one(policy, smoke, route::RouteConfig{}.full_refresh_rounds);
-    const RunResult full = run_one(policy, smoke, /*full_refresh_rounds=*/1);
+    const RunResult broker = run_one(policy, smoke, /*full_recompute=*/false);
+    const RunResult full = run_one(policy, smoke, /*full_recompute=*/true);
     const bool same = full == broker;
     admitted_total += broker.admitted;
 

@@ -29,7 +29,8 @@ namespace cronets::route {
 /// it.
 ///
 /// Probing is incremental: an edge's staleness key in a sim::DueSet is the
-/// round it was last probed (kDueNow = dirty, probe now). A round probes
+/// round it was last probed (kDueNow = dirty, probe now), so a re-key only
+/// ever moves an edge to the current round or to kDueNow. A round probes
 /// every dirty edge plus the most-stale edges idle for at least
 /// `probe_interval_rounds`, at most ceil(E / interval) of them, so a
 /// quiescent mesh costs E/interval edge measurements per round instead of

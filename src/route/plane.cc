@@ -37,13 +37,9 @@ void RoutePlane::step(sim::Time t) {
   const bool liveness_moved = graph_.liveness_epoch() != seen_liveness_epoch_;
   seen_liveness_epoch_ = graph_.liveness_epoch();
   RoundContext ctx;
-  // Full refresh: the first round installs everything, a liveness move
-  // invalidates node-up terms in every entry, and the periodic refresh
-  // keeps a standing audit that the delta path missed nothing (every
-  // round, in the full_refresh_rounds = 1 reference).
-  ctx.full_refresh = rounds_ == 1 || liveness_moved ||
-                     (cfg_.full_refresh_rounds > 0 &&
-                      rounds_ % cfg_.full_refresh_rounds == 0);
+  // Full refresh: the first round installs everything, and a liveness
+  // move invalidates node-up terms in every entry.
+  ctx.full_refresh = rounds_ == 1 || liveness_moved || cfg_.full_recompute;
   policy_->round(graph_, &agents_, &ctx);
   recomputed_total_ += static_cast<std::uint64_t>(ctx.entries_recomputed);
   deltas_total_ += static_cast<std::uint64_t>(ctx.entries_changed);

@@ -24,12 +24,12 @@ namespace cronets::route {
 ///
 /// Incrementality: the graph probes only dirty/stale edges per round, and
 /// the delay policy recomputes only entries whose inputs moved
-/// (backpressure recomputes every entry). Every
-/// RouteConfig::full_refresh_rounds-th round recomputes everything anyway,
-/// and `full_refresh_rounds = 1` runs the full-recompute reference over the
-/// same probe schedule — tables, fingerprints, and decisions are bitwise
-/// identical at any value; the benches and the bench gate diff them byte
-/// for byte.
+/// (backpressure recomputes every entry). Only round 1 and the round after
+/// a liveness move recompute everything. RouteConfig::full_recompute runs
+/// the full-recompute reference over the same probe schedule — tables,
+/// fingerprints, and decisions are bitwise identical either way; the
+/// benches, the bench gate and the route tests diff them byte for byte,
+/// and the tests also check every round against an independent exchange.
 ///
 /// Determinism: rounds run single-threaded on the event queue, agents
 /// update in node index order from round-start snapshots, and every edge
@@ -86,8 +86,8 @@ class RoutePlane {
   /// Incremental-work accounting across all rounds: table entries actually
   /// recomputed and entries that bitwise changed (the deltas that would go
   /// on the wire in a triggered-update protocol). `deltas_total` is
-  /// identical at any full_refresh_rounds; `entries_recomputed_total` is
-  /// the work saved.
+  /// identical with or without full_recompute; `entries_recomputed_total`
+  /// is the work saved.
   std::uint64_t entries_recomputed_total() const { return recomputed_total_; }
   std::uint64_t deltas_total() const { return deltas_total_; }
 

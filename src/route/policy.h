@@ -33,12 +33,11 @@ struct RouteConfig {
   /// Probing cadence: re-probe an edge once it has gone this many rounds
   /// without a probe (1 = probe everything every round). See OverlayGraph.
   int probe_interval_rounds = 8;
-  /// Every this-many rounds the plane recomputes every table entry, not
-  /// only those whose inputs moved: a standing audit of the delta path.
-  /// 1 makes every round a full refresh — the full-recompute reference,
-  /// bitwise identical at any other value (bench_multihop_routing and the
-  /// route tests run it in lockstep with the default).
-  int full_refresh_rounds = 64;
+  /// Recompute every table entry every round: the full-recompute
+  /// reference, bitwise identical to the default incremental plane, which
+  /// recomputes everything only at round 1 and after a liveness move
+  /// (bench_multihop_routing and the route tests run the two in lockstep).
+  bool full_recompute = false;
 };
 
 /// Per-round exchange context: the plane tells the policy whether this
@@ -48,7 +47,7 @@ struct RouteConfig {
 struct RoundContext {
   // -- input (plane -> policy) --
   /// Recompute everything this round regardless of dirtiness: first
-  /// round, liveness epoch moved, or the periodic refresh came due.
+  /// round, liveness epoch moved, or the full-recompute reference.
   bool full_refresh = true;
 
   // -- outputs (policy -> plane) --

@@ -29,7 +29,9 @@ struct ProbeConfig {
 /// (last probe ns, pair id) in sync — track_pair at registration,
 /// on_probed per applied probe, age_all when a mutation resets every pair
 /// to never-probed — and each tick walks only its due prefix, so a tick
-/// costs O(churn), not O(pairs). Selection is a pure function of the
+/// costs O(churn), not O(pairs). Probes are applied in simulated-time
+/// order, so each re-key lands on the newest key, the monotone order the
+/// due set keeps without a tree. Selection is a pure function of the
 /// pairs' probe timestamps, so it is deterministic at any thread count.
 class ProbeScheduler {
  public:
@@ -40,7 +42,8 @@ class ProbeScheduler {
   /// Start tracking pair `idx` (must be the next dense index) as
   /// never-probed.
   void track_pair(int idx);
-  /// Re-key pair `idx` after a probe was applied at time `t`.
+  /// Re-key pair `idx` after a probe was applied at time `t`, no earlier
+  /// than any probe before it.
   void on_probed(int idx, sim::Time t);
   /// Reset every tracked pair to never-probed (adjacency-restore sweeps).
   void age_all() { due_.reset_all(); }

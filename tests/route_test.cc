@@ -323,11 +323,12 @@ TEST(RoutePlane, LateBackboneEventMatchesEventKnownAtConstruction) {
 
 // Replays a seeded chaos timeline (DC outages + a link-flap/storm mix)
 // against two planes on the SAME world — one incremental, one running the
-// full-recompute reference (full_refresh_rounds = 1: every round takes the
+// full-recompute reference (full_recompute: every round takes the
 // full-refresh path) — and asserts the table fingerprints are
 // bitwise identical at every round index. The window crosses fault begins,
-// fault ends, periodic full refreshes, and plain quiescent rounds, so the
-// delta path is exercised on every kind of round the plane has.
+// fault ends, the full rounds after liveness moves, and plain quiescent
+// rounds, so the delta path is exercised on every kind of round the plane
+// has.
 TEST(RoutePlane, IncrementalMatchesFullUnderChaos) {
   for (const Policy policy : {Policy::kDelay, Policy::kBackpressure}) {
     wkld::World world(kSeed, topo::TopologyParams{}, pathological_cloud());
@@ -349,9 +350,8 @@ TEST(RoutePlane, IncrementalMatchesFullUnderChaos) {
 
     RouteConfig inc_cfg;
     inc_cfg.policy = policy;
-    inc_cfg.full_refresh_rounds = 16;  // several refreshes inside the window
     RouteConfig full_cfg = inc_cfg;
-    full_cfg.full_refresh_rounds = 1;
+    full_cfg.full_recompute = true;
     // Both planes observe the same mutation timeline through their own
     // listeners; measurements are keyed on (seed, pair, t), so sharing the
     // world cannot couple them.
@@ -489,13 +489,21 @@ std::string first_table_difference(const std::vector<RoutingAgent>& x,
   return {};
 }
 
+/// What run_against_reference saw, summed over its planes and rounds.
+struct ReferenceRun {
+  long multi_hop = 0;  ///< table entries with >= 2 hops
+  /// Incremental rounds (not round 1, no liveness move) in which some
+  /// latched delay moved: the rounds whose dirty rows the delta path
+  /// must re-relax.
+  int dirty_row_rounds = 0;
+};
+
 /// One delay plane per (max_hops, hysteresis) in {1, 2, 3} x {0, 0.1} on
 /// one world, each beside its reference exchange. `mutate(round)` runs
-/// before each round's steps. Returns the number of table entries with
-/// >= 2 hops seen across planes and rounds.
+/// before each round's steps.
 template <typename Mutate>
-long run_against_reference(wkld::World& world, int rounds,
-                           int full_refresh_rounds, Mutate mutate) {
+ReferenceRun run_against_reference(wkld::World& world, int rounds,
+                                   Mutate mutate) {
   std::vector<std::unique_ptr<RoutePlane>> planes;
   std::vector<ReferenceDelayExchange> refs;
   for (const int max_hops : {1, 2, 3}) {
@@ -504,31 +512,43 @@ long run_against_reference(wkld::World& world, int rounds,
       cfg.policy = Policy::kDelay;
       cfg.max_hops = max_hops;
       cfg.hysteresis = hysteresis;
-      cfg.full_refresh_rounds = full_refresh_rounds;
       planes.push_back(std::make_unique<RoutePlane>(
           &world.internet(), &world.flow(), world.seed(), cfg));
       refs.emplace_back(planes.back()->graph().size(), cfg);
     }
   }
-  long multi_hop = 0;
+  ReferenceRun run;
+  std::vector<std::uint64_t> epoch(planes.size());
+  for (std::size_t k = 0; k < planes.size(); ++k) {
+    epoch[k] = planes[k]->graph().liveness_epoch();
+  }
   for (int r = 1; r <= rounds; ++r) {
     mutate(r);
+    bool dirty_row = false;
     for (std::size_t k = 0; k < planes.size(); ++k) {
+      const OverlayGraph& g = planes[k]->graph();
       planes[k]->step(sim::Time::seconds(r));
-      refs[k].round(planes[k]->graph());
+      refs[k].round(g);
       const std::string diff =
           first_table_difference(planes[k]->agents(), refs[k].agents());
       EXPECT_TRUE(diff.empty())
           << "max_hops " << planes[k]->config().max_hops << ", hysteresis "
           << planes[k]->config().hysteresis << ", round " << r << ": "
           << diff;
-      if (!diff.empty()) return multi_hop;
+      if (!diff.empty()) return run;
       for (const RoutingAgent& a : planes[k]->agents()) {
-        for (const RouteEntry& e : a.table) multi_hop += e.hops >= 2;
+        for (const RouteEntry& e : a.table) run.multi_hop += e.hops >= 2;
       }
+      const bool incremental = r > 1 && g.liveness_epoch() == epoch[k];
+      epoch[k] = g.liveness_epoch();
+      const auto& rows = g.delay_dirty_rows();
+      dirty_row = dirty_row ||
+                  (incremental &&
+                   std::find(rows.begin(), rows.end(), 1) != rows.end());
     }
+    run.dirty_row_rounds += dirty_row;
   }
-  return multi_hop;
+  return run;
 }
 
 TEST(RoutePlane, DelayExchangeMatchesPerNeighbourReferenceUnderChaos) {
@@ -547,12 +567,11 @@ TEST(RoutePlane, DelayExchangeMatchesPerNeighbourReferenceUnderChaos) {
       world.internet(), sp, kSeed, /*scenario_seed=*/7);
   chaos::Injector injector(&world.internet(), &queue);
   injector.arm(scenario);
-  const long multi_hop = run_against_reference(
-      world, 48, /*full_refresh_rounds=*/16, [&](int r) {
-        while (queue.next_time() <= sim::Time::seconds(r)) queue.run_next();
-      });
+  const ReferenceRun run = run_against_reference(world, 48, [&](int r) {
+    while (queue.next_time() <= sim::Time::seconds(r)) queue.run_next();
+  });
   EXPECT_GT(injector.begun(), 0u);
-  EXPECT_GT(multi_hop, 0);
+  EXPECT_GT(run.multi_hop, 0);
 }
 
 /// A synthetic n-DC cloud on a thin backbone: index-keyed positions (no
@@ -593,19 +612,53 @@ TEST(RoutePlane, DelayExchangeMatchesPerNeighbourReferenceOnMesh) {
   ev.until = sim::Time::seconds(25);
   ev.util_boost = 0.9;
   ev.loss_boost = 0.02;
-  const long multi_hop = run_against_reference(
-      world, 40, RouteConfig{}.full_refresh_rounds, [&](int r) {
-        if (r == 10 || r == 14) {
-          for (const auto& [a, b] : adjs) net.set_adjacency_up(a, b, r == 14);
-        }
-        if (r == 16) {
-          for (const bool fwd : {true, false}) {
-            ev.forward = fwd;
-            net.add_event(ev);
-          }
-        }
-      });
-  EXPECT_GT(multi_hop, 0);
+  const ReferenceRun run = run_against_reference(world, 40, [&](int r) {
+    if (r == 10 || r == 14) {
+      for (const auto& [a, b] : adjs) net.set_adjacency_up(a, b, r == 14);
+    }
+    if (r == 16) {
+      for (const bool fwd : {true, false}) {
+        ev.forward = fwd;
+        net.add_event(ev);
+      }
+    }
+  });
+  EXPECT_GT(run.multi_hop, 0);
+}
+
+TEST(RoutePlane, DelayExchangeMatchesReferenceThroughLatchedDelayMoves) {
+  // The delta path's dirty-row branch: an incremental round whose probes
+  // re-latch a delay must re-relax that row. DC 1 sits 0.3 degrees of
+  // longitude from DC 0, so their backbone edge is short and the queueing
+  // a congestion episode adds (rounds 18-25, added at round 16) moves its
+  // delay by more than the latch threshold.
+  topo::CloudParams cp = synth_cloud(37);
+  cp.dcs[1].pos = {cp.dcs[0].pos.lat, cp.dcs[0].pos.lon + 0.3};
+  wkld::World world(kSeed, topo::TopologyParams{}, cp);
+  topo::Internet& net = world.internet();
+  const auto& eps = net.dc_endpoints();
+  topo::LinkEvent ev;
+  for (const auto& tr : net.backbone_path(eps[0], eps[1]).traversals) {
+    if (net.links()[static_cast<std::size_t>(tr.link_id)].is_backbone) {
+      ev.link_id = tr.link_id;
+    }
+  }
+  ASSERT_GE(ev.link_id, 0);
+  ev.from = sim::Time::seconds(18);
+  ev.until = sim::Time::seconds(25);
+  ev.util_boost = 0.9;
+  ev.loss_boost = 0.02;
+  const ReferenceRun run = run_against_reference(world, 40, [&](int r) {
+    if (r == 16) {
+      for (const bool fwd : {true, false}) {
+        ev.forward = fwd;
+        net.add_event(ev);
+      }
+    }
+  });
+  // The coverage this test exists for: without such a round it would
+  // pass however the dirty-row branch behaved.
+  EXPECT_GT(run.dirty_row_rounds, 0);
 }
 
 struct ControlResult {

@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -380,10 +381,10 @@ TEST(RngDistributions, DrawForDrawLibstdcxx) {
 #endif  // __GLIBCXX__
 
 /// The routing plane's selection rule (OverlayGraph::select_due) over a
-/// DueSet: due-now ids are budget-exempt, stale ids are taken up to
-/// `budget`, most stale first.
-std::vector<int> graph_rule(const DueSet& due, std::int64_t threshold,
-                            int budget) {
+/// DueSet or its oracle: due-now ids are budget-exempt, stale ids are
+/// taken up to `budget`, most stale first.
+template <typename Index>
+std::vector<int> graph_rule(Index& due, std::int64_t threshold, int budget) {
   std::vector<int> out;
   int taken = 0;
   due.walk(threshold, [&](std::int64_t key, int id) {
@@ -395,6 +396,123 @@ std::vector<int> graph_rule(const DueSet& due, std::int64_t threshold,
     return true;
   });
   return out;
+}
+
+/// The probe scheduler's rule (ProbeScheduler::select): every due entry.
+template <typename Index>
+std::vector<std::pair<std::int64_t, int>> full_walk(Index& due,
+                                                    std::int64_t threshold) {
+  std::vector<std::pair<std::int64_t, int>> out;
+  due.walk(threshold, [&](std::int64_t key, int id) {
+    out.emplace_back(key, id);
+    return true;
+  });
+  return out;
+}
+
+/// DueSet's order kept the obvious way, in a std::set of (key, id): the
+/// oracle for the differential test.
+class DueSetOracle {
+ public:
+  int add(std::int64_t key) {
+    key_of_.push_back(key);
+    set_.emplace(key, static_cast<int>(key_of_.size()) - 1);
+    return static_cast<int>(key_of_.size()) - 1;
+  }
+  void set(int id, std::int64_t key) {
+    std::int64_t& cur = key_of_[static_cast<std::size_t>(id)];
+    set_.erase({cur, id});
+    cur = key;
+    set_.emplace(key, id);
+  }
+  void reset_all() {
+    set_.clear();
+    for (std::size_t i = 0; i < key_of_.size(); ++i) {
+      key_of_[i] = DueSet::kDueNow;
+      set_.emplace(DueSet::kDueNow, static_cast<int>(i));
+    }
+  }
+  std::size_t size() const { return key_of_.size(); }
+  template <typename Fn>
+  void walk(std::int64_t threshold, Fn&& fn) const {
+    const std::int64_t limit = std::max(threshold, DueSet::kDueNow);
+    for (const auto& [key, id] : set_) {
+      if (key > limit || !fn(key, id)) return;
+    }
+  }
+
+ private:
+  std::set<std::pair<std::int64_t, int>> set_;
+  std::vector<std::int64_t> key_of_;
+};
+
+TEST(DueSet, MatchesOrderedSetOracle) {
+  // Seeded random traffic under the monotone-key contract: adds (never-due
+  // ones too), re-keys to the newest key, dirty marks, resets, and ids
+  // that go dirty and straight back to the newest key (they re-enter its
+  // bucket, so the walk must de-duplicate). After every step both walk
+  // rules must visit exactly what the oracle visits.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(0xD5E7 + seed);
+    DueSet due;
+    DueSetOracle oracle;
+    std::int64_t now = 0;
+    const auto rekey = [&](int id, std::int64_t key) {
+      due.set(id, key);
+      oracle.set(id, key);
+    };
+    std::uint64_t visited = 0, early_stops = 0;
+    for (int step = 0; step < 1500; ++step) {
+      now += static_cast<std::int64_t>(rng.index(3));
+      const double op = rng.uniform();
+      if (oracle.size() < 64 && (oracle.size() < 8 || op < 0.1)) {
+        const std::int64_t key = rng.bernoulli(0.1)   ? DueSet::kNeverDue
+                                 : rng.bernoulli(0.5) ? DueSet::kDueNow
+                                                      : now;
+        ASSERT_EQ(due.add(key), oracle.add(key));
+      } else if (op < 0.3) {
+        // A handful of probes at the newest key, in random id order.
+        for (int k = 1 + static_cast<int>(rng.index(6)); k > 0; --k) {
+          rekey(static_cast<int>(rng.index(oracle.size())), now);
+        }
+      } else if (op < 0.45) {
+        rekey(static_cast<int>(rng.index(oracle.size())), DueSet::kDueNow);
+      } else if (op < 0.55) {
+        // Away from the newest key and back again.
+        const int id = static_cast<int>(rng.index(oracle.size()));
+        rekey(id, now);
+        rekey(id, DueSet::kDueNow);
+        rekey(id, now);
+      } else if (op < 0.57) {
+        rekey(static_cast<int>(rng.index(oracle.size())), DueSet::kNeverDue);
+      } else if (op < 0.575) {
+        due.reset_all();
+        oracle.reset_all();
+      }
+
+      // Thresholds from below kDueNow to past the newest key.
+      const std::int64_t threshold =
+          now - 12 + static_cast<std::int64_t>(rng.index(15));
+      const int budget = static_cast<int>(rng.index(8));
+      const std::vector<int> got = graph_rule(due, threshold, budget);
+      ASSERT_EQ(got, graph_rule(oracle, threshold, budget))
+          << "seed " << seed << " step " << step << " threshold "
+          << threshold << " budget " << budget;
+      const auto all = full_walk(due, threshold);
+      ASSERT_EQ(all, full_walk(oracle, threshold))
+          << "seed " << seed << " step " << step << " threshold "
+          << threshold;
+      visited += all.size();
+      early_stops += got.size() < all.size();
+      // The routing graph probes what it selected, at the newest key.
+      if (rng.bernoulli(0.5)) {
+        for (const int id : got) rekey(id, now);
+      }
+    }
+    // The traffic reached the paths under test.
+    EXPECT_GT(visited, 5000u) << "seed " << seed;
+    EXPECT_GT(early_stops, 100u) << "seed " << seed;
+  }
 }
 
 TEST(DueSet, GraphRuleExemptsDirtyIdsAndBreaksTiesById) {
@@ -412,12 +530,12 @@ TEST(DueSet, GraphRuleExemptsDirtyIdsAndBreaksTiesById) {
   // kDueNow, yet every dirty id is walked, budget or not.
   EXPECT_EQ(graph_rule(due, -8, 1), (std::vector<int>{1, 2, 3, 5, 6, 7}));
 
-  // Probe five edges; 7 stays dirty.
+  // Probe five edges over three rounds; 7 stays dirty.
   due.set(1, 0);
   due.set(2, 0);
-  due.set(3, 2);
-  due.set(5, 1);
   due.set(6, 0);
+  due.set(5, 1);
+  due.set(3, 2);
   // Dirty first and exempt; then the stale ids, most stale first, equal
   // keys in id order, until the budget of 2 is spent.
   EXPECT_EQ(graph_rule(due, 1, 2), (std::vector<int>{7, 1, 2}));
@@ -428,9 +546,9 @@ TEST(DueSet, GraphRuleExemptsDirtyIdsAndBreaksTiesById) {
   const std::int64_t far = std::numeric_limits<std::int64_t>::max() - 1;
   EXPECT_EQ(graph_rule(due, far, 100), (std::vector<int>{7, 1, 2, 6, 5, 3}));
 
-  // A re-key moves the id to its new place; a tie on key 0 sorts by id.
-  due.set(7, 0);
-  EXPECT_EQ(graph_rule(due, 0, 100), (std::vector<int>{1, 2, 6, 7}));
+  // A re-key moves the id to the newest key; a tie there sorts by id.
+  due.set(7, 2);
+  EXPECT_EQ(graph_rule(due, 2, 100), (std::vector<int>{1, 2, 6, 5, 3, 7}));
 
   // reset_all makes every id due now, the diagonal included.
   due.reset_all();

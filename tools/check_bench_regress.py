@@ -15,8 +15,10 @@ the program ignored cannot pass by comparing two identical runs. Each
 bench's first reference run is then compared with its bench/baselines/
 file (compare), and must fail against that baseline with its
 fingerprints perturbed (perturb_errors). A lint (lint_errors) first fails
-on a standard-library random engine or distribution anywhere under src/.
-EXPERIMENTS.md ("CI gates") lists every rule.
+on a standard-library random engine or distribution anywhere under src/,
+and on a node-based container (<set>, <map>, <unordered_map>,
+<unordered_set>) in the hot-path modules: src/route/ and the src/sim/
+headers. EXPERIMENTS.md ("CI gates") lists every rule.
 """
 
 import copy
@@ -94,6 +96,12 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 # the standard library.
 STD_RANDOM = re.compile(
     r"mt19937|std::\w+_distribution|std::shuffle|generate_canonical")
+# Hot paths use dense indices, not trees or hash tables: the routing plane
+# and the simulation core's headers include no node-based container.
+# src/sim/env.cc's warn-once set is cold code, so only the headers count.
+HOT_PATH = re.compile(r"route/|sim/[^/]+\.h$")
+NODE_CONTAINER = re.compile(
+    r"#\s*include\s*<(set|map|unordered_map|unordered_set)>")
 
 
 def load(path):
@@ -118,17 +126,22 @@ def check_rows(doc):
 
 def lint_errors():
     """Lines under src/ that name a standard-library random engine,
-    distribution or shuffle."""
+    distribution or shuffle, or include a node-based container on a hot
+    path (HOT_PATH)."""
     errors = []
     for root, dirs, files in os.walk(SRC):
         dirs.sort()
         for name in sorted(files):
             path = os.path.join(root, name)
+            rel = os.path.relpath(path, SRC).replace(os.sep, "/")
+            hot = HOT_PATH.match(rel)
             with open(path, errors="replace") as f:
                 for n, line in enumerate(f, 1):
+                    where = f"src/{rel}:{n}: {line.strip()}"
                     if STD_RANDOM.search(line):
-                        errors.append(f"{os.path.relpath(path, SRC)}:{n}: "
-                                      f"{line.strip()}")
+                        errors.append(f"{where}: use sim::Rng")
+                    if hot and NODE_CONTAINER.search(line):
+                        errors.append(f"{where}: use dense indices")
     return errors
 
 
@@ -250,9 +263,9 @@ def main():
     errors, warnings, first, runs = [], [], {}, 0
     lint = lint_errors()
     print(f"FAIL lint src/ ({len(lint)} line(s))" if lint else
-          "ok   lint src/ (no standard-library random engine or distribution)",
-          flush=True)
-    errors += [f"src/{e}: use sim::Rng" for e in lint]
+          "ok   lint src/ (no standard-library random engine or distribution, "
+          "no node-based container on a hot path)", flush=True)
+    errors += lint
     for bench, fixed, axes in MATRIX:
         ref = None
         for combo in itertools.product(
